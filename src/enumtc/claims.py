@@ -1,22 +1,24 @@
 """Claim registry, genus arithmetic, and the verification runner.
 
 Every independently checkable statement gets a stable id, a prose
-statement, a dependency list, and a compute function returning a status
-plus structured evidence.  Literature nodes carry no computation: they
-record the cited facts the computational claims plug into, and they are
-never folded into "verified".
+statement, a dependency list, and a compute function.  The compute
+function receives the run's Config and the values its declared
+dependencies returned, and returns a status, structured evidence, and a
+value for the claims that depend on it: the certified sequence, its
+Poincare series, the genus, the lines, the flexes, the bitangent scan.
+Literature nodes carry no computation: they record the cited facts the
+computational claims plug into, and they are never folded into
+"verified".
 
 run_claims executes a requested id set together with its transitive
-dependencies, honors dependency order, propagates failures as blocked
-records, and assembles a deterministic report.
+dependencies, one claim at a time in dependency order, propagates
+failures as blocked records, and assembles a deterministic report.
 """
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from time import perf_counter
 
 from .errors import InconsistentEvidence, InvalidInput, UnknownClaim
@@ -146,44 +148,6 @@ def tc_lower(genus_lower: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared intermediates (deterministic, safe to cache per process)
-
-@lru_cache(maxsize=None)
-def _k_sequence() -> GradedSequence:
-    return GradedSequence(tuple(phi_star_generators(k_datum())))
-
-
-@lru_cache(maxsize=None)
-def _h_sequence() -> GradedSequence:
-    return GradedSequence(tuple(phi_star_generators(h_datum())))
-
-
-@lru_cache(maxsize=None)
-def _klein_flexes(tol: float):
-    return tuple(flex_points(klein_quartic(), tol=tol))
-
-
-@lru_cache(maxsize=None)
-def _klein_scan(tol: float):
-    return bitangent_scan(klein_quartic(), tol=tol)
-
-
-def _round_floats(obj):
-    """Clamp floats to 6 significant digits so reports stay byte-stable."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.6e}")
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return str(obj)
-
-
-# ---------------------------------------------------------------------------
 # claim computations
 
 def _cross_check_primes(n: int, config: Config):
@@ -205,10 +169,11 @@ def _run_nabla_generators(n: int, config: Config):
         tables.append({"p": p, "rows": rows})
     evidence = {"n": n, "max_degree": config.max_degree,
                 "integer_coefficients": integral, "fields": tables}
-    return ("verified" if integral else "failed"), evidence
+    return ("verified" if integral else "failed"), evidence, None
 
 
-def _run_regseq(datum_fn, config: Config):
+def _run_regseq(datum_fn):
+    """Certify the restricted sequence; the sequence is the value."""
     datum = datum_fn()
     verify_specialization_from_generators(datum)
     seq = GradedSequence(tuple(phi_star_generators(datum)))
@@ -216,47 +181,49 @@ def _run_regseq(datum_fn, config: Config):
     evidence = {"subgroup": datum.name, "p": datum.p,
                 "tau_map_consistent": True,
                 "certificate": cert.to_json()}
-    return ("verified" if cert.verdict == "Regular" else "failed"), evidence
+    return ("verified" if cert.verdict == "Regular" else "failed"), \
+        evidence, seq
 
 
-def _run_regseq_permutations(config: Config):
-    rows_k = permuted_regularity(_k_sequence())
-    rows_h = permuted_regularity(_h_sequence())
+def _run_regseq_permutations(seq_k, seq_h):
+    rows_k = permuted_regularity(seq_k)
+    rows_h = permuted_regularity(seq_h)
     ok = all(r["verdict"] == "Regular" for r in rows_k + rows_h)
     evidence = {"pu4k": rows_k, "pu3h": rows_h}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, None
 
 
-def _run_em_poincare_pu4k(config: Config):
-    series = em_poincare(_k_sequence(), 3)
+def _run_em_poincare_pu4k(seq):
+    series = em_poincare(seq, 3)
     ok = series.top_degree() == 15 and series.total() == 192
     evidence = {"coefficients": series.coeffs,
                 "top_degree": series.top_degree(),
                 "total": series.total(),
                 "palindromic": series.is_palindromic(),
                 "exterior_count": 3}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, series
 
 
-def _run_em_poincare_pu3h(config: Config):
-    series = em_poincare(_h_sequence(), 0)
+def _run_em_poincare_pu3h(seq):
+    series = em_poincare(seq, 0)
     expected = [1, 2, 3, 4, 4, 4, 3, 2, 1]
     ok = series.coeffs == expected
     evidence = {"coefficients": series.coeffs, "expected": expected,
                 "top_degree": series.top_degree(),
                 "total": series.total(), "exterior_count": 0}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, series
 
 
-def _run_tor_concentration(config: Config):
+def _run_tor_concentration(seq_k, seq_h, config: Config):
     # window covers the full quotient range plus headroom per case
-    rep_k = tor_concentration_check(_k_sequence(), max(config.max_degree, 20))
-    rep_h = tor_concentration_check(_h_sequence(), max(config.max_degree, 14))
+    rep_k = tor_concentration_check(seq_k, max(config.max_degree, 20))
+    rep_h = tor_concentration_check(seq_h, max(config.max_degree, 14))
     ok = rep_k["ok"] and rep_h["ok"]
-    return ("verified" if ok else "failed"), {"pu4k": rep_k, "pu3h": rep_h}
+    return ("verified" if ok else "failed"), \
+        {"pu4k": rep_k, "pu3h": rep_h}, None
 
 
-def _run_fermat_lines(config: Config):
+def _run_fermat_lines():
     lines = fermat_lines()
     cubic = fermat_cubic(cyclotomic_field(3))
     on_surface = all(line_on_surface(ln, cubic) for ln in lines)
@@ -265,11 +232,10 @@ def _run_fermat_lines(config: Config):
     ok = len(lines) == 27 and on_surface and distinct
     evidence = {"count": len(lines), "all_on_surface": on_surface,
                 "pairwise_distinct": distinct, "exact": True}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, lines
 
 
-def _run_k_faithful(config: Config):
-    lines = fermat_lines()
+def _run_k_faithful(lines):
     action = make_group_action(k_group_matrices(), lines)
     hom_ok = homomorphism_spot_check(action, random.Random(SPOT_CHECK_SEED),
                                      samples=20)
@@ -283,23 +249,22 @@ def _run_k_faithful(config: Config):
                 "moved_per_element": [r["moved"] for r in check["rows"]],
                 "elements_moving_each_line": sorted(set(moved_by)),
                 "max_elements_moving_one_line": max(moved_by)}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, None
 
 
 def _run_klein_flexes(config: Config):
-    pts = _klein_flexes(config.tol)
+    pts = flex_points(klein_quartic(), tol=config.tol)
     max_res = max(p.residual for p in pts)
     ok = (len(pts) == 24 and all(p.multiplicity == 1 for p in pts)
           and max_res < 1e-8)
     evidence = {"count": len(pts),
                 "multiplicities": sorted({p.multiplicity for p in pts}),
                 "max_residual": max_res}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, pts
 
 
-def _run_klein_bitangents(config: Config):
-    scan = _klein_scan(config.tol)
-    flexes = _klein_flexes(config.tol)
+def _run_klein_bitangents(flexes, config: Config):
+    scan = bitangent_scan(klein_quartic(), tol=config.tol)
     bits, flt = scan.bitangents, scan.flex_tangents
     max_res = max(t.residual for t in bits)
     matched = 0
@@ -321,7 +286,7 @@ def _run_klein_bitangents(config: Config):
                 "worst_flex_match_distance": worst_match,
                 "coordinate_change": change if change is None
                 else [[int(v) for v in row] for row in change]}
-    return ("verified" if ok else "failed"), evidence
+    return ("verified" if ok else "failed"), evidence, scan
 
 
 def _free_orbit_report(action):
@@ -340,8 +305,7 @@ def _free_orbit_report(action):
             "entirely_free": not stabilized}
 
 
-def _run_h_free(objects_fn, count, config: Config):
-    objects = objects_fn(config)
+def _run_h_free(objects, count):
     action = make_group_action(h_group_matrices(), objects, tol=ACTION_TOL)
     check = common_fixed_check(action)
     orbits = _free_orbit_report(action)
@@ -350,22 +314,13 @@ def _run_h_free(objects_fn, count, config: Config):
     evidence = {"objects": len(objects), "group_order": 4,
                 "verdict": check["verdict"], "rows": check["rows"]}
     evidence.update(orbits)
-    return ("verified" if ok else "failed"), evidence
-
-
-def _run_h_free_on_flexes(config: Config):
-    return _run_h_free(lambda c: list(_klein_flexes(c.tol)), 24, config)
-
-
-def _run_h_free_on_bitangents(config: Config):
-    return _run_h_free(
-        lambda c: [t.line for t in _klein_scan(c.tol).bitangents], 28, config)
+    return ("verified" if ok else "failed"), evidence, None
 
 
 _ALPHA_NAMES = {False: "zeta+zeta^2+zeta^4", True: "1+zeta^2+zeta^4"}
 
 
-def _run_klein_equivalence(config: Config):
+def _run_klein_equivalence():
     """Try every reading of the stated change of coordinates.
 
     Both quartic models are exact over Q(zeta_7), so a genuine projective
@@ -408,51 +363,31 @@ def _run_klein_equivalence(config: Config):
                 "min_max_abs_deviation": best,
                 "verdict": "no interpretation yields a projective "
                            "equivalence" if not exact_hits else "equivalent"}
-    return ("verified" if exact_hits else "failed"), evidence
+    return ("verified" if exact_hits else "failed"), evidence, None
 
 
-def _run_genus_pu4k(config: Config):
-    series = em_poincare(_k_sequence(), 3)
-    lo, hi = genus_bounds(series, 15, True)
-    ok = lo == hi == 16
-    evidence = {"manifold_dim": 15, "lower": lo, "upper": hi, "genus": lo}
-    return ("verified" if ok else "failed"), evidence
+def _run_genus(series, manifold_dim: int, expected: int):
+    """Genus window of a certified quotient series; the genus is the value."""
+    lo, hi = genus_bounds(series, manifold_dim, True)
+    ok = lo == hi == expected
+    evidence = {"manifold_dim": manifold_dim, "lower": lo, "upper": hi,
+                "genus": lo}
+    return ("verified" if ok else "failed"), evidence, lo
 
 
-def _run_genus_pu3h(config: Config):
-    series = em_poincare(_h_sequence(), 0)
-    lo, hi = genus_bounds(series, 8, True)
-    ok = lo == hi == 9
-    evidence = {"manifold_dim": 8, "lower": lo, "upper": hi, "genus": lo}
-    return ("verified" if ok else "failed"), evidence
+def _run_thm_sg(genus: int, sheets: int, expected: int):
+    """A subgroup genus bounds the solution cover's genus from below."""
+    evidence = {"sheets": sheets, "genus_lower_bound": genus}
+    return ("verified" if genus == expected else "failed"), evidence, genus
 
 
-def _run_thm_sg_line(config: Config):
-    lo, _ = genus_bounds(em_poincare(_k_sequence(), 3), 15, True)
-    evidence = {"sheets": 27, "genus_lower_bound": lo}
-    return ("verified" if lo == 16 else "failed"), evidence
-
-
-def _run_thm_sg_btg(config: Config):
-    lo, _ = genus_bounds(em_poincare(_h_sequence(), 0), 8, True)
-    evidence = {"sheets": 28, "genus_lower_bound": lo}
-    return ("verified" if lo == 9 else "failed"), evidence
-
-
-def _run_thm_sg_flex(config: Config):
-    lo, _ = genus_bounds(em_poincare(_h_sequence(), 0), 8, True)
-    evidence = {"sheets": 24, "genus_lower_bound": lo}
-    return ("verified" if lo == 9 else "failed"), evidence
-
-
-def _run_thm_tc_all(config: Config):
-    g_line, _ = genus_bounds(em_poincare(_k_sequence(), 3), 15, True)
-    g_quartic, _ = genus_bounds(em_poincare(_h_sequence(), 0), 8, True)
-    bounds = {"lines": tc_lower(g_line),
-              "bitangents": tc_lower(g_quartic),
-              "flexes": tc_lower(g_quartic)}
+def _run_thm_tc_all(genus_line: int, genus_btg: int, genus_flex: int):
+    bounds = {"lines": tc_lower(genus_line),
+              "bitangents": tc_lower(genus_btg),
+              "flexes": tc_lower(genus_flex)}
     ok = bounds == {"lines": 15, "bitangents": 8, "flexes": 8}
-    return ("verified" if ok else "failed"), {"tc_lower_bounds": bounds}
+    return ("verified" if ok else "failed"), \
+        {"tc_lower_bounds": bounds}, None
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +397,8 @@ def _run_thm_tc_all(config: Config):
 class _Claim:
     statement: str
     dependencies: tuple = ()
+    # run(config, deps) -> (status, evidence, value); deps maps each
+    # declared dependency to its value (None for literature nodes)
     run: object = None
     paper_ref: object = None
 
@@ -476,99 +413,115 @@ _REGISTRY = {
         "by the two stated integer polynomials; kernel rank, subring count, "
         "and generated dimension agree in every even degree over Q and "
         "modulo 2, 5, 7.",
-        (), lambda c: _run_nabla_generators(3, c)),
+        (), lambda c, d: _run_nabla_generators(3, c)),
     "nabla-generators-n4": _Claim(
         "The kernel of the transgression derivation for n = 4 is generated "
         "by the three stated integer polynomials; kernel rank, subring "
         "count, and generated dimension agree in every even degree over Q "
         "and modulo 3, 5, 7.",
-        (), lambda c: _run_nabla_generators(4, c)),
+        (), lambda c, d: _run_nabla_generators(4, c)),
     "regseq-pu4k": _Claim(
         "The three restricted generator images over F_3 form a regular "
         "sequence, certified by full Macaulay ranks across the Artinian "
         "window.",
-        ("nabla-generators-n4",), lambda c: _run_regseq(k_datum, c)),
+        ("nabla-generators-n4",), lambda c, d: _run_regseq(k_datum)),
     "regseq-pu3h": _Claim(
         "The two restricted generator images over F_2 form a regular "
         "sequence, certified by a full Macaulay rank at the window degree.",
-        ("nabla-generators-n3",), lambda c: _run_regseq(h_datum, c)),
+        ("nabla-generators-n3",), lambda c, d: _run_regseq(h_datum)),
     "regseq-permutations": _Claim(
         "Every ordering of each restricted sequence re-certifies regular.",
-        ("regseq-pu4k", "regseq-pu3h"), _run_regseq_permutations),
+        ("regseq-pu4k", "regseq-pu3h"),
+        lambda c, d: _run_regseq_permutations(d["regseq-pu4k"],
+                                              d["regseq-pu3h"])),
     "em-poincare-pu4k": _Claim(
         "The quotient Poincare series for the rank-3 diagonal restriction, "
         "times (1+t)^3, has top degree 15 and total dimension 192.",
-        ("regseq-pu4k",), _run_em_poincare_pu4k),
+        ("regseq-pu4k",),
+        lambda c, d: _run_em_poincare_pu4k(d["regseq-pu4k"])),
     "em-poincare-pu3h": _Claim(
         "The quotient Poincare series for the rank-2 diagonal restriction "
         "is (1, 2, 3, 4, 4, 4, 3, 2, 1).",
-        ("regseq-pu3h",), _run_em_poincare_pu3h),
+        ("regseq-pu3h",),
+        lambda c, d: _run_em_poincare_pu3h(d["regseq-pu3h"])),
     "tor-concentration": _Claim(
         "Higher Koszul homology of both restricted sequences vanishes in "
         "all internal degrees through the checked window.",
-        ("regseq-pu4k", "regseq-pu3h"), _run_tor_concentration),
+        ("regseq-pu4k", "regseq-pu3h"),
+        lambda c, d: _run_tor_concentration(d["regseq-pu4k"],
+                                            d["regseq-pu3h"], c)),
     "fermat-lines": _Claim(
         "Exactly 27 pairwise distinct lines lie on the Fermat cubic "
         "surface, exact over Q(zeta_3).",
-        (), _run_fermat_lines),
+        (), lambda c, d: _run_fermat_lines()),
     "k-faithful": _Claim(
         "The order-27 diagonal group permutes the 27 lines faithfully: "
         "every nontrivial element moves at least one line.",
-        ("fermat-lines",), _run_k_faithful),
+        ("fermat-lines",), lambda c, d: _run_k_faithful(d["fermat-lines"])),
     "klein-flexes": _Claim(
         "The Klein quartic has 24 simple flexes, located with residuals "
         "below 1e-8.",
-        (), _run_klein_flexes),
+        (), lambda c, d: _run_klein_flexes(c)),
     "klein-bitangents": _Claim(
         "The Klein quartic has 28 bitangents with residuals below 1e-6, "
         "and the discarded double-contact lines are the 24 flex tangents.",
-        ("klein-flexes",), _run_klein_bitangents),
+        ("klein-flexes",),
+        lambda c, d: _run_klein_bitangents(d["klein-flexes"], c)),
     "klein-equivalence": _Claim(
         "The stated symmetric matrix conjugates the alpha-form quartic "
         "onto the classical model x^3 y + y^3 z + z^3 x up to scale.",
-        (), _run_klein_equivalence),
+        (), lambda c, d: _run_klein_equivalence()),
     "h-free-on-flexes": _Claim(
         "The sign-change four-group permutes the 24 flexes with a free "
         "orbit, and every nontrivial element moves at least one flex.",
-        ("klein-flexes",), _run_h_free_on_flexes),
+        ("klein-flexes",),
+        lambda c, d: _run_h_free(d["klein-flexes"], 24)),
     "h-free-on-bitangents": _Claim(
         "The sign-change four-group permutes the 28 bitangents with a free "
         "orbit, and every nontrivial element moves at least one bitangent.",
-        ("klein-bitangents",), _run_h_free_on_bitangents),
+        ("klein-bitangents",),
+        lambda c, d: _run_h_free(
+            [t.line for t in d["klein-bitangents"].bitangents], 28)),
     "genus-pu4k": _Claim(
         "The bundle of the rank-3 diagonal subgroup quotient has genus "
         "exactly 16: lower bound from the top nonvanishing class, upper "
         "bound from the 15-manifold dimension.",
         ("em-poincare-pu4k", "regseq-pu4k", "lit-quotient-collapse",
-         "lit-homological-genus", "lit-coho-dim"), _run_genus_pu4k),
+         "lit-homological-genus", "lit-coho-dim"),
+        lambda c, d: _run_genus(d["em-poincare-pu4k"], 15, 16)),
     "genus-pu3h": _Claim(
         "The bundle of the rank-2 diagonal subgroup quotient has genus "
         "exactly 9: lower bound from the top nonvanishing class, upper "
         "bound from the 8-manifold dimension.",
         ("em-poincare-pu3h", "regseq-pu3h", "lit-quotient-collapse",
-         "lit-homological-genus", "lit-coho-dim"), _run_genus_pu3h),
+         "lit-homological-genus", "lit-coho-dim"),
+        lambda c, d: _run_genus(d["em-poincare-pu3h"], 8, 9)),
     "thm-sg-line": _Claim(
         "The 27-sheeted cover of smooth cubic surface problems has genus "
         "at least 16.",
         ("genus-pu4k", "fermat-lines", "k-faithful", "lit-pullback-genus",
-         "lit-disconnected-covers"), _run_thm_sg_line),
+         "lit-disconnected-covers"),
+        lambda c, d: _run_thm_sg(d["genus-pu4k"], 27, 16)),
     "thm-sg-btg": _Claim(
         "The 28-sheeted cover of smooth quartic bitangent problems has "
         "genus at least 9.",
         ("genus-pu3h", "klein-bitangents", "h-free-on-bitangents",
          "lit-pullback-genus", "lit-disconnected-covers",
-         "lit-harris-monodromy"), _run_thm_sg_btg),
+         "lit-harris-monodromy"),
+        lambda c, d: _run_thm_sg(d["genus-pu3h"], 28, 9)),
     "thm-sg-flex": _Claim(
         "The 24-sheeted cover of smooth quartic flex problems has genus "
         "at least 9.",
         ("genus-pu3h", "klein-flexes", "h-free-on-flexes",
          "lit-pullback-genus", "lit-disconnected-covers",
-         "lit-harris-monodromy"), _run_thm_sg_flex),
+         "lit-harris-monodromy"),
+        lambda c, d: _run_thm_sg(d["genus-pu3h"], 24, 9)),
     "thm-tc-all": _Claim(
         "Any algorithm tree solving the three enumeration problems needs "
         "at least 15, 8, and 8 branching nodes respectively.",
         ("thm-sg-line", "thm-sg-btg", "thm-sg-flex", "lit-smale-reduction"),
-        _run_thm_tc_all),
+        lambda c, d: _run_thm_tc_all(d["thm-sg-line"], d["thm-sg-btg"],
+                                     d["thm-sg-flex"])),
     # literature nodes: cited facts, never machine-checked here
     "lit-quotient-collapse": _Claim(
         "Restriction to the diagonal elementary abelian subgroup is "
@@ -634,21 +587,40 @@ def _closure(ids):
     return sorted(seen)
 
 
-def _execute(claim_id: str, config: Config, done: dict) -> ClaimRecord:
+def _round_floats(obj):
+    """Clamp floats to 6 significant digits so reports stay byte-stable."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.6e}")
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return str(obj)
+
+
+def _execute(claim_id: str, config: Config, done: dict, values: dict):
+    """Run one claim whose dependencies are in done; record its value."""
     spec = _REGISTRY[claim_id]
     start = perf_counter()
     blocked = sorted(d for d in spec.dependencies
                      if done[d].status not in OK_STATUSES)
+    value = None
     if blocked:
         status, evidence = "failed", {"blocked_by": blocked}
     elif spec.literature:
         status, evidence = "assumed-from-literature", {}
     else:
+        deps = {d: values[d] for d in spec.dependencies}
         try:
-            status, evidence = spec.run(config)
+            status, evidence, value = spec.run(config, deps)
         except Exception as exc:
             status = "failed"
             evidence = {"error": f"{type(exc).__name__}: {exc}"}
+    values[claim_id] = value
     elapsed = (perf_counter() - start) * 1e3
     return ClaimRecord(claim_id, status, spec.statement, spec.paper_ref,
                        sorted(spec.dependencies), _round_floats(evidence),
@@ -666,11 +638,13 @@ def _check_structure(records):
                     f"{rec.id} marked verified over bad dependency {dep}")
 
 
-def run_claims(ids, config: Config = None, threads: int = 1):
+def run_claims(ids, config: Config = None):
     """Run the requested claims plus dependencies; deterministic report.
 
-    Unknown ids raise UnknownClaim before anything executes.  Failures
-    propagate: a claim whose dependency did not end verified or
+    Unknown ids raise UnknownClaim before anything executes.  Claims run
+    one at a time in dependency order, and each receives the values its
+    declared dependencies returned; the values live only for this run.
+    Failures propagate: a claim whose dependency did not end verified or
     assumed-from-literature is recorded as failed with the blockers
     listed, its own computation skipped.
     """
@@ -679,35 +653,14 @@ def run_claims(ids, config: Config = None, threads: int = 1):
     for cid in requested:
         if cid not in _REGISTRY:
             raise UnknownClaim(f"unknown claim id {cid!r}")
-    todo = _closure(requested)
-    done = {}
-    if threads <= 1:
-        pending = list(todo)
-        while pending:
-            ready = [cid for cid in pending
-                     if all(d in done for d in _REGISTRY[cid].dependencies)]
-            for cid in ready:
-                done[cid] = _execute(cid, config, done)
-                pending.remove(cid)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {}
-            pending = list(todo)
-            while pending or futures:
-                ready = [cid for cid in pending
-                         if cid not in futures
-                         and all(d in done
-                                 for d in _REGISTRY[cid].dependencies)]
-                for cid in ready:
-                    futures[cid] = pool.submit(_execute, cid, config, done)
-                finished = [cid for cid, fut in futures.items()
-                            if fut.done()]
-                if not finished:
-                    next(iter(futures.values())).result()
-                    continue
-                for cid in finished:
-                    done[cid] = futures.pop(cid).result()
-                    pending.remove(cid)
+    done, values = {}, {}
+    pending = _closure(requested)
+    while pending:
+        ready = [cid for cid in pending
+                 if all(d in done for d in _REGISTRY[cid].dependencies)]
+        for cid in ready:
+            done[cid] = _execute(cid, config, done, values)
+            pending.remove(cid)
     records = [done[cid] for cid in sorted(done)]
     _check_structure(records)
     return VerificationReport(config, records, requested)

@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="numeric tolerance for the curve geometry")
     verify.add_argument("--json", metavar="PATH",
                         help="write the canonical JSON report to PATH")
-    verify.add_argument("--threads", type=int, default=1,
-                        help="independent claims run on this many workers")
     return parser
 
 
@@ -54,7 +52,7 @@ def main(argv=None) -> int:
     config = Config(prime=args.prime, max_degree=args.max_degree,
                     tol=args.tol)
     try:
-        report = run_claims(ids, config, threads=max(1, args.threads))
+        report = run_claims(ids, config)
     except UnknownClaim as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

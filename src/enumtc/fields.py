@@ -1,13 +1,12 @@
 """Exact coefficient fields.
 
 Prime fields F_p, rationals (stdlib Fraction), number fields Q[t]/(m(t)),
-and error-tracked complex approximations for handing exact values to the
-numeric solvers.  All values are immutable and all operations are pure.
+and their complex embeddings for handing exact values to the numeric
+solvers.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,12 +68,6 @@ class PrimeField:
 
     def element_to_str(self, a: "FpElement") -> str:
         return f"{a.residue} mod {self.p}"
-
-    def element_from_str(self, s: str):
-        left, sep, right = s.partition(" mod ")
-        if not sep or int(right) != self.p:
-            raise InvalidInput(f"cannot parse {s!r} as an element of F_{self.p}")
-        return self.from_int(int(left))
 
 
 @dataclass(frozen=True)
@@ -180,9 +173,6 @@ class RationalField:
     def element_to_str(self, a: Fraction) -> str:
         return str(a)
 
-    def element_from_str(self, s: str):
-        return Fraction(s)
-
 
 QQ = RationalField()
 
@@ -258,9 +248,6 @@ class NumberField:
 
     def element_to_str(self, a: "NumberFieldElement") -> str:
         return ",".join(str(c) for c in a.coeffs)
-
-    def element_from_str(self, s: str):
-        return self.element([Fraction(part) for part in s.split(",")])
 
     def _reduce(self, coeffs):
         # coeffs: Fraction list, any length; reduce mod the monic minpoly.
@@ -428,78 +415,21 @@ def cyclotomic_field(p: int, name: str = "z") -> NumberField:
     return NumberField([1] * (p - 1) + [1], name=name)
 
 
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A complex value with an absolute error bound.
-
-    Addition adds the bounds; multiplication uses the first-order product
-    rule plus the cross term, so the stored err stays a true bound.
-    """
-
-    re: float
-    im: float
-    err: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.err) and self.err >= 0):
-            raise InvalidInput("error bound must be finite and nonnegative")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    def __add__(self, other):
-        if not isinstance(other, ComplexApprox):
-            return NotImplemented
-        return ComplexApprox(self.re + other.re, self.im + other.im,
-                             self.err + other.err)
-
-    def __sub__(self, other):
-        if not isinstance(other, ComplexApprox):
-            return NotImplemented
-        return ComplexApprox(self.re - other.re, self.im - other.im,
-                             self.err + other.err)
-
-    def __mul__(self, other):
-        if not isinstance(other, ComplexApprox):
-            return NotImplemented
-        z = self.value * other.value
-        err = (self.err * other.magnitude() + other.err * self.magnitude()
-               + self.err * other.err)
-        return ComplexApprox(z.real, z.imag, err)
-
-    def __neg__(self):
-        return ComplexApprox(-self.re, -self.im, self.err)
-
-
-def _rational_approx(q: Fraction) -> ComplexApprox:
-    v = float(q)
-    if Fraction(v) == q:
-        return ComplexApprox(v, 0.0, 0.0)
-    # One rounding step; bound the residual conservatively.
-    gap = abs(Fraction(v) - q)
-    return ComplexApprox(v, 0.0, float(gap) * 1.25 + 1e-300)
-
-
-def nf_embed_complex(a, root_index: int = 0) -> ComplexApprox:
-    """Embed a field element into C with an error bound.
+def nf_embed_complex(a, root_index: int = 0) -> complex:
+    """Embed a field element into C as a double-precision complex.
 
     For a NumberFieldElement the generator goes to the root of the minpoly
-    selected by root_index under the (re, im) lexicographic root order.
-    Rationals and F_p elements do not need a root choice.
+    selected by root_index under the (re, im) lexicographic root order,
+    and the element is evaluated at 60 digits before rounding.  Rationals
+    and F_p elements do not need a root choice.
     """
-    if isinstance(a, int):
-        return ComplexApprox(float(a), 0.0, 0.0)
-    if isinstance(a, Fraction):
-        return _rational_approx(a)
+    if isinstance(a, (int, Fraction)):
+        return complex(float(a))
     if isinstance(a, FpElement):
-        return ComplexApprox(float(a.residue), 0.0, 0.0)
+        return complex(float(a.residue))
     if isinstance(a, NumberFieldElement):
         if a.is_rational():
-            return _rational_approx(a.coeffs[0])
+            return complex(float(a.coeffs[0]))
         roots = a.field.embedding_roots()
         if not 0 <= root_index < len(roots):
             raise InvalidIndex(f"root_index {root_index} out of range")
@@ -508,9 +438,7 @@ def nf_embed_complex(a, root_index: int = 0) -> ComplexApprox:
             acc = mpmath.mpc(0)
             for c in reversed(a.coeffs):
                 acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
-            re, im = float(acc.real), float(acc.imag)
-            mag = math.hypot(re, im)
-        return ComplexApprox(re, im, 1e-13 * (1.0 + mag))
+            return complex(float(acc.real), float(acc.imag))
     raise InvalidInput(f"cannot embed {type(a).__name__}")
 
 
@@ -527,14 +455,3 @@ def field_inverse(a):
     if isinstance(a, (FpElement, NumberFieldElement)):
         return a.inverse()
     raise InvalidInput(f"no inverse for {type(a).__name__}")
-
-
-def field_from_tag(tag: str):
-    """Reconstruct a field object from its serialization tag."""
-    if tag == "QQ":
-        return QQ
-    if tag.startswith("Fp:"):
-        return PrimeField(int(tag[3:]))
-    if tag.startswith("NF:"):
-        return NumberField([Fraction(c) for c in tag[3:].split(",")])
-    raise InvalidInput(f"unknown field tag {tag!r}")

@@ -112,19 +112,13 @@ def matrix_inverse(rows, field):
 
 
 def _push_forms(line: Line3D, inv_matrix: Matrix) -> Line3D:
-    M = Matrix.from_rows([list(r) for r in line.rows], line.field, cols=4)
-    return Line3D.from_forms((M * inv_matrix).row_lists(), line.field)
-
-
-def transform_line(line: Line3D, g_rows) -> Line3D:
-    """Image of the line under the projective transformation g.
+    """Image of the line under g, given g^-1 as a Matrix.
 
     A point P lies on g.L exactly when g^-1 P solves the old forms, so
     the new coefficient rows are rows * g^-1.
     """
-    inv = matrix_inverse(g_rows, line.field)
-    G = Matrix.from_rows([list(r) for r in inv], line.field)
-    return _push_forms(line, G)
+    M = Matrix.from_rows([list(r) for r in line.rows], line.field, cols=4)
+    return Line3D.from_forms((M * inv_matrix).row_lists(), line.field)
 
 
 @dataclass(frozen=True)
@@ -378,9 +372,9 @@ def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows,
                 return lam
     # numeric fallback: compare embedded coefficient vectors
     exps = sorted(set(FM.terms) | set(G.terms))
-    fv = np.array([complex(*_embed_pair(FM.terms.get(e), root_index))
+    fv = np.array([nf_embed_complex(FM.terms.get(e, 0), root_index)
                    for e in exps])
-    gv = np.array([complex(*_embed_pair(G.terms.get(e), root_index))
+    gv = np.array([nf_embed_complex(G.terms.get(e, 0), root_index)
                    for e in exps])
     k = int(np.argmax(np.abs(gv)))
     report = {"exact": False, "lambda": None,
@@ -396,10 +390,3 @@ def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows,
     report["max_abs_deviation"] = dev
     report["numeric_proportional"] = bool(dev <= numeric_tol * scale)
     return report
-
-
-def _embed_pair(coeff, root_index):
-    if coeff is None:
-        return (0.0, 0.0)
-    z = nf_embed_complex(coeff, root_index=root_index)
-    return (z.re, z.im)

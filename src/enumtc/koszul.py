@@ -187,9 +187,9 @@ def macaulay_rank(seq: GradedSequence, t: int):
 def is_regular_maximal(seq: GradedSequence) -> RegularityCertificate:
     """Certify a maximal-length homogeneous sequence regular or not.
 
-    Requires as many elements as variables; other lengths get only the
-    non-certifying definitional check (see definitional_injectivity_report)
-    and raise UnsupportedLength here.
+    Requires as many elements as variables; other lengths raise
+    UnsupportedLength, since the Artinian window certifies nothing for
+    them.
     """
     table = seq.table
     if len(seq) != len(table):
@@ -319,65 +319,3 @@ def tor_concentration_check(seq: GradedSequence, up_to: int):
             if d != 0:
                 failures.append({"i": i, "t": t, "dim": d})
     return {"ok": not failures, "failures": failures, "checked_up_to": up_to}
-
-
-def definitional_injectivity_report(seq: GradedSequence, up_to: int):
-    """Bounded, order-dependent check of the regularity definition.
-
-    For each i, multiplication by f_i on ring/(f_1..f_{i-1}) is tested
-    for injectivity degreewise up to the bound.  Evidence only: a clean
-    report does not certify regularity, and the outcome can depend on
-    the element order.
-    """
-    table, field = seq.table, seq.field
-    rows = []
-    for i in range(len(seq)):
-        prefix = GradedSequence(tuple(seq.elements[:i])) if i else None
-        f = seq.elements[i]
-        d = f.weighted_degree()
-        injective = True
-        for t in range(up_to - d + 1):
-            monos = monomials_of_weighted_degree(table, t)
-            if not monos:
-                continue
-            # quotient stratum in degree t: monomials modulo the prefix image
-            if prefix is not None:
-                # basis of coker: use kernel of the transpose trick; simpler:
-                # work with representatives and compare ranks
-                pre_rank_t, dim_t = macaulay_rank(prefix, t)
-            else:
-                pre_rank_t, dim_t = 0, len(monos)
-            if prefix is not None:
-                pre_rank_td, dim_td = macaulay_rank(prefix, t + d)
-            else:
-                pre_rank_td, dim_td = 0, len(
-                    monomials_of_weighted_degree(table, t + d))
-            # rank of [prefix image at t+d | f * monomials_t]
-            targets = monomials_of_weighted_degree(table, t + d)
-            t_index = {e: k for k, e in enumerate(targets)}
-            rows_m = []
-            if prefix is not None:
-                for g in prefix.elements:
-                    dg = g.weighted_degree()
-                    for m in monomials_of_weighted_degree(table, t + d - dg):
-                        prod = g * Polynomial.monomial(m, field.one(), table,
-                                                       field)
-                        row = [field.zero()] * len(targets)
-                        for e, c in prod.terms.items():
-                            row[t_index[e]] = c
-                        rows_m.append(row)
-            for m in monos:
-                prod = f * Polynomial.monomial(m, field.one(), table, field)
-                row = [field.zero()] * len(targets)
-                for e, c in prod.terms.items():
-                    row[t_index[e]] = c
-                rows_m.append(row)
-            combined = Matrix.from_rows(rows_m, field,
-                                        cols=len(targets)).rank() \
-                if rows_m else 0
-            # injective on the quotient iff the f-columns add full rank
-            if combined - pre_rank_td < dim_t - pre_rank_t:
-                injective = False
-                break
-        rows.append({"index": i, "injective_up_to_bound": injective})
-    return {"rows": rows, "bound": up_to, "certifies": False}

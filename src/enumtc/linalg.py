@@ -37,12 +37,6 @@ class Matrix:
         flat = [e for r in row_lists for e in r]
         return cls(rows, width, flat, field)
 
-    @classmethod
-    def identity(cls, n: int, field):
-        ents = [field.one() if i == j else field.zero()
-                for i in range(n) for j in range(n)]
-        return cls(n, n, ents, field)
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -51,24 +45,6 @@ class Matrix:
 
     def row_lists(self):
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        ents = [self.at(i, j) for j in range(self.cols)
-                for i in range(self.rows)]
-        return Matrix(self.cols, self.rows, ents, self.field)
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise InvalidInput("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero()
-            for j in range(self.cols):
-                e = self.at(i, j)
-                if e:
-                    acc = acc + e * v[j]
-            out.append(acc)
-        return out
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -130,16 +106,3 @@ class Matrix:
                 v[pc] = -R.at(r_i, fc)
             basis.append(v)
         return basis
-
-
-def row_space_rank(vectors, field, width: int = None) -> int:
-    if not vectors:
-        return 0
-    return Matrix.from_rows(vectors, field, cols=width).rank()
-
-
-def row_span_contains(vectors, v, field) -> bool:
-    """True when v lies in the row span of vectors."""
-    base = row_space_rank(vectors, field, width=len(v))
-    aug = row_space_rank(list(vectors) + [list(v)], field, width=len(v))
-    return aug == base

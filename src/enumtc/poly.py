@@ -22,7 +22,6 @@ from .errors import (
     InvalidIndex,
     InvalidInput,
 )
-from .fields import field_from_tag
 
 
 @dataclass(frozen=True)
@@ -666,13 +665,3 @@ def polynomial_to_json(f: Polynomial) -> dict:
         "terms": [{"exp": list(e), "coeff": f.field.element_to_str(c)}
                   for e, c in f.sorted_terms()],
     }
-
-
-def polynomial_from_json(data: dict) -> Polynomial:
-    field = field_from_tag(data["field"])
-    table = VariableTable(tuple(v["name"] for v in data["vars"]),
-                          tuple(v["weight"] for v in data["vars"]))
-    terms = {}
-    for t in data["terms"]:
-        terms[tuple(t["exp"])] = field.element_from_str(t["coeff"])
-    return Polynomial(table, field, terms)

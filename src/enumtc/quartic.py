@@ -15,7 +15,6 @@ when a special position hides solutions from every chart.
 from __future__ import annotations
 
 import cmath
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,20 +114,13 @@ def _embed_root(field) -> int:
     return len(roots()) - 1 if roots else 0
 
 
-def _embed(c, root: int) -> complex:
-    if isinstance(c, (int, Fraction)):
-        return complex(c)
-    ca = nf_embed_complex(c, root_index=root)
-    return complex(ca.re, ca.im)
-
-
 def _embed_terms(P: Polynomial, root: int, scaled: bool = True):
     """[(exponent, complex coeff)] with an optional 1-norm scaling.
 
     The scaling makes Newton residuals relative to coefficient size,
     which is the normalization all reported residuals use.
     """
-    terms = [(e, _embed(c, root)) for e, c in P.terms.items()]
+    terms = [(e, nf_embed_complex(c, root)) for e, c in P.terms.items()]
     if not terms:
         return terms
     if scaled:
@@ -168,7 +160,7 @@ def _random_change(field, attempt: int):
 
 
 def _numeric_rows(rows, root: int):
-    return np.array([[_embed(c, root) for c in r] for r in rows])
+    return np.array([[nf_embed_complex(c, root) for c in r] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +184,7 @@ def flex_points(F: Polynomial, tol: float = 1e-10):
             degenerate += 1
             continue
         pts = _flex_core(G, tol, root)
-        if sum(m for _, _, m in pts) != 24:
+        if not _whole_flex_count(pts):
             continue
         if change is not None:
             M = _numeric_rows(change, root)
@@ -203,14 +195,25 @@ def flex_points(F: Polynomial, tol: float = 1e-10):
                 q, res = _refine_point(slices, q)
                 mapped.append((q, res, mult))
             pts = _merge_points(mapped, 1e3 * tol)
-            if sum(m for _, _, m in pts) != 24:
+            if not _whole_flex_count(pts):
                 continue
         return [PointP2.from_coords(p, residual=res, multiplicity=int(m))
                 for p, res, m in sorted(pts, key=lambda t: _coord_key(t[0]))]
     if degenerate == MAX_ATTEMPTS:
         raise DegenerateCoordinates("x-degree dropped in every coordinate attempt")
-    raise NumericFailure("flex multiplicities failed to sum to 24 "
-                         "in %d coordinate attempts" % MAX_ATTEMPTS)
+    raise NumericFailure("flex multiplicities were not positive integers "
+                         "summing to 24 in %d coordinate attempts"
+                         % MAX_ATTEMPTS)
+
+
+def _whole_flex_count(pts) -> bool:
+    """Every merged multiplicity is a positive integer and they sum to 24.
+
+    A cluster's multiplicity is split over its lifts as fractions, so
+    lifts that fail to merge back leave non-integral multiplicities.
+    """
+    mults = [m for _, _, m in pts]
+    return sum(mults) == 24 and all(m >= 1 and m == int(m) for m in mults)
 
 
 def _newton_data(F: Polynomial, root: int):
@@ -220,7 +223,7 @@ def _newton_data(F: Polynomial, root: int):
     for nm, P in (("F", F), ("H", H)):
         for vn in PLANE_VARS:
             data[(nm, vn)] = _embed_terms(P.partial(vn), root, scaled=False)
-        scale = sum(abs(_embed(c, root)) for c in P.terms.values())
+        scale = sum(abs(nf_embed_complex(c, root)) for c in P.terms.values())
         for vn in PLANE_VARS:
             data[(nm, vn)] = [(e, c / scale) for e, c in data[(nm, vn)]]
     return data
@@ -269,7 +272,7 @@ def _flex_core(G: Polynomial, tol: float, root: int):
     num = []
     for c in cz:
         terms = list(c.terms.items())
-        num.append(_embed(terms[0][1], root) if terms else 0j)
+        num.append(nf_embed_complex(terms[0][1], root) if terms else 0j)
     num += [0j] * (25 - len(num))
     scale = max(abs(v) for v in num)
     if not scale:
@@ -339,11 +342,6 @@ class QuarticLineScan:
     flex_tangents: list
     dedup_radius: float
     coordinate_change: tuple = None
-
-
-def bitangent_lines(F: Polynomial, tol: float = 1e-10):
-    """The 28 bitangent LineP2 of a smooth quartic (certified complete)."""
-    return [t.line for t in bitangent_scan(F, tol).bitangents]
 
 
 def bitangent_scan(F: Polynomial, tol: float = 1e-10) -> QuarticLineScan:
@@ -430,7 +428,7 @@ class _ChartFit:
         db = P.degree_in("b")
         g = np.zeros((da + 1, db + 1), dtype=complex)
         for e, c in P.terms.items():
-            g[e[0], e[1]] = _embed(c, self.root)
+            g[e[0], e[1]] = nf_embed_complex(c, self.root)
         return g
 
     def candidates(self, tol):
@@ -649,37 +647,3 @@ def _merge_lines(entries, radius):
     reps = cluster_points([e.line.coords for e in entries], radius)
     return [min((entries[i] for i in members), key=lambda e: e.residual)
             for _, members in reps]
-
-
-# ---------------------------------------------------------------------------
-# JSON report of a solution set
-
-def solution_set_json(objects, dedup_radius: float = None) -> str:
-    """Deterministic JSON listing of solution objects.
-
-    Accepts PointP2 / LineP2 / TangentLine records (complex coordinate
-    strings) and exact Line3D records (number-field strings); objects
-    are ordered by their normalized coordinates.
-    """
-    rows = [_json_row(ob) for ob in objects]
-    rows.sort(key=lambda r: r["coordinates"])
-    doc = {"count": len(rows), "objects": rows}
-    if dedup_radius is not None:
-        doc["dedup_radius"] = dedup_radius
-    return json.dumps(doc, sort_keys=True)
-
-
-def _json_row(ob):
-    if isinstance(ob, TangentLine):
-        row = _json_row(ob.line)
-        row["kind"] = ob.kind
-        row["tangencies"] = [_json_row(t) for t in ob.tangencies]
-        return row
-    if isinstance(ob, (PointP2, LineP2)):
-        return {"coordinates": [str(c) for c in ob.coords],
-                "residual": ob.residual,
-                "multiplicity": getattr(ob, "multiplicity", 1)}
-    if hasattr(ob, "rows"):
-        return {"coordinates": [[str(c) for c in r] for r in ob.rows],
-                "residual": 0.0, "multiplicity": 1}
-    raise InvalidInput(f"no JSON form for {type(ob).__name__}")

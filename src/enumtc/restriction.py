@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentEvidence, InvalidField, InvalidInput
-from .fields import PrimeField, QQ, cyclotomic_field, field_from_tag, is_prime
+from .fields import PrimeField, QQ, cyclotomic_field, is_prime
 from .nabla import stated_image_generators
 from .poly import (
     Polynomial,
     SpecializationMap,
     elementary_symmetric,
     make_table,
-    polynomial_from_json,
-    polynomial_to_json,
     substitute,
 )
 
@@ -253,52 +251,3 @@ def verify_specialization_from_generators(datum: SubgroupDatum) -> bool:
         raise InconsistentEvidence(
             f"image of {name} has terms not induced by any generator")
     return True
-
-
-# ----- JSON -----
-
-def subgroup_datum_to_json(datum: SubgroupDatum) -> dict:
-    zero = datum.field.element_to_str(datum.field.zero())
-    grids = []
-    for diag in datum.generators:
-        grid = [[datum.field.element_to_str(diag[i]) if i == j else zero
-                 for j in range(datum.n)] for i in range(datum.n)]
-        grids.append(grid)
-    return {
-        "n": datum.n,
-        "p": datum.p,
-        "q": datum.q,
-        "exterior_count": datum.exterior_count,
-        "name": datum.name,
-        "field": datum.field.tag,
-        "generators": grids,
-        "tau_images": {name: polynomial_to_json(img)
-                       for name, img in sorted(datum.tau_map.images.items())},
-    }
-
-
-def subgroup_datum_from_json(data: dict) -> SubgroupDatum:
-    field = field_from_tag(data["field"])
-    n = data["n"]
-    zero = field.zero()
-    diags = []
-    for g, grid in enumerate(data["generators"]):
-        if len(grid) != n or any(len(row) != n for row in grid):
-            raise InvalidInput(f"generator {g + 1} grid is not {n}x{n}")
-        diag = []
-        for i in range(n):
-            for j in range(n):
-                entry = field.element_from_str(grid[i][j])
-                if i == j:
-                    diag.append(entry)
-                elif entry != zero:
-                    raise InvalidInput(
-                        f"generator {g + 1} has an off-diagonal entry")
-        diags.append(tuple(diag))
-    images = {name: polynomial_from_json(img)
-              for name, img in data["tau_images"].items()}
-    tau_map = SpecializationMap(images, check_grading=True,
-                                name=data.get("name", ""))
-    return SubgroupDatum(n, data["p"], data["q"], field, tuple(diags),
-                         tau_map, data["exterior_count"],
-                         data.get("name", ""))

@@ -120,7 +120,7 @@ def test_no_verified_claim_over_bad_dependency():
 
 
 def test_blocked_propagation(monkeypatch):
-    def boom(config):
+    def boom(config, deps):
         raise InvalidInput("synthetic defect")
 
     monkeypatch.setitem(claims._REGISTRY, "tmp-broken",
@@ -128,7 +128,7 @@ def test_blocked_propagation(monkeypatch):
     monkeypatch.setitem(claims._REGISTRY, "tmp-downstream",
                         claims._Claim("depends on the broken one",
                                       ("tmp-broken",),
-                                      lambda c: ("verified", {})))
+                                      lambda c, d: ("verified", {}, None)))
     report = run_claims(["tmp-downstream"])
     broken = report.claim("tmp-broken")
     assert broken.status == "failed"
@@ -137,6 +137,45 @@ def test_blocked_propagation(monkeypatch):
     assert downstream.status == "failed"
     assert downstream.evidence == {"blocked_by": ["tmp-broken"]}
     assert not report.ok()
+
+
+def test_deps_hold_exactly_the_declared_dependencies(monkeypatch):
+    seen = {}
+
+    def record(cid, value):
+        def run(config, deps):
+            seen[cid] = dict(deps)
+            return "verified", {}, value
+        return run
+
+    for cid, deps, value in (("tmp-a", (), "a"), ("tmp-b", (), "b"),
+                             ("tmp-c", ("tmp-a", "lit-coho-dim"), "c"),
+                             ("tmp-d", ("tmp-b", "tmp-c"), "d")):
+        monkeypatch.setitem(claims._REGISTRY, cid,
+                            claims._Claim(cid, deps, record(cid, value)))
+    report = run_claims(["tmp-d"])
+    assert report.ok()
+    assert seen == {"tmp-a": {}, "tmp-b": {},
+                    "tmp-c": {"tmp-a": "a", "lit-coho-dim": None},
+                    "tmp-d": {"tmp-b": "b", "tmp-c": "c"}}
+
+
+def test_dependencies_results_are_reused(monkeypatch):
+    calls = {"em_poincare": 0, "fermat_lines": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(claims, "em_poincare",
+                        counted("em_poincare", claims.em_poincare))
+    monkeypatch.setattr(claims, "fermat_lines",
+                        counted("fermat_lines", claims.fermat_lines))
+    report = run_claims(["thm-sg-line"])
+    assert report.claim("thm-sg-line").status == "verified"
+    assert calls == {"em_poincare": 1, "fermat_lines": 1}
 
 
 def test_klein_equivalence_fails_with_complete_evidence():
@@ -151,12 +190,11 @@ def test_klein_equivalence_fails_with_complete_evidence():
     assert not report.ok()
 
 
-def test_report_is_byte_stable_and_thread_agnostic():
+def test_report_is_byte_stable():
     ids = ["genus-pu3h", "regseq-permutations", "tor-concentration"]
     one = run_claims(ids).canonical_json()
     two = run_claims(ids).canonical_json()
-    threaded = run_claims(ids, threads=3).canonical_json()
-    assert one == two == threaded
+    assert one == two
     data = json.loads(one)
     assert set(data) == {"config", "claims", "summary"}
     assert all(c["elapsed_ms"] == 0.0 for c in data["claims"])

@@ -52,20 +52,10 @@ def test_json_report_written_and_stable(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_matches_sequential(tmp_path, capsys):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["verify", "tor-concentration", "--json", str(a)]) == 0
-    assert main(["verify", "tor-concentration", "--threads", "4",
-                 "--json", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    capsys.readouterr()
-
-
 def test_parser_defaults():
     args = build_parser().parse_args(["verify", "--all"])
     assert args.prime == 7 and args.max_degree == 12
-    assert args.tol == 1e-10 and args.threads == 1 and args.all
+    assert args.tol == 1e-10 and args.all
 
 
 def test_console_entry_point_runs():

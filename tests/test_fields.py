@@ -7,7 +7,6 @@ import pytest
 from enumtc.errors import DivisionByZero, InvalidField, InvalidIndex
 from enumtc.fields import (
     QQ,
-    ComplexApprox,
     NumberField,
     PrimeField,
     cyclotomic_field,
@@ -54,13 +53,13 @@ def test_fp_serialization_roundtrip():
     a = F7.from_int(12)
     s = F7.element_to_str(a)
     assert s == "5 mod 7"
-    assert F7.element_from_str(s) == a
+    assert F7.from_int(int(s.split(" mod ")[0])) == a
 
 
 def test_rational_field():
     assert QQ.from_int(3) == Fraction(3)
     assert QQ.element_to_str(Fraction(-4, 7)) == "-4/7"
-    assert QQ.element_from_str("5/10") == Fraction(1, 2)
+    assert Fraction(QQ.element_to_str(Fraction(5, 10))) == Fraction(1, 2)
     assert field_inverse(Fraction(3, 4)) == Fraction(4, 3)
     with pytest.raises(DivisionByZero):
         field_inverse(Fraction(0))
@@ -95,7 +94,7 @@ def test_number_field_serialization_roundtrip():
     a = QF7.element([Fraction(1, 2), Fraction(-3)])
     s = QF7.element_to_str(a)
     assert s == "1/2,-3"
-    assert QF7.element_from_str(s) == a
+    assert QF7.element([Fraction(part) for part in s.split(",")]) == a
 
 
 def test_cyclotomic_field_order():
@@ -109,51 +108,36 @@ def test_cyclotomic_field_order():
 def test_embed_sqrt_minus_seven():
     # Root with positive imaginary part sorts last for t^2+7.
     t = QF7.gen()
-    approx = nf_embed_complex(t, root_index=1)
-    assert abs(approx.re) <= approx.err
-    assert abs(approx.im - 2.6457513110645906) <= approx.err + 1e-15
-    assert approx.err <= 1e-12 * (1 + approx.magnitude())
+    z = nf_embed_complex(t, root_index=1)
+    assert abs(z.real) <= 1e-15
+    assert abs(z.imag - 2.6457513110645906) <= 1e-15
 
 
 def test_embed_zeta3():
-    z = cyclotomic_field(3).gen()
-    approx = nf_embed_complex(z, root_index=1)
-    assert abs(approx.re - (-0.5)) <= approx.err + 1e-15
-    assert abs(approx.im - 0.8660254037844386) <= approx.err + 1e-15
+    z = nf_embed_complex(cyclotomic_field(3).gen(), root_index=1)
+    assert abs(z.real - (-0.5)) <= 1e-15
+    assert abs(z.imag - 0.8660254037844386) <= 1e-15
 
 
 def test_embed_zeta7_index_five_is_first_primitive_root():
-    z = cyclotomic_field(7).gen()
-    approx = nf_embed_complex(z, root_index=5)
-    assert abs(approx.re - math.cos(2 * math.pi / 7)) <= approx.err + 1e-14
-    assert abs(approx.im - math.sin(2 * math.pi / 7)) <= approx.err + 1e-14
+    z = nf_embed_complex(cyclotomic_field(7).gen(), root_index=5)
+    assert abs(z.real - math.cos(2 * math.pi / 7)) <= 1e-15
+    assert abs(z.imag - math.sin(2 * math.pi / 7)) <= 1e-15
 
 
 def test_embed_rational_half_is_exact():
-    approx = nf_embed_complex(Fraction(1, 2))
-    assert approx.re == 0.5
-    assert approx.im == 0.0
-    assert approx.err == 0.0
+    assert nf_embed_complex(Fraction(1, 2)) == complex(0.5, 0.0)
 
 
 def test_embed_rational_third_is_bounded():
-    approx = nf_embed_complex(Fraction(1, 3))
-    assert abs(approx.re - 1 / 3) <= approx.err
-    assert approx.err <= 1e-12
+    z = nf_embed_complex(Fraction(1, 3))
+    assert abs(z.real - 1 / 3) <= 1e-16
+    assert z.imag == 0.0
 
 
 def test_embed_root_index_out_of_range():
     with pytest.raises(InvalidIndex):
         nf_embed_complex(QF7.gen(), root_index=2)
-
-
-def test_complex_approx_propagation():
-    a = ComplexApprox(1.0, 2.0, 0.01)
-    b = ComplexApprox(3.0, -1.0, 0.02)
-    s = a + b
-    assert s.err == pytest.approx(0.03)
-    p = a * b
-    assert p.err >= 0.01 * b.magnitude() + 0.02 * a.magnitude()
 
 
 def test_field_axioms_randomized():
@@ -200,5 +184,4 @@ def test_embedding_is_ring_homomorphism_up_to_err():
         ea = nf_embed_complex(a, 5)
         eb = nf_embed_complex(b, 5)
         eab = nf_embed_complex(a * b, 5)
-        combined = (ea * eb).err + eab.err
-        assert abs(eab.value - ea.value * eb.value) <= combined + 1e-12
+        assert abs(eab - ea * eb) <= 1e-13 * (1 + abs(ea) * abs(eb))

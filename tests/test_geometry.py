@@ -27,7 +27,6 @@ from enumtc.geometry import (
     line_on_surface,
     make_group_action,
     matrix_inverse,
-    transform_line,
     verify_projective_equivalence,
 )
 from enumtc.poly import Polynomial, make_table

@@ -12,7 +12,6 @@ from enumtc.koszul import (
     GradedSequence,
     HilbertSeries,
     KoszulComplex,
-    definitional_injectivity_report,
     em_poincare,
     free_ring_hilbert,
     is_regular_maximal,
@@ -280,20 +279,6 @@ def test_tor_concentration_detects_failure():
     report = tor_concentration_check(GradedSequence((x, x)), 4)
     assert not report["ok"]
     assert {"i": 1, "t": 1, "dim": 1} in report["failures"]
-
-
-def test_definitional_report_is_evidence_only():
-    report = definitional_injectivity_report(h_pair(), 10)
-    assert report["certifies"] is False
-    assert all(r["injective_up_to_bound"] for r in report["rows"])
-
-
-def test_definitional_report_catches_nonregular():
-    t = make_table(("x", "y"))
-    x = Polynomial.variable("x", t, F3)
-    y = Polynomial.variable("y", t, F3)
-    report = definitional_injectivity_report(GradedSequence((x, x * y)), 6)
-    assert not report["rows"][1]["injective_up_to_bound"]
 
 
 def test_hilbert_series_helpers():

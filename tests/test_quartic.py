@@ -1,10 +1,10 @@
-import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from enumtc.errors import InvalidInput
+from enumtc.errors import InvalidInput, NumericFailure
 from enumtc.fields import QQ, cyclotomic_field
 from enumtc.geometry import (
     h_group_matrices,
@@ -12,16 +12,15 @@ from enumtc.geometry import (
     verify_projective_equivalence,
 )
 from enumtc.numroots import chordal_distance
+from enumtc import quartic
 from enumtc.poly import Polynomial, make_table
 from enumtc.quartic import (
     PLANE_VARS,
-    bitangent_lines,
     bitangent_scan,
     classical_klein_quartic,
     flex_points,
     klein_quartic,
     quartic_to_classical_matrix,
-    solution_set_json,
 )
 
 np.seterr(all="ignore")
@@ -121,12 +120,6 @@ def test_klein_scan_counts_kinds_and_flex_match():
             assert chordal_distance(a.coords, b.coords) > scan.dedup_radius
 
 
-def test_bitangent_lines_wrapper():
-    lines = bitangent_lines(klein_quartic())
-    assert len(lines) == 28
-    assert len(lines) == len(klein_scan().bitangents)
-
-
 def test_fermat_scan_needs_coordinate_change():
     scan = bitangent_scan(fermat_quartic())
     assert scan.coordinate_change is not None
@@ -159,21 +152,21 @@ def test_sign_group_permutes_flexes_and_bitangents():
         assert sorted(lperm) == list(range(28))
 
 
-def test_solution_set_json_is_deterministic():
-    scan = klein_scan()
-    text = solution_set_json(scan.bitangents, dedup_radius=scan.dedup_radius)
-    again = solution_set_json(list(scan.bitangents),
-                              dedup_radius=scan.dedup_radius)
-    assert text == again
-    data = json.loads(text)
-    assert data["count"] == 28
-    assert data["dedup_radius"] == scan.dedup_radius
-    rows = data["objects"]
-    assert rows == sorted(rows, key=lambda r: r["coordinates"])
-    assert all(r["kind"] == "bitangent" and len(r["tangencies"]) == 2
-               for r in rows)
-    mixed = solution_set_json(list(klein_flexes()))
-    assert json.loads(mixed)["count"] == 24
+def test_fractional_flex_multiplicities_are_never_truncated(monkeypatch):
+    # Two lifts of one root cluster that fail to merge carry 1/2 each.
+    # The multiplicities still sum to 24, but int(1/2) would report a
+    # multiplicity-0 flex, so every coordinate attempt must be rejected.
+    F = klein_quartic()
+    (p, res, _), *rest = quartic._flex_core(F, 1e-10,
+                                            quartic._embed_root(F.field))
+    apart = tuple(c + 0.5 for c in p)
+    split = [(p, res, Fraction(1, 2)), (apart, res, Fraction(1, 2))] + rest
+    calls = []
+    monkeypatch.setattr(quartic, "_flex_core",
+                        lambda G, tol, root: calls.append(G) or split)
+    with pytest.raises(NumericFailure, match="positive integers"):
+        flex_points(F)
+    assert len(calls) == quartic.MAX_ATTEMPTS
 
 
 def test_matrix_conjugation_fails_in_every_reading():

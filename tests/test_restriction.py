@@ -25,8 +25,6 @@ from enumtc.restriction import (
     k_datum,
     make_subgroup_datum,
     phi_star_generators,
-    subgroup_datum_from_json,
-    subgroup_datum_to_json,
     tau_table,
     verify_specialization_from_generators,
 )
@@ -170,20 +168,6 @@ def test_datum_validation():
 def test_entry_outside_root_powers():
     with pytest.raises(InvalidInput):
         exponent_grid(((Fraction(3), Fraction(1)),), 2, QQ)
-
-
-def test_json_round_trip():
-    for d in (k_datum(), h_datum()):
-        data = subgroup_datum_to_json(d)
-        back = subgroup_datum_from_json(data)
-        assert back == d
-
-
-def test_json_rejects_off_diagonal():
-    data = subgroup_datum_to_json(h_datum())
-    data["generators"][0][0][1] = "1"
-    with pytest.raises(InvalidInput):
-        subgroup_datum_from_json(data)
 
 
 def test_h_pair_coprime_via_resultant():
