@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .claims import Config, all_claim_ids, claim_ids, run_claims
-from .errors import UnknownClaim
+from .errors import EnumTCError, UnknownClaim
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,9 +53,10 @@ def main(argv=None) -> int:
                     tol=args.tol)
     try:
         report = run_claims(ids, config)
-    except UnknownClaim as exc:
+    except EnumTCError as exc:
+        # an unknown id is a usage error; anything else failed the run
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UnknownClaim) else 1
     for rec in report.records:
         print(_format_line(rec))
     summary = report.summary()

@@ -3,9 +3,9 @@
 Simultaneous (Aberth) iteration for univariate complex roots,
 projective root lists for binary forms, chordal-metric clustering,
 finite eigenvalues of matrix polynomials via a companion pencil, and a
-damped Newton corrector.  Everything here consumes plain complex
-numbers; exact coefficients are embedded upstream, so structural zeros
-arrive as exact 0j.
+damped Newton corrector that runs a batch of systems in lockstep.
+Everything here consumes plain complex numbers; exact coefficients are
+embedded upstream, so structural zeros arrive as exact 0j.
 """
 
 from __future__ import annotations
@@ -147,33 +147,31 @@ def chordal_distance(u, v) -> float:
     return min(1.0, math.sqrt(wedge) / (nu * nv))
 
 
-def cluster_points(points, radius: float, dist=chordal_distance):
-    """Union-find merge of points closer than radius.
+def cluster_points(points, radius: float):
+    """Merge points closer than radius (chordal distance), transitively.
 
     Returns (representative, member_indices) pairs, representative
     being the member list's first point; order follows first members.
+    Each point meets all earlier ones in one array expression, so memory
+    stays linear in the number of points.
     """
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            ri, rj = find(i), find(j)
-            if ri != rj and dist(points[i], points[j]) < radius:
-                parent[rj] = ri
+    P = np.array(points, dtype=complex)
+    norms = np.linalg.norm(P, axis=-1)
+    if len(P) and not norms.all():
+        raise InvalidInput("zero vector has no projective distance")
+    label = np.arange(len(P))  # smallest member index of each component
+    for i in range(1, len(P)):
+        u, V = P[i], P[:i]
+        wedge = sum(np.abs(u[a] * V[:, b] - u[b] * V[:, a]) ** 2
+                    for a in range(len(u)) for b in range(a + 1, len(u)))
+        dist = np.minimum(1.0, np.sqrt(wedge) / (norms[i] * norms[:i]))
+        near = label[:i][dist < radius]
+        if near.size:
+            label[np.isin(label, near)] = label[i] = near.min()
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in sorted(groups.values(), key=lambda ms: ms[0]):
-        out.append((points[members[0]], members))
-    return out
+    for i, g in enumerate(label.tolist()):
+        groups.setdefault(g, []).append(i)
+    return [(points[ms[0]], ms) for ms in groups.values()]
 
 
 def polyeig(mats, drop_infinite: float = 1e-10):
@@ -208,34 +206,41 @@ def polyeig(mats, drop_infinite: float = 1e-10):
     return out
 
 
-def damped_newton(fun, jac, z0, tol: float = 1e-13, max_iter: int = 80,
-                  floor=None):
-    """Newton with step halving on complex square systems.
+def damped_newton(fun, jac, Z0, tol: float = 1e-13, max_iter: int = 80,
+                  floor: float = 0.0):
+    """Newton with step halving on a batch of complex square systems.
 
-    fun maps a numpy vector to the residual vector, jac to the Jacobian
-    matrix.  Returns (solution, residual_norm).  Stalling above tol
-    raises NumericFailure, except that a stall at residual <= floor is
-    accepted; pass floor to drive tol below evaluation noise safely.
+    Row i of Z0 (n x k) is lane i.  fun maps the m lanes still running
+    to their (m, k') residuals, jac to their (m, k', k) Jacobians.  Each
+    lane iterates as if alone: it stops below tol, takes the first of up
+    to 25 halved steps that lowers its residual norm, and stalls when
+    none does.  Returns (Z, residual norms, converged): converged below
+    tol, or stalled at most floor, which drives tol below evaluation
+    noise safely.
     """
-    z = np.asarray(z0, dtype=complex)
-    r = np.asarray(fun(z), dtype=complex)
-    best = np.linalg.norm(r)
+    Z = np.array(Z0, dtype=complex)
+    R = np.asarray(fun(Z), dtype=complex)
+    best = np.linalg.norm(R, axis=1)
+    running = np.ones(len(Z), dtype=bool)
     for _ in range(max_iter):
-        if best < tol:
-            return z, float(best)
-        J = np.asarray(jac(z), dtype=complex)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        scale = 1.0
-        for _ in range(25):
-            trial = z + scale * step
-            rt = np.asarray(fun(trial), dtype=complex)
-            nt = np.linalg.norm(rt)
-            if nt < best:
-                z, r, best = trial, rt, nt
-                break
-            scale *= 0.5
-        else:
+        lanes = np.flatnonzero(running & ~(best < tol))
+        if not lanes.size:
             break
-    if best < tol or (floor is not None and best <= floor):
-        return z, float(best)
-    raise NumericFailure(f"refinement stalled at residual {best:.3e}")
+        J = np.asarray(jac(Z[lanes]), dtype=complex)
+        try:
+            step = np.linalg.solve(J, -R[lanes, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.array([np.linalg.lstsq(j, -r, rcond=None)[0]
+                             for j, r in zip(J, R[lanes])])
+        for halving in range(25):
+            trial = Z[lanes] + 0.5 ** halving * step
+            Rt = np.asarray(fun(trial), dtype=complex)
+            nt = np.linalg.norm(Rt, axis=1)
+            down = nt < best[lanes]
+            hit = lanes[down]
+            Z[hit], R[hit], best[hit] = trial[down], Rt[down], nt[down]
+            lanes, step = lanes[~down], step[~down]
+            if not lanes.size:
+                break
+        running[lanes] = False
+    return Z, best, (best < tol) | (best <= floor)

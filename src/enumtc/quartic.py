@@ -114,30 +114,30 @@ def _embed_root(field) -> int:
     return len(roots()) - 1 if roots else 0
 
 
-def _embed_terms(P: Polynomial, root: int, scaled: bool = True):
-    """[(exponent, complex coeff)] with an optional 1-norm scaling.
+class _Compiled:
+    """Embedded polynomials over their shared monomials.
 
-    The scaling makes Newton residuals relative to coefficient size,
-    which is the normalization all reported residuals use.
+    The coefficients sit in one (polynomials x monomials) matrix, so a
+    single matrix product evaluates every polynomial at a batch of
+    points.
     """
-    terms = [(e, nf_embed_complex(c, root)) for e, c in P.terms.items()]
-    if not terms:
-        return terms
-    if scaled:
-        scale = sum(abs(c) for _, c in terms)
-        terms = [(e, c / scale) for e, c in terms]
-    return terms
 
+    def __init__(self, polys, root: int):
+        exps = sorted({e for P in polys for e in P.terms})
+        col = {e: j for j, e in enumerate(exps)}
+        self.exps = np.array(exps, dtype=int).T
+        self.coef = np.zeros((len(polys), len(exps)), dtype=complex)
+        for i, P in enumerate(polys):
+            for e, c in P.terms.items():
+                self.coef[i, col[e]] = nf_embed_complex(c, root)
 
-def _ev(terms, pt) -> complex:
-    s = 0j
-    for e, c in terms:
-        v = c
-        for k, d in enumerate(e):
-            if d:
-                v *= pt[k] ** d
-        s += v
-    return s
+    def __call__(self, X):
+        """Values at the rows of X: (points, variables) -> (points, polys)."""
+        X = np.asarray(X, dtype=complex).reshape(-1, len(self.exps))
+        mons = np.ones((len(X), self.exps.shape[1]), dtype=complex)
+        for x, e in zip(X.T, self.exps):
+            mons *= np.vander(x, e.max() + 1, increasing=True)[:, e]
+        return mons @ self.coef.T
 
 
 def _require_ternary_quartic(F: Polynomial):
@@ -171,39 +171,42 @@ def flex_points(F: Polynomial, tol: float = 1e-10):
 
     Returns PointP2 records whose multiplicities sum to 24; residual is
     the damped-Newton stall value of the 1-norm-scaled system
-    {F = 0, Hess F = 0} with the largest coordinate pinned to 1.
+    {F = 0, Hess F = 0} with the largest coordinate pinned to 1.  A
+    coordinate attempt that fails numerically or gives other
+    multiplicities ends, and the next one starts; the final
+    NumericFailure names every attempt's reason.
     """
     _require_ternary_quartic(F)
     root = _embed_root(F.field)
-    degenerate = 0
+    failures = []
     for attempt in range(MAX_ATTEMPTS):
         change = None if attempt == 0 else _random_change(F.field, attempt)
         G = F if change is None else compose_with_matrix(F, change)
         if not G.terms.get((4, 0, 0)):
             # (1,0,0) may sit on the curve, where x-elimination loses roots
-            degenerate += 1
+            failures.append("x-degree dropped")
             continue
-        pts = _flex_core(G, tol, root)
-        if not _whole_flex_count(pts):
+        try:
+            pts = _flex_core(G, tol, root)
+            if change is not None and _whole_flex_count(pts):
+                M = _numeric_rows(change, root)
+                pts = _refine_points(_flex_system(F, root),
+                                     [M @ np.array(p) for p, _, _ in pts],
+                                     [m for _, _, m in pts], 1e3 * tol)
+        except NumericFailure as exc:
+            failures.append(str(exc))
             continue
-        if change is not None:
-            M = _numeric_rows(change, root)
-            slices = _newton_data(F, root)
-            mapped = []
-            for p, _, mult in pts:
-                q = normalize_projective(tuple(M @ np.array(p)))
-                q, res = _refine_point(slices, q)
-                mapped.append((q, res, mult))
-            pts = _merge_points(mapped, 1e3 * tol)
-            if not _whole_flex_count(pts):
-                continue
-        return [PointP2.from_coords(p, residual=res, multiplicity=int(m))
-                for p, res, m in sorted(pts, key=lambda t: _coord_key(t[0]))]
-    if degenerate == MAX_ATTEMPTS:
+        if _whole_flex_count(pts):
+            pts.sort(key=lambda t: _coord_key(t[0]))
+            return [PointP2.from_coords(p, residual=res, multiplicity=int(m))
+                    for p, res, m in pts]
+        failures.append("flex multiplicities were not positive integers "
+                        "summing to 24")
+    if failures.count("x-degree dropped") == MAX_ATTEMPTS:
         raise DegenerateCoordinates("x-degree dropped in every coordinate attempt")
-    raise NumericFailure("flex multiplicities were not positive integers "
-                         "summing to 24 in %d coordinate attempts"
-                         % MAX_ATTEMPTS)
+    raise NumericFailure("no flex set in %d coordinate attempts: %s" % (
+        MAX_ATTEMPTS, "; ".join("attempt %d: %s" % f
+                                for f in enumerate(failures))))
 
 
 def _whole_flex_count(pts) -> bool:
@@ -216,52 +219,48 @@ def _whole_flex_count(pts) -> bool:
     return sum(mults) == 24 and all(m >= 1 and m == int(m) for m in mults)
 
 
-def _newton_data(F: Polynomial, root: int):
-    """Scaled embedded F, Hess F and their partials, for point refinement."""
-    H = hessian_det(F)
-    data = {"F": _embed_terms(F, root), "H": _embed_terms(H, root)}
-    for nm, P in (("F", F), ("H", H)):
-        for vn in PLANE_VARS:
-            data[(nm, vn)] = _embed_terms(P.partial(vn), root, scaled=False)
-        scale = sum(abs(nf_embed_complex(c, root)) for c in P.terms.values())
-        for vn in PLANE_VARS:
-            data[(nm, vn)] = [(e, c / scale) for e, c in data[(nm, vn)]]
-    return data
+def _flex_system(F: Polynomial, root: int) -> _Compiled:
+    """F, F_x, F_y, F_z, Hess F and its partials, for point refinement.
+
+    Rows are divided by the 1-norm of F's (or Hess F's) coefficients,
+    which makes Newton residuals relative to coefficient size: the
+    normalization all reported residuals use.
+    """
+    system = _Compiled([Q for P in (F, hessian_det(F))
+                        for Q in [P] + [P.partial(vn) for vn in PLANE_VARS]],
+                       root)
+    system.coef /= np.abs(system.coef[[0, 4]]).sum(axis=1).repeat(4)[:, None]
+    return system
 
 
-def _refine_point(data, p0):
-    """Newton-polish a projective point against {F = 0, Hess F = 0}.
+def _refine_points(system: _Compiled, starts, mults, radius):
+    """Newton-polish projective points against {F = 0, Hess F = 0}.
 
     The largest-modulus coordinate is pinned to 1 and the other two are
-    the unknowns, so the Jacobian is square.
+    the unknowns, so each Jacobian is square; the points that pin the
+    same coordinate share one batched run.  NumericFailure when any
+    point stalls.  Refined points closer than radius merge into one
+    (point, residual, mult): multiplicities add, residuals take the max.
     """
-    p0 = normalize_projective(p0)
-    fix = max(range(3), key=lambda i: abs(p0[i]))
-    free = [i for i in range(3) if i != fix]
-
-    def fill(u):
-        pt = list(p0)
-        pt[fix] = 1.0 + 0j
-        pt[free[0]], pt[free[1]] = u[0], u[1]
-        return pt
-
-    fun = lambda u: [_ev(data["F"], fill(u)), _ev(data["H"], fill(u))]
-    jac = lambda u: [[_ev(data[(nm, PLANE_VARS[j])], fill(u)) for j in free]
-                     for nm in ("F", "H")]
-    u, res = damped_newton(fun, jac, [p0[free[0]], p0[free[1]]],
-                           tol=1e-15, floor=1e-11)
-    return tuple(normalize_projective(fill(u))), res
-
-
-def _merge_points(cands, radius):
-    """Cluster refined points; multiplicities add, residuals take the max."""
-    reps = cluster_points([p for p, _, _ in cands], radius)
-    out = []
-    for rep, members in reps:
-        mult = sum(cands[i][2] for i in members)
-        res = max(cands[i][1] for i in members)
-        out.append((rep, res, mult))
-    return out
+    P = np.array(starts, dtype=complex)
+    at_pin = (np.arange(len(P)), np.argmax(np.abs(P), axis=1))
+    P /= P[at_pin][:, None]
+    P[at_pin] = 1
+    res, ok = np.zeros(len(P)), np.zeros(len(P), dtype=bool)
+    for fix in range(3):
+        lanes = np.flatnonzero(at_pin[1] == fix)
+        free = [i for i in range(3) if i != fix]
+        rows = [[1 + i for i in free], [5 + i for i in free]]
+        P[np.ix_(lanes, free)], res[lanes], ok[lanes] = damped_newton(
+            lambda U: system(np.insert(U, fix, 1, axis=1))[:, [0, 4]],
+            lambda U: system(np.insert(U, fix, 1, axis=1))[:, rows],
+            P[np.ix_(lanes, free)], tol=1e-15, floor=1e-11)
+    if not ok.all():
+        raise NumericFailure("refinement stalled at residual %.3e"
+                             % res[np.argmin(ok)])
+    pts = [normalize_projective(tuple(complex(c) for c in p)) for p in P]
+    return [(rep, float(res[ms].max()), sum(mults[i] for i in ms))
+            for rep, ms in cluster_points(pts, radius)]
 
 
 def _flex_core(G: Polynomial, tol: float, root: int):
@@ -279,28 +278,26 @@ def _flex_core(G: Polynomial, tol: float, root: int):
         raise DegenerateCoordinates("resultant of F and its Hessian vanished")
     roots = projective_binary_roots([v / scale for v in num], 24, tol)
     clusters = cluster_points(roots, 1e3 * tol)
-    data = _newton_data(G, root)
-    Fn, Hn = data["F"], data["H"]
-    cands = []
-    for (y0, z0), members in clusters:
-        # lift the (y:z) root through the x-polynomial G(x, y0, z0); the
-        # cluster multiplicity is split evenly over the lifts that also
-        # kill the Hessian
-        qc = [0j] * 5
-        for e, c in Fn:
-            qc[e[0]] += c * (y0 ** e[1]) * (z0 ** e[2])
-        xs = aberth_roots(qc)
-        hv = [abs(_ev(Hn, (xi, y0, z0))) for xi in xs]
-        hscale = max(1.0, max(hv))
-        lifts = [xi for xi, h in zip(xs, hv) if h <= 1e-3 * hscale]
+    system = _flex_system(G, root)
+    # lift each (y:z) root through the x-polynomial G(x, y0, z0); the
+    # cluster multiplicity is split evenly over the lifts that also
+    # kill the Hessian
+    in_x = _Compiled(univariate_coeffs(G, "x"), root)
+    xs = [aberth_roots([complex(v) for v in row])
+          for row in in_x([(1, y0, z0) for (y0, z0), _ in clusters])]
+    hv = np.abs(system([(x, y0, z0) for xr, ((y0, z0), _)
+                        in zip(xs, clusters) for x in xr])[:, 4])
+    starts, shares = [], []
+    for xr, ((y0, z0), members) in zip(xs, clusters):
+        h, hv = hv[:len(xr)], hv[len(xr):]
+        lifts = [x for x, hx in zip(xr, h) if hx <= 1e-3 * max(1.0, h.max())]
         if not lifts:
             raise NumericFailure(
                 "no Hessian-compatible lift over the root cluster at "
                 "(y:z) = (%r : %r)" % (y0, z0))
-        for xi in lifts:
-            pt, res = _refine_point(data, (xi, y0, z0))
-            cands.append((pt, res, Fraction(len(members), len(lifts))))
-    return _merge_points(cands, 1e3 * tol)
+        starts += [(x, y0, z0) for x in lifts]
+        shares += [Fraction(len(members), len(lifts))] * len(lifts)
+    return _refine_points(system, starts, shares, 1e3 * tol)
 
 
 def _coord_key(coords):
@@ -356,17 +353,17 @@ def bitangent_scan(F: Polynomial, tol: float = 1e-10) -> QuarticLineScan:
     _require_ternary_quartic(F)
     root = _embed_root(F.field)
     home = [_ChartFit(F, chart, root) for chart in CHARTS]
+    failures = []
     for attempt in range(MAX_ATTEMPTS):
         change = None if attempt == 0 else _random_change(F.field, attempt)
         G = F if change is None else compose_with_matrix(F, change)
         fits = home if change is None else \
             [_ChartFit(G, chart, root) for chart in CHARTS]
-        entries = []
-        for fit in fits:
-            for a0, b0 in fit.candidates(tol):
-                got = fit.fit(a0, b0, tol)
-                if got is not None:
-                    entries.append(got)
+        try:
+            entries = [e for fit in fits for e in fit.fits(tol)]
+        except AmbiguousClassification as exc:
+            failures.append("attempt %d: %s" % (attempt, exc))
+            continue
         if change is not None:
             M = _numeric_rows(change, root)
             entries = [_pull_back(e, M) for e in entries]
@@ -379,10 +376,12 @@ def bitangent_scan(F: Polynomial, tol: float = 1e-10) -> QuarticLineScan:
             return QuarticLineScan(sorted(bits, key=key),
                                    sorted(flexl, key=key),
                                    1e3 * tol, change)
+        failures.append("attempt %d: %d bitangents, %d flex tangents, "
+                        "%d hyperflexes" % (attempt, len(bits),
+                                            len(flexl) - hyper, hyper))
     raise NumericFailure(
-        "double-contact counts off in %d coordinate attempts: "
-        "%d bitangents, %d flex tangents, %d hyperflexes"
-        % (MAX_ATTEMPTS, len(bits), len(flexl) - hyper, hyper))
+        "double-contact counts off in %d coordinate attempts: %s"
+        % (MAX_ATTEMPTS, "; ".join(failures)))
 
 
 class _ChartFit:
@@ -417,11 +416,9 @@ class _ChartFit:
             S1 = S1 + Polynomial.monomial((e[1], e[2]), c, ab, field)
         self.G0 = self._grid(S0)
         self.G1 = self._grid(S1)
-        self.qn = [_embed_terms(q, root, scaled=False) for q in qs]
-        self.qa = [_embed_terms(q.partial("a"), root, scaled=False)
-                   for q in qs]
-        self.qb = [_embed_terms(q.partial("b"), root, scaled=False)
-                   for q in qs]
+        # q_0..q_4, then their a-partials, then their b-partials
+        self.q = _Compiled(qs + [q.partial("a") for q in qs]
+                           + [q.partial("b") for q in qs], root)
 
     def _grid(self, P):
         da = P.degree_in("a")
@@ -482,81 +479,72 @@ class _ChartFit:
                     out.append((a0, b0))
         return out
 
-    def _qc(self, a, b):
-        return [_ev(t, (a, b)) for t in self.qn]
-
-    def _newton(self, model, dmodel, z0):
-        def fun(z):
-            q = self._qc(z[0], z[1])
-            m = model(*z[2:])
-            sc = max(max(abs(v) for v in q), 1e-30)
-            return [(q[i] - m[i]) / sc for i in range(5)]
-
-        def jac(z):
-            a, b = z[0], z[1]
-            q = self._qc(a, b)
-            sc = max(max(abs(v) for v in q), 1e-30)
-            cols = [[_ev(self.qa[i], (a, b)) / sc,
-                     _ev(self.qb[i], (a, b)) / sc] for i in range(5)]
-            dm = dmodel(*z[2:])
-            return [cols[i] + [-d[i] / sc for d in dm] for i in range(5)]
-
-        return damped_newton(fun, jac, z0, tol=1e-14, floor=1e-11,
-                             max_iter=60)
-
-    def fit(self, a0, b0, tol):
-        """Structured fit at a candidate (a, b); None if nothing matches.
+    def fits(self, tol):
+        """Structured fits at every candidate; TangentLines in candidate order.
 
         The double-contact model is q = c (t^2+pt+r)^2, the flex model
         q = c (t-r)^3 (t-s); unknowns include (a, b), so the fit also
-        polishes the line itself.
+        polishes the line itself.  One batched Newton run fits the
+        double-contact model to every candidate, a second the flex model
+        to those the first rejected; candidates neither fits are dropped.
         """
         accept = max(1e-9, 10 * tol)
-        q = self._qc(a0, b0)
-        sc = max(abs(v) for v in q)
-        if sc < 1e-12 or abs(q[4]) < 1e-9 * sc:
-            return None
-        try:
-            roots = aberth_roots([v / q[4] for v in q])
-        except NumericFailure:
-            return None
-        pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-        def spread(pr):
-            (i, j), (k, l) = pr
-            return max(abs(roots[i] - roots[j]), abs(roots[k] - roots[l]))
-
-        (i, j), (k, l) = min(pairings, key=spread)
-        u, v = (roots[i] + roots[j]) / 2, (roots[k] + roots[l]) / 2
-        got = None
-        try:
-            z, res = self._newton(_model_btg, _dm_btg,
-                                  [a0, b0, q[4], -(u + v), u * v])
-            if res < accept:
-                got = ("double", z, res)
-        except NumericFailure:
-            pass
-        if got is None:
-            tries = []
-            for m in range(4):
-                rest = [roots[x] for x in range(4) if x != m]
-                w = max(abs(p - q2) for p in rest for q2 in rest)
-                tries.append((w, sum(rest) / 3, roots[m]))
-            _, r0, s0 = min(tries, key=lambda t: t[0])
+        cands = self.candidates(tol)
+        starts = []
+        for (a0, b0), q in zip(cands, self.q(cands)[:, :5]):
+            q = [complex(v) for v in q]
+            sc = max(abs(v) for v in q)
+            if sc < 1e-12 or abs(q[4]) < 1e-9 * sc:
+                continue
             try:
-                z, res = self._newton(_model_flex, _dm_flex,
-                                      [a0, b0, q[4], r0, s0])
-                if res < accept:
-                    got = ("flex", z, res)
+                roots = aberth_roots([v / q[4] for v in q])
             except NumericFailure:
-                pass
-        if got is None:
-            return None
-        shape, z, res = got
-        a1, b1 = z[0], z[1]
+                continue
+            starts.append(((a0, b0, q[4]), roots))
+        if not starts:
+            return []
+        Z, res, double = self._fit_model(
+            _btg_partials, [z0 + _double_start(rts) for z0, rts in starts])
+        double &= res < accept
+        flex = np.zeros(len(starts), dtype=bool)
+        retry = np.flatnonzero(~double)
+        if retry.size:
+            Z[retry], res[retry], flex[retry] = self._fit_model(
+                _flex_partials, [starts[i][0] + _flex_start(starts[i][1])
+                                 for i in retry])
+            flex[retry] &= res[retry] < accept
+        return [self._tangent_line(flex[i], Z[i], float(res[i]), tol)
+                for i in np.flatnonzero(double | flex)]
+
+    def _fit_model(self, partials, Z0):
+        """Batched Newton fit of q(a, b) to a model, lanes (a, b, c, ...).
+
+        partials gives the model's derivatives in (c, ...), the model
+        being c times its c-derivative; rows are relative to max |q_i|.
+        """
+        def parts(Z):
+            v, D = self.q(Z[:, :2]), partials(Z[:, 2:])
+            sc = np.maximum(np.abs(v[:, :5]).max(axis=1), 1e-30)
+            return v, D, sc[:, None]
+
+        def fun(Z):
+            v, D, sc = parts(Z)
+            return (v[:, :5] - Z[:, 2:3] * D[:, :, 0]) / sc
+
+        def jac(Z):
+            v, D, sc = parts(Z)
+            return np.concatenate([v[:, 5:10, None], v[:, 10:, None], -D],
+                                  axis=2) / sc[:, :, None]
+
+        return damped_newton(fun, jac, Z0, tol=1e-14, floor=1e-11, max_iter=60)
+
+    def _tangent_line(self, is_flex, z, res, tol):
+        """Classify one accepted fit into a TangentLine."""
+        a1, b1, _, p, r = (complex(v) for v in z)
         line = normalize_projective(_line_coords(self.chart, a1, b1))
-        if shape == "double":
-            c, p, r = z[2], z[3], z[4]
+        if is_flex:  # z holds (a, b, c, r, s): z[3] is the triple root
+            tps, kind, mult = (p,), "flex", (1,)
+        else:
             disc = p * p - 4 * r
             if abs(disc) >= 1e3 * tol:
                 sq = cmath.sqrt(disc)
@@ -569,9 +557,6 @@ class _ChartFit:
                 raise AmbiguousClassification(
                     "contact discriminant %.3e inside [%g, %g) for the "
                     "line %r" % (abs(disc), tol, 1e3 * tol, line))
-        else:
-            tps = (z[3],)
-            kind, mult = "flex", (1,)
         tang = tuple(
             PointP2.from_coords(_tangency_point(self.chart, a1, b1, tp),
                                 residual=res, multiplicity=m)
@@ -580,29 +565,45 @@ class _ChartFit:
                            kind, tang, res)
 
 
-def _model_btg(c, p, r):
-    return [c * r * r, 2 * c * p * r, c * (p * p + 2 * r), 2 * c * p, c]
+def _double_start(roots):
+    """(p, r) of t^2+pt+r from the tightest pairing of the four roots."""
+    (i, j), (k, l) = min(
+        (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+        key=lambda pr: max(abs(roots[x] - roots[y]) for x, y in pr))
+    u, v = (roots[i] + roots[j]) / 2, (roots[k] + roots[l]) / 2
+    return (-(u + v), u * v)
 
 
-def _dm_btg(c, p, r):
-    dc = [r * r, 2 * p * r, p * p + 2 * r, 2 * p, 1.0]
-    dp = [0j, 2 * c * r, 2 * c * p, 2 * c, 0j]
-    dr = [2 * c * r, 2 * c * p, 2 * c, 0j, 0j]
-    return [dc, dp, dr]
+def _flex_start(roots):
+    """(r, s) of (t-r)^3 (t-s): the tightest triple's mean, the odd root."""
+    def width(m):
+        rest = [z for x, z in enumerate(roots) if x != m]
+        return max(abs(p - q) for p in rest for q in rest)
+
+    m = min(range(4), key=width)
+    return (sum(z for x, z in enumerate(roots) if x != m) / 3, roots[m])
 
 
-def _model_flex(c, r, s):
-    return [c * r ** 3 * s, -c * (r ** 3 + 3 * r * r * s),
-            c * (3 * r * r + 3 * r * s), -c * (3 * r + s), c]
+def _btg_partials(W):
+    """d/d(c, p, r) of q = c (t^2+pt+r)^2, coefficients low to high."""
+    c, p, r = W.T
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    return np.stack([np.stack(d, axis=1) for d in (
+        [r * r, 2 * p * r, p * p + 2 * r, 2 * p, one],
+        [zero, 2 * c * r, 2 * c * p, 2 * c, zero],
+        [2 * c * r, 2 * c * p, 2 * c, zero, zero])], axis=2)
 
 
-def _dm_flex(c, r, s):
-    dc = [r ** 3 * s, -(r ** 3 + 3 * r * r * s), 3 * r * r + 3 * r * s,
-          -(3 * r + s), 1.0]
-    dr = [3 * c * r * r * s, -c * (3 * r * r + 6 * r * s),
-          c * (6 * r + 3 * s), -3 * c, 0j]
-    ds = [c * r ** 3, -3 * c * r * r, 3 * c * r, -c, 0j]
-    return [dc, dr, ds]
+def _flex_partials(W):
+    """d/d(c, r, s) of q = c (t-r)^3 (t-s), coefficients low to high."""
+    c, r, s = W.T
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    return np.stack([np.stack(d, axis=1) for d in (
+        [r ** 3 * s, -(r ** 3 + 3 * r * r * s), 3 * r * r + 3 * r * s,
+         -(3 * r + s), one],
+        [3 * c * r * r * s, -c * (3 * r * r + 6 * r * s),
+         c * (6 * r + 3 * s), -3 * c, zero],
+        [c * r ** 3, -3 * c * r * r, 3 * c * r, -c, zero])], axis=2)
 
 
 def _line_coords(chart, a, b):

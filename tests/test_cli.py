@@ -4,7 +4,9 @@ import sys
 
 import numpy as np
 
+from enumtc import cli
 from enumtc.cli import build_parser, main
+from enumtc.errors import InconsistentEvidence
 
 np.seterr(all="ignore")
 
@@ -50,6 +52,18 @@ def test_json_report_written_and_stable(tmp_path, capsys):
     assert main(["verify", "regseq-pu3h", "--json", str(target)]) == 0
     assert target.read_bytes() == first
     capsys.readouterr()
+
+
+def test_library_error_is_reported_without_traceback(monkeypatch, capsys):
+    def inconsistent(ids, config):
+        raise InconsistentEvidence("klein-bitangents marked verified over "
+                                   "bad dependency klein-flexes")
+
+    monkeypatch.setattr(cli, "run_claims", inconsistent)
+    assert main(["verify", "klein-bitangents"]) == 1
+    assert capsys.readouterr().err == (
+        "error: klein-bitangents marked verified over bad dependency "
+        "klein-flexes\n")
 
 
 def test_parser_defaults():

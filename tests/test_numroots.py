@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from enumtc.errors import InvalidInput, NumericFailure
+from enumtc.errors import InvalidInput
 from enumtc.numroots import (
     aberth_roots,
     chordal_distance,
@@ -116,10 +116,70 @@ def test_cluster_points_merges_and_is_idempotent():
 
 
 def test_cluster_points_chains_transitively():
-    pts = [(1 + 0j,), (1.4 + 0j,), (1.8 + 0j,)]
-    clusters = cluster_points(pts, 0.5, dist=lambda u, v: abs(u[0] - v[0]))
-    assert len(clusters) == 1
-    assert clusters[0][1] == [0, 1, 2]
+    # chordal distance between angles a and b is |sin(a - b)|; p1 sits
+    # within the radius of p0 and p2, which are farther apart.  p1 comes
+    # last, so it has to join two groups that are already separate.
+    p0, p1, p2 = [(math.cos(a) + 0j, math.sin(a) + 0j)
+                  for a in (0.0, 0.3, 0.6)]
+    assert chordal_distance(p0, p1) < 0.4 and chordal_distance(p1, p2) < 0.4
+    assert chordal_distance(p0, p2) > 0.4
+    clusters = cluster_points([p0, p2, p1], 0.4)
+    assert clusters == [(p0, [0, 1, 2])]
+
+
+def reference_clusters(points, radius):
+    # pairwise union-find over the scalar chordal_distance
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if chordal_distance(points[i], points[j]) < radius:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return [(points[ms[0]], ms)
+            for ms in sorted(groups.values(), key=lambda ms: ms[0])]
+
+
+def test_cluster_points_matches_pairwise_reference():
+    rng = random.Random(20240611)
+    radius = 1e-3
+
+    def rand_point():
+        return tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for _ in range(3))
+
+    def nudge(p):
+        # a step of chordal length up to 1.6 radius in a random direction
+        w = rand_point()
+        size = rng.uniform(0.6, 1.6) * radius * math.sqrt(
+            sum(abs(c) ** 2 for c in p) / sum(abs(c) ** 2 for c in w))
+        return tuple(a + size * b for a, b in zip(p, w))
+
+    pts = []
+    for _ in range(40):
+        # random chains: neighbours fall just inside or just outside the
+        # radius, and a shuffled chain can join groups formed earlier
+        pts.append(rand_point())
+        for _ in range(rng.randrange(4)):
+            pts.append(nudge(pts[-1]))
+    rng.shuffle(pts)
+    dists = [chordal_distance(p, q) for i, p in enumerate(pts)
+             for q in pts[i + 1:]]
+    assert sum(0.5 * radius < d < radius for d in dists) > 10
+    assert sum(radius < d < 2 * radius for d in dists) > 10
+    assert min(abs(d - radius) for d in dists) > 1e-9 * radius
+    got = cluster_points(pts, radius)
+    assert got == reference_clusters(pts, radius)
+    assert 1 < len(got) < len(pts)
+    with pytest.raises(InvalidInput):
+        cluster_points(pts[:2] + [(0j, 0j, 0j)], radius)
 
 
 def test_polyeig_scalar_and_singular_lead():
@@ -144,28 +204,54 @@ def test_polyeig_trims_zero_lead():
 
 
 def test_damped_newton_square_system():
-    def fun(z):
-        x, y = z
-        return np.array([x * x + y * y - 5, x * y - 2])
+    def fun(Z):
+        x, y = Z.T
+        return np.stack([x * x + y * y - 5, x * y - 2], axis=1)
 
-    def jac(z):
-        x, y = z
-        return np.array([[2 * x, 2 * y], [y, x]])
+    def jac(Z):
+        x, y = Z.T
+        return np.stack([np.stack([2 * x, 2 * y], axis=1),
+                         np.stack([y, x], axis=1)], axis=1)
 
-    z, res = damped_newton(fun, jac, np.array([2.2, 0.8]), tol=1e-12)
-    assert res < 1e-12
-    assert abs(z[0] - 2) < 1e-8 and abs(z[1] - 1) < 1e-8
+    Z, res, ok = damped_newton(fun, jac, np.array([[2.2, 0.8]]), tol=1e-12)
+    assert ok[0] and res[0] < 1e-12
+    assert abs(Z[0, 0] - 2) < 1e-8 and abs(Z[0, 1] - 1) < 1e-8
 
 
 def test_damped_newton_reports_stall():
-    def fun(z):
-        return np.array([z[0] * 0 + 1.0])
+    def fun(Z):
+        return Z * 0 + 1.0
 
-    def jac(z):
-        return np.array([[1.0]])
+    def jac(Z):
+        return np.ones((len(Z), 1, 1))
 
-    with pytest.raises(NumericFailure):
-        damped_newton(fun, jac, np.array([0.0]), tol=1e-12, max_iter=5)
+    Z, res, ok = damped_newton(fun, jac, np.array([[0.0]]), tol=1e-12,
+                               max_iter=5)
+    assert not ok[0] and res[0] == 1.0 and Z[0, 0] == 0
+
+
+def test_damped_newton_lanes_run_as_if_alone():
+    # z^2 = 4, with the Jacobian's sign flipped where Re z < 0: those
+    # lanes are sent uphill and stall where they start
+    def fun(Z):
+        return Z * Z - 4
+
+    def jac(Z):
+        return (np.where(Z.real < 0, -2, 2) * Z)[:, :, None]
+
+    starts = np.array([[1.3 + 0.2j],      # converges to 2
+                       [-2 - 1e-13 + 0j],  # stalls under the floor
+                       [-3 + 0j]])         # stalls above it
+    Z, res, ok = damped_newton(fun, jac, starts, tol=1e-15, floor=1e-11)
+    assert ok.tolist() == [True, True, False]
+    assert abs(Z[0, 0] - 2) < 1e-14 and res[0] < 1e-15
+    assert 0 < res[1] <= 1e-11 and Z[1, 0] == starts[1, 0]
+    assert res[2] == 5.0 and Z[2, 0] == -3
+    for i in range(len(starts)):
+        Zi, ri, oki = damped_newton(fun, jac, starts[i:i + 1], tol=1e-15,
+                                    floor=1e-11)
+        assert np.array_equal(Zi[0], Z[i])
+        assert ri[0] == res[i] and oki[0] == ok[i]
 
 
 def test_aberth_against_roots_of_unity():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from enumtc.errors import InvalidInput, NumericFailure
+from enumtc.errors import AmbiguousClassification, InvalidInput, NumericFailure
 from enumtc.fields import QQ, cyclotomic_field
 from enumtc.geometry import (
     h_group_matrices,
@@ -167,6 +167,51 @@ def test_fractional_flex_multiplicities_are_never_truncated(monkeypatch):
     with pytest.raises(NumericFailure, match="positive integers"):
         flex_points(F)
     assert len(calls) == quartic.MAX_ATTEMPTS
+
+
+def test_flex_retry_survives_a_failing_attempt(monkeypatch):
+    # Attempt 0 loses one flex, so it is rejected.  On the Klein quartic
+    # the mapped-back refinement of attempt 1 stalls; that failure must
+    # end attempt 1 only.
+    real = quartic._flex_core
+    calls = []
+
+    def drop_one_first(G, tol, root):
+        calls.append(G)
+        pts = real(G, tol, root)
+        return pts[1:] if len(calls) == 1 else pts
+
+    monkeypatch.setattr(quartic, "_flex_core", drop_one_first)
+    try:
+        flex_points(klein_quartic())
+    except NumericFailure as exc:
+        assert all("attempt %d: " % k in str(exc)
+                   for k in range(quartic.MAX_ATTEMPTS))
+    assert len(calls) >= 3
+
+
+def test_ambiguous_contact_ends_only_its_attempt(monkeypatch):
+    # Every fit is classified ambiguous.  The scan must go on to the next
+    # coordinate attempt and name each attempt's reason at the end.  Two
+    # attempts, the second in identity "random" coordinates, keep it short.
+    fits_reached = set()
+
+    def ambiguous(self, is_flex, z, res, tol):
+        fits_reached.add(id(self))
+        raise AmbiguousClassification("contact discriminant in the dead zone")
+
+    def identity(field, attempt):
+        return tuple(tuple(field.from_int(int(i == j)) for j in range(3))
+                     for i in range(3))
+
+    monkeypatch.setattr(quartic._ChartFit, "_tangent_line", ambiguous)
+    monkeypatch.setattr(quartic, "_random_change", identity)
+    monkeypatch.setattr(quartic, "MAX_ATTEMPTS", 2)
+    with pytest.raises(NumericFailure) as err:
+        bitangent_scan(klein_quartic())
+    for k in range(2):
+        assert "attempt %d: contact discriminant" % k in str(err.value)
+    assert len(fits_reached) == 2
 
 
 def test_matrix_conjugation_fails_in_every_reading():
