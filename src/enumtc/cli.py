@@ -5,6 +5,15 @@ import sys
 
 from .claims import Config, all_claim_ids, claim_ids, run_claims
 from .errors import EnumTCError, UnknownClaim
+from .fields import is_prime
+
+
+def prime(text: str) -> int:
+    """Argument type for --prime: an integer that is prime."""
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verify every registered computational claim")
     verify.add_argument("--list", action="store_true",
                         help="print the known claim ids and exit")
-    verify.add_argument("--prime", type=int, default=7,
+    verify.add_argument("--prime", type=prime, default=7,
                         help="extra cross-check prime (default 7)")
     verify.add_argument("--max-degree", type=int, default=12,
                         help="degree window for generator and Tor checks")

@@ -60,12 +60,6 @@ class PrimeField:
     def from_int(self, n: int):
         return FpElement(self, n % self.p)
 
-    def from_fraction(self, q: Fraction):
-        if q.denominator % self.p == 0:
-            raise DivisionByZero(f"denominator {q.denominator} vanishes mod {self.p}")
-        inv = pow(q.denominator % self.p, -1, self.p)
-        return FpElement(self, (q.numerator * inv) % self.p)
-
     def element_to_str(self, a: "FpElement") -> str:
         return f"{a.residue} mod {self.p}"
 
@@ -166,9 +160,6 @@ class RationalField:
 
     def from_int(self, n: int):
         return Fraction(n)
-
-    def from_fraction(self, q: Fraction):
-        return q
 
     def element_to_str(self, a: Fraction) -> str:
         return str(a)
@@ -387,11 +378,6 @@ class NumberFieldElement:
 
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise InvalidInput("element is not rational")
-        return self.coeffs[0]
 
     def __repr__(self):
         t = self.field.name

@@ -102,40 +102,30 @@ class KoszulComplex:
             raise InvalidInput(f"homological index {i} out of range")
         src = self.module_basis(i, t)
         dst = self.module_basis(i - 1, t)
-        dst_index = {b: r for r, b in enumerate(dst)}
-        zero = self.field.zero()
-        rows = [[zero] * len(src) for _ in dst]
-        for col, (m, J) in enumerate(src):
-            for k, j in enumerate(J):
-                sign = 1 if k % 2 == 0 else -1
-                J2 = J[:k] + J[k + 1:]
-                prod = self.seq.elements[j] * Polynomial.monomial(
-                    m, self.field.one(), self.table, self.field)
-                for e, c in prod.terms.items():
-                    r = dst_index[(e, J2)]
-                    rows[r][col] = rows[r][col] + sign * c
-        return Matrix.from_rows(rows, self.field, cols=len(src)), src, dst
+        # m e_J -> sum_k (-1)^k m f_{j_k} e_{J minus j_k}, k from 0
+        images = [{(e, J[:k] + J[k + 1:]): c if k % 2 == 0 else -c
+                   for k, j in enumerate(J)
+                   for e, c in _times_monomial(self.seq.elements[j],
+                                               m).terms.items()}
+                  for m, J in src]
+        return Matrix.from_columns(images, dst, self.field), src, dst
 
 
-def koszul_homology_dim(K: KoszulComplex, i: int, t: int) -> int:
-    """dim ker(d_i)_t - dim im(d_{i+1})_t (with d_0 = 0 conventions)."""
+def _times_monomial(f: Polynomial, m) -> Polynomial:
+    """f times the monomial with exponent tuple m."""
+    return f * Polynomial.monomial(m, f.field.one(), f.table, f.field)
+
+
+def koszul_homology_dim(K: KoszulComplex, t: int):
+    """[dim H_i(K)_t for i = 0..k], ranking each of d_1..d_k once.
+
+    dim H_i = dim K_i - rank d_i - rank d_(i+1), with d_0 = d_(k+1) = 0.
+    """
     k = len(K.seq)
-    if i < 0 or i > k:
-        return 0
-    dim_i = len(K.module_basis(i, t))
-    if dim_i == 0:
-        return 0
-    if i == 0:
-        ker = dim_i
-    else:
-        M, src, _ = K.boundary_matrix(i, t)
-        ker = len(src) - M.rank()
-    if i == k:
-        im = 0
-    else:
-        M2, src2, _ = K.boundary_matrix(i + 1, t)
-        im = M2.rank() if src2 else 0
-    return ker - im
+    dims = [len(K.module_basis(i, t)) for i in range(k + 1)]
+    ranks = [0] + [K.boundary_matrix(i, t)[0].rank()
+                   for i in range(1, k + 1)] + [0]
+    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
 
 
 @dataclass
@@ -164,23 +154,11 @@ class RegularityCertificate:
 
 def macaulay_rank(seq: GradedSequence, t: int):
     """Rank of {monomial * f_i} -> degree-t monomials, plus the stratum dim."""
-    table, field = seq.table, seq.field
-    targets = monomials_of_weighted_degree(table, t)
-    if not targets:
-        return 0, 0
-    t_index = {e: i for i, e in enumerate(targets)}
-    rows = []
-    for f in seq.elements:
-        d = f.weighted_degree()
-        for m in monomials_of_weighted_degree(table, t - d):
-            prod = f * Polynomial.monomial(m, field.one(), table, field)
-            row = [field.zero()] * len(targets)
-            for e, c in prod.terms.items():
-                row[t_index[e]] = c
-            rows.append(row)
-    if not rows:
-        return 0, len(targets)
-    return Matrix.from_rows(rows, field, cols=len(targets)).rank(), \
+    targets = monomials_of_weighted_degree(seq.table, t)
+    images = [_times_monomial(f, m).terms for f in seq.elements
+              for m in monomials_of_weighted_degree(
+                  seq.table, t - f.weighted_degree())]
+    return Matrix.from_columns(images, targets, seq.field).rank(), \
         len(targets)
 
 
@@ -312,10 +290,8 @@ def tor_concentration_check(seq: GradedSequence, up_to: int):
     homological degree 0.
     """
     K = KoszulComplex(seq)
-    failures = []
-    for i in range(1, len(seq) + 1):
-        for t in range(up_to + 1):
-            d = koszul_homology_dim(K, i, t)
-            if d != 0:
-                failures.append({"i": i, "t": t, "dim": d})
+    homology = [koszul_homology_dim(K, t) for t in range(up_to + 1)]
+    failures = [{"i": i, "t": t, "dim": h[i]}
+                for i in range(1, len(seq) + 1)
+                for t, h in enumerate(homology) if h[i]]
     return {"ok": not failures, "failures": failures, "checked_up_to": up_to}

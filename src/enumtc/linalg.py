@@ -37,6 +37,20 @@ class Matrix:
         flat = [e for r in row_lists for e in r]
         return cls(rows, width, flat, field)
 
+    @classmethod
+    def from_columns(cls, images, basis, field):
+        """Column j holds images[j], a {basis key: coefficient} map.
+
+        Rows follow basis; keys absent from an image are zero.
+        """
+        index = {key: r for r, key in enumerate(basis)}
+        cols = len(images)
+        entries = [field.zero()] * (len(basis) * cols)
+        for j, image in enumerate(images):
+            for key, c in image.items():
+                entries[index[key] * cols + j] = c
+        return cls(len(basis), cols, entries, field)
+
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 

@@ -62,16 +62,10 @@ def nabla_matrix(ctx: NablaContext, degree: int):
     """
     sources = monomials_of_weighted_degree(ctx.table, degree)
     targets = monomials_of_weighted_degree(ctx.table, degree - 2)
-    t_index = {e: i for i, e in enumerate(targets)}
-    zero = ctx.field.zero()
-    rows = [[zero] * len(sources) for _ in targets]
-    for j, e in enumerate(sources):
-        img = nabla(Polynomial.monomial(e, ctx.field.one(), ctx.table,
-                                        ctx.field), ctx)
-        for te, c in img.terms.items():
-            rows[t_index[te]][j] = c
-    return Matrix.from_rows(rows, ctx.field,
-                            cols=len(sources)), sources, targets
+    images = [nabla(Polynomial.monomial(e, ctx.field.one(), ctx.table,
+                                        ctx.field), ctx).terms
+              for e in sources]
+    return Matrix.from_columns(images, targets, ctx.field), sources, targets
 
 
 def kernel_of_nabla(ctx: NablaContext, degree: int):
@@ -81,11 +75,6 @@ def kernel_of_nabla(ctx: NablaContext, degree: int):
     CERTIFIED_DEGREE_BOUND are computed the same way; callers decide how
     to label them.
     """
-    if degree < 0:
-        return []
-    sources = monomials_of_weighted_degree(ctx.table, degree)
-    if not sources:
-        return []
     M, sources, _ = nabla_matrix(ctx, degree)
     basis = []
     for v in M.kernel_basis():
@@ -120,14 +109,6 @@ def stated_image_generators(n: int, field):
     return ctx, gens
 
 
-def _coeff_vector(f: Polynomial, basis_monomials, field):
-    index = {e: i for i, e in enumerate(basis_monomials)}
-    v = [field.zero()] * len(basis_monomials)
-    for e, c in f.terms.items():
-        v[index[e]] = c
-    return v
-
-
 def generated_dim(ctx: NablaContext, gens, degree: int) -> int:
     """Dimension of the span of degree-`degree` products of generators."""
     degs = [g.weighted_degree() for g in gens]
@@ -149,12 +130,8 @@ def generated_dim(ctx: NablaContext, gens, degree: int) -> int:
 
     rec(0, degree, Polynomial.one(ctx.table, ctx.field))
     monomials = monomials_of_weighted_degree(ctx.table, degree)
-    if not monomials:
-        return 0
-    rows = [_coeff_vector(p, monomials, ctx.field) for p in products if p]
-    if not rows:
-        return 0
-    return Matrix.from_rows(rows, ctx.field, cols=len(monomials)).rank()
+    return Matrix.from_columns([p.terms for p in products], monomials,
+                               ctx.field).rank()
 
 
 def verify_generators(ctx: NablaContext, gens, max_degree: int):

@@ -144,14 +144,6 @@ class Polynomial:
             return -1
         return max(e[i] for e in self.terms)
 
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei:
-                    used.add(self.table.names[i])
-        return used
-
     # ----- arithmetic -----
 
     def _check_compat(self, other):
@@ -266,28 +258,6 @@ class Polynomial:
             if nc:
                 terms[tuple(ne)] = nc
         return Polynomial(self.table, self.field, terms)
-
-    def evaluate(self, values: dict):
-        """Full evaluation; every variable that occurs needs a value."""
-        acc = self.field.zero()
-        for e, c in self.terms.items():
-            term = c
-            for name, ei in zip(self.table.names, e):
-                if ei == 0:
-                    continue
-                if name not in values:
-                    raise IncompleteMap(f"no value for {name}")
-                term = term * values[name] ** ei
-            acc = acc + term
-        return acc
-
-    def map_coefficients(self, func, new_field):
-        terms = {}
-        for e, c in self.terms.items():
-            nc = func(c)
-            if nc:
-                terms[e] = nc
-        return Polynomial(self.table, new_field, terms)
 
     # ----- exact division -----
 

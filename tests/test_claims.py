@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from enumtc import claims
+from enumtc import claims, cli, errors
 from enumtc.claims import (
     Config,
     VerificationReport,
@@ -137,6 +137,32 @@ def test_blocked_propagation(monkeypatch):
     assert downstream.status == "failed"
     assert downstream.evidence == {"blocked_by": ["tmp-broken"]}
     assert not report.ok()
+
+
+LIBRARY_ERRORS = sorted(errors.EnumTCError.__subclasses__(),
+                        key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", LIBRARY_ERRORS,
+                         ids=[cls.__name__ for cls in LIBRARY_ERRORS])
+def test_injected_error_fails_its_claim_and_blocks_dependents(
+        error, monkeypatch, tmp_path, capsys):
+    def broken_stage(seq, exterior_count, up_to=None):
+        raise error("injected fault")
+
+    monkeypatch.setattr(claims, "em_poincare", broken_stage)
+    target = tmp_path / "report.json"
+    assert cli.main(["verify", "genus-pu4k", "--json", str(target)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(target.read_text())
+    records = {rec["id"]: rec for rec in report["claims"]}
+    em = records["em-poincare-pu4k"]
+    assert em["status"] == "failed"
+    assert em["evidence"] == {"error": f"{error.__name__}: injected fault"}
+    genus = records["genus-pu4k"]
+    assert genus["status"] == "failed"
+    assert genus["evidence"] == {"blocked_by": ["em-poincare-pu4k"]}
+    assert records["regseq-pu4k"]["status"] == "verified"
 
 
 def test_deps_hold_exactly_the_declared_dependencies(monkeypatch):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from enumtc import cli
 from enumtc.cli import build_parser, main
@@ -64,6 +65,16 @@ def test_library_error_is_reported_without_traceback(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: klein-bitangents marked verified over bad dependency "
         "klein-flexes\n")
+
+
+def test_composite_prime_is_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_claims", lambda *a: ran.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nabla-generators-n3", "--prime", "4"])
+    assert exc.value.code == 2
+    assert "--prime: 4 is not prime" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_parser_defaults():

@@ -123,25 +123,24 @@ def test_regular_pair_homology():
     y = Polynomial.variable("y", t, F2)
     K = KoszulComplex(GradedSequence((x, y)))
     for deg in range(9):
-        assert koszul_homology_dim(K, 1, deg) == 0
-    assert koszul_homology_dim(K, 0, 0) == 1
+        assert koszul_homology_dim(K, deg)[1] == 0
+    assert koszul_homology_dim(K, 0)[0] == 1
     for deg in range(1, 9):
-        assert koszul_homology_dim(K, 0, deg) == 0
+        assert koszul_homology_dim(K, deg)[0] == 0
 
 
 def test_nonregular_pair_homology():
     t = make_table(("x",))
     x = Polynomial.variable("x", t, F2)
     K = KoszulComplex(GradedSequence((x, x)))
-    assert koszul_homology_dim(K, 1, 1) == 1
-    assert koszul_homology_dim(K, 1, 2) == 0
+    assert koszul_homology_dim(K, 1)[1] == 1
+    assert koszul_homology_dim(K, 2)[1] == 0
 
 
 def test_empty_sequence_homology():
     t = make_table(("x", "y"))
     K = KoszulComplex(GradedSequence(()), table=t, field=QQ)
-    assert koszul_homology_dim(K, 0, 3) == 4
-    assert koszul_homology_dim(K, 1, 3) == 0
+    assert koszul_homology_dim(K, 3) == [4]
 
 
 def test_regularity_k_triple():
@@ -279,6 +278,29 @@ def test_tor_concentration_detects_failure():
     report = tor_concentration_check(GradedSequence((x, x)), 4)
     assert not report["ok"]
     assert {"i": 1, "t": 1, "dim": 1} in report["failures"]
+    # (x, x, x^2) in (x, y): failures come i-major, then by degree
+    t2 = make_table(("x", "y"))
+    x2 = Polynomial.variable("x", t2, F2)
+    report = tor_concentration_check(GradedSequence((x2, x2, x2 ** 2)), 8)
+    assert not report["ok"]
+    assert [(f["i"], f["t"], f["dim"]) for f in report["failures"]] == (
+        [(1, 1, 1)] + [(1, t, 2) for t in range(2, 9)]
+        + [(2, t, 1) for t in range(3, 9)])
+
+
+def test_tor_concentration_ranks_each_differential_once(monkeypatch):
+    calls = []
+    original = KoszulComplex.boundary_matrix
+
+    def counted(self, i, t):
+        calls.append((i, t))
+        return original(self, i, t)
+
+    monkeypatch.setattr(KoszulComplex, "boundary_matrix", counted)
+    seq, up_to = k_triple(), 14
+    assert tor_concentration_check(seq, up_to)["ok"]
+    assert len(calls) == len(seq) * (up_to + 1)
+    assert sorted(calls) == sorted(set(calls))
 
 
 def test_hilbert_series_helpers():

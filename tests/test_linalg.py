@@ -33,6 +33,21 @@ def test_zero_matrix_rank():
     assert len(M.kernel_basis()) == 4
 
 
+def test_from_columns_places_each_image_in_its_column():
+    F5 = PrimeField(5)
+    images = [{"b": F5.from_int(2)}, {}, {"a": F5.one(), "c": F5.from_int(4)}]
+    M = Matrix.from_columns(images, ["a", "b", "c"], F5)
+    assert (M.rows, M.cols) == (3, 3)
+    assert M.row_lists() == [[F5.zero(), F5.zero(), F5.one()],
+                             [F5.from_int(2), F5.zero(), F5.zero()],
+                             [F5.zero(), F5.zero(), F5.from_int(4)]]
+    assert M.rank() == 2
+    # no columns, or no rows, is a matrix of rank 0
+    assert Matrix.from_columns([], ["a", "b"], F5).rank() == 0
+    assert Matrix.from_columns([{}, {}], [], F5).rank() == 0
+    assert len(Matrix.from_columns([{}, {}], [], F5).kernel_basis()) == 2
+
+
 def test_kernel_of_identity_empty():
     assert identity(4, QQ).kernel_basis() == []
 

@@ -446,11 +446,3 @@ def test_partial_derivative():
     f = x ** 3 * y + 2 * y
     assert f.partial("x") == 3 * x ** 2 * y
     assert f.partial("y") == x ** 3 + Polynomial.constant(Fraction(2), XYZ, QQ)
-
-
-def test_evaluate():
-    x, y = var("x"), var("y")
-    f = x * x + y
-    assert f.evaluate({"x": Fraction(2), "y": Fraction(3)}) == 7
-    with pytest.raises(IncompleteMap):
-        f.evaluate({"x": Fraction(2)})
