@@ -1,14 +1,53 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Plain Gaussian elimination with first-nonzero pivoting; every field here
-is exact, so there is no conditioning to worry about, and the matrices
-stay small enough that cubic elimination is fine.
+Two elimination kernels, both with first-nonzero pivoting; every field
+here is exact, so there is no conditioning to worry about.
+
+- ``rank_mod_p`` ranks rows of plain Python ints over F_p by forward
+  elimination alone.  ``Matrix.rank`` sends every prime-field matrix
+  here, so Koszul and Macaulay ranks do no arithmetic on field element
+  objects.
+- ``Matrix.rref`` is the generic reduced row echelon form on field
+  elements (QQ, F_p, Q(zeta_m)); kernels, inverses, line normal forms
+  and ranks over the other fields use it.
+
+Both update a row only from the pivot column onward, since the pivot row
+is zero left of it, and leave an entry alone where the pivot row is zero.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .fields import field_inverse
+from .fields import PrimeField, field_inverse
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a matrix given as rows of ints.
+
+    Entries may be any ints; they are reduced mod p into a copy, so the
+    caller's rows are left as they were.
+    """
+    rows = [[e % p for e in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(width):
+        for i, row in enumerate(rows):
+            if row[c]:
+                break
+        else:
+            continue
+        pivot = rows.pop(i)
+        rank += 1
+        if not rows:
+            break
+        inv = pow(pivot[c], -1, p)
+        tail = pivot[c + 1:]
+        for row in rows:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c + 1:] = [(a - f * b) % p if b else a
+                               for a, b in zip(row[c + 1:], tail)]
+    return rank
 
 
 class Matrix:
@@ -91,11 +130,13 @@ class Matrix:
                 continue
             M[r], M[pivot_row] = M[pivot_row], M[r]
             inv = field_inverse(M[r][c])
-            M[r] = [inv * e for e in M[r]]
+            tail = [inv * e for e in M[r][c:]]
+            M[r][c:] = tail
             for i in range(self.rows):
                 if i != r and M[i][c]:
                     factor = M[i][c]
-                    M[i] = [a - factor * b for a, b in zip(M[i], M[r])]
+                    M[i][c:] = [a - factor * b if b else a
+                                for a, b in zip(M[i][c:], tail)]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -104,6 +145,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, flat, self.field), pivots
 
     def rank(self) -> int:
+        if isinstance(self.field, PrimeField):
+            return rank_mod_p([[e.residue for e in self.row(i)]
+                               for i in range(self.rows)], self.field.p)
         return len(self.rref()[1])
 
     def kernel_basis(self):

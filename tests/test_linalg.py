@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from enumtc.errors import InvalidInput
-from enumtc.fields import QQ, PrimeField
-from enumtc.linalg import Matrix
+from enumtc.fields import QQ, PrimeField, cyclotomic_field, field_inverse
+from enumtc.linalg import Matrix, rank_mod_p
 
 
 def qmat(rows):
@@ -21,6 +21,119 @@ def annihilates(M, v):
     """M v = 0, checked exactly entry by entry."""
     return all(not sum((a * b for a, b in zip(row, v)), M.field.zero())
                for row in M.row_lists())
+
+
+def deficient_rows(rng, n_rows, n_cols, draw):
+    """Random rows, then duplicated and combined rows to force deficiency."""
+    rows = [[draw() for _ in range(n_cols)] for _ in range(n_rows)]
+    if rows:
+        rows.append(list(rng.choice(rows)))
+        a, b = rng.choice(rows), rng.choice(rows)
+        c = draw()
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [x + c * y for x, y in zip(a, b)])
+    return rows
+
+
+def full_width_rref(rows, field):
+    """Gauss-Jordan over the whole row width, for reference."""
+    M = [list(r) for r in rows]
+    width = len(M[0]) if M else 0
+    pivots, r = [], 0
+    for c in range(width):
+        hit = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if hit is None:
+            continue
+        M[r], M[hit] = M[hit], M[r]
+        inv = field_inverse(M[r][c])
+        M[r] = [inv * e for e in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return M, pivots
+
+
+def test_rank_mod_p_matches_rref_rank():
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7):
+        F = PrimeField(p)
+        for _ in range(40):
+            n_rows, n_cols = rng.randrange(1, 8), rng.randrange(1, 9)
+            rows = deficient_rows(rng, n_rows, n_cols,
+                                  lambda: rng.randrange(p))
+            M = Matrix.from_rows([[F.from_int(e) for e in r] for r in rows], F)
+            expected = len(M.rref()[1])
+            assert expected < len(rows)
+            assert rank_mod_p(rows, p) == expected
+            assert M.rank() == expected
+
+
+def test_rank_mod_p_degenerate_shapes():
+    assert rank_mod_p([], 3) == 0
+    assert rank_mod_p([[], [], []], 3) == 0
+    assert rank_mod_p([[0, 0, 0], [0, 0, 0]], 5) == 0
+    assert rank_mod_p([[0, 0], [0, 7]], 7) == 0
+    F3 = PrimeField(3)
+    assert Matrix(0, 4, [], F3).rank() == 0
+    assert Matrix(3, 0, [], F3).rank() == 0
+
+
+def test_rank_mod_p_reduces_any_int():
+    # mod 3: [[0, 0, 1], [2, 2, 0], [1, 1, 1]], rank 2
+    assert rank_mod_p([[3, -6, 4], [-1, 5, 9], [7, -2, -5]], 3) == 2
+    assert rank_mod_p([[-1, 10**30], [1, -10**30]], 7) == 1
+    rng = random.Random(5)
+    for _ in range(30):
+        rows = [[rng.randrange(-50, 50) for _ in range(5)] for _ in range(4)]
+        reduced = [[e % 5 for e in r] for r in rows]
+        assert rank_mod_p(rows, 5) == rank_mod_p(reduced, 5)
+    # the caller's rows are left as they were
+    rows = [[4, 8], [2, 4]]
+    assert rank_mod_p(rows, 11) == 1 and rows == [[4, 8], [2, 4]]
+
+
+def test_prime_field_rank_never_calls_rref(monkeypatch):
+    def refuse(self):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    F5 = PrimeField(5)
+    M = Matrix.from_rows([[F5.from_int(e) for e in r]
+                          for r in [[1, 2, 3], [2, 4, 6], [0, 1, 4]]], F5)
+    assert M.rank() == 2
+    # every other field still ranks through rref
+    with pytest.raises(AssertionError, match="rref called"):
+        qmat([[1, 2], [3, 4]]).rank()
+
+
+@pytest.mark.parametrize("field", [QQ, cyclotomic_field(3)],
+                         ids=["QQ", "Q(zeta_3)"])
+def test_rref_matches_full_width_elimination(field):
+    rng = random.Random(13)
+    gen = field.gen() if field is not QQ else Fraction(1, 2)
+    for _ in range(25):
+        n_rows, n_cols = rng.randrange(1, 6), rng.randrange(1, 7)
+
+        def draw():
+            return (field.from_int(rng.randrange(-3, 4))
+                    + field.from_int(rng.randrange(-2, 3)) * gen)
+
+        rows = deficient_rows(rng, n_rows, n_cols, draw)
+        R, pivots = Matrix.from_rows(rows, field).rref()
+        expected, expected_pivots = full_width_rref(rows, field)
+        assert pivots == expected_pivots
+        assert R.row_lists() == expected
+        # reduced echelon form: unit pivot columns, zeros left of pivots
+        for r, c in enumerate(pivots):
+            assert [R.at(i, c) for i in range(R.rows)] == \
+                [field.one() if i == r else field.zero()
+                 for i in range(R.rows)]
+            assert not any(R.at(r, j) for j in range(c))
+        assert not any(R.at(i, j) for i in range(len(pivots), R.rows)
+                       for j in range(R.cols))
 
 
 def test_identity_rank():
