@@ -1,12 +1,14 @@
 """Exact coefficient fields.
 
-Prime fields F_p, rationals (stdlib Fraction), number fields Q[t]/(m(t)),
-and their complex embeddings for handing exact values to the numeric
-solvers.  All values are immutable and all operations are pure.
+Prime fields F_p, rationals (stdlib Fraction) and number fields
+Q[t]/(m(t)) for a monic integer m, whose elements are int vectors over one
+denominator, with complex embeddings for handing exact values to the
+numeric solvers.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,55 +66,23 @@ class PrimeField:
         return f"{a.residue} mod {self.p}"
 
 
-@dataclass(frozen=True)
-class FpElement:
-    field: PrimeField
-    residue: int
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.field != self.field:
-                raise InvalidField("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
+class _FieldElement:
+    """Operators shared by FpElement and NumberFieldElement, built on
+    their _coerce, _add (self + sign * other), *, inverse and field.one()."""
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.field, (self.residue + o.residue) % self.field.p)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.field, (self.residue - o.residue) % self.field.p)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.field, (self.residue * o.residue) % self.field.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(self.field, (-self.residue) % self.field.p)
-
-    def inverse(self):
-        if self.residue == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.field.p}")
-        return FpElement(self.field, pow(self.residue, -1, self.field.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -129,7 +99,52 @@ class FpElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return FpElement(self.field, pow(self.residue, n, self.field.p))
+        result = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+@dataclass(frozen=True)
+class FpElement(_FieldElement):
+    field: PrimeField
+    residue: int
+
+    def _coerce(self, other):
+        if isinstance(other, FpElement):
+            if other.field != self.field:
+                raise InvalidField("mixed prime fields")
+            return other
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        return None
+
+    def _add(self, other, sign):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FpElement(self.field,
+                         (self.residue + sign * o.residue) % self.field.p)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FpElement(self.field, (self.residue * o.residue) % self.field.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return FpElement(self.field, (-self.residue) % self.field.p)
+
+    def inverse(self):
+        if self.residue == 0:
+            raise DivisionByZero(f"inverse of 0 in F_{self.field.p}")
+        return FpElement(self.field, pow(self.residue, -1, self.field.p))
 
     def __bool__(self):
         return self.residue != 0
@@ -168,49 +183,33 @@ class RationalField:
 QQ = RationalField()
 
 
-def _qpoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qpoly_divmod(a, b):
-    # a, b: Fraction coefficient lists, low to high; b nonzero.
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c == 0:
-            continue
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return q, _qpoly_trim(a)
-
-
 class NumberField:
-    """Q[t]/(m(t)) for a monic polynomial m with rational coefficients.
+    """Q[t]/(m(t)) for a monic polynomial m with integer coefficients.
 
-    Irreducibility is not verified up front; a nontrivial factor surfaces
-    as InvalidField during inversion.
+    m must be integral so that products reduce modulo m on Python ints
+    (see NumberFieldElement).  Irreducibility is not verified up front; a
+    nontrivial factor surfaces as InvalidField during inversion.
     """
 
     def __init__(self, minpoly, name: str = "t"):
         coeffs = tuple(Fraction(c) for c in minpoly)
-        if len(coeffs) < 3 or coeffs[-1] != 1:
-            raise InvalidField("minpoly must be monic of degree >= 2")
-        self.minpoly = coeffs
+        if (len(coeffs) < 3 or coeffs[-1] != 1
+                or any(c.denominator != 1 for c in coeffs)):
+            raise InvalidField("minpoly must be monic and integral, of "
+                               "degree >= 2")
+        self.minpoly = tuple(int(c) for c in coeffs)
         self.degree = len(coeffs) - 1
         self.name = name
-        self.tag = "NF:" + ",".join(str(c) for c in coeffs)
+        self.tag = "NF:" + ",".join(str(c) for c in self.minpoly)
+        self._zeros = (0,) * (self.degree - 1)
         self._roots = None
 
     def __repr__(self):
         return f"NumberField(deg {self.degree}, {self.name})"
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and other.minpoly == self.minpoly
+        return self is other or (isinstance(other, NumberField)
+                                 and other.minpoly == self.minpoly)
 
     def __hash__(self):
         return hash(("NumberField", self.minpoly))
@@ -219,47 +218,44 @@ class NumberField:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise InvalidInput("coefficient vector longer than field degree")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return NumberFieldElement(self, tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        num += [0] * (self.degree - len(num))
+        return _normal(self, num, den)
 
     def zero(self):
-        return self.element([])
+        return self.from_int(0)
 
     def one(self):
-        return self.element([1])
+        return self.from_int(1)
 
     def gen(self):
         return self.element([0, 1])
 
     def from_int(self, n: int):
-        return self.element([n])
-
-    def from_fraction(self, q: Fraction):
-        return self.element([q])
+        return NumberFieldElement(self, (n,) + self._zeros, 1)
 
     def element_to_str(self, a: "NumberFieldElement") -> str:
         return ",".join(str(c) for c in a.coeffs)
 
     def _reduce(self, coeffs):
-        # coeffs: Fraction list, any length; reduce mod the monic minpoly.
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, self.degree - 1, -1):
+        """Reduce an int list of length >= degree mod the minpoly, in
+        place; returns the list cut to length degree."""
+        n = self.degree
+        for i in range(len(coeffs) - 1, n - 1, -1):
             c = coeffs[i]
-            if c == 0:
-                continue
-            coeffs[i] = Fraction(0)
-            for j in range(self.degree):
-                coeffs[i - self.degree + j] -= c * self.minpoly[j]
-        coeffs = coeffs[: self.degree]
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(coeffs)
+            if c:
+                # subtract c * t^(i-n) * m; this also zeroes index i
+                for j, m in enumerate(self.minpoly, i - n):
+                    coeffs[j] -= c * m
+        del coeffs[n:]
+        return coeffs
 
     def embedding_roots(self):
         """Complex roots of the minpoly, sorted lexicographically by (re, im)."""
         if self._roots is None:
             with mpmath.workdps(60):
-                poly = [mpmath.mpf(c.numerator) / c.denominator
-                        for c in reversed(self.minpoly)]
+                poly = [mpmath.mpf(c) for c in reversed(self.minpoly)]
                 try:
                     roots = mpmath.polyroots(poly, maxsteps=200, extraprec=120)
                 except mpmath.libmp.NoConvergence as exc:
@@ -270,114 +266,112 @@ class NumberField:
         return self._roots
 
 
+def _normal(field, num, den):
+    """sum num[i] t^i / den for den > 0, with gcd(den, *num) divided out."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return NumberFieldElement(field, tuple(num), den)
+
+
 @dataclass(frozen=True)
-class NumberFieldElement:
+class NumberFieldElement(_FieldElement):
+    """(num[0] + num[1] t + ... + num[n-1] t^(n-1)) / den in a NumberField.
+
+    num holds degree ints, den > 0 and gcd(den, *num) == 1.  Every
+    operation returns this normal form, so the dataclass == and hash are
+    exact.  Build elements through NumberField, not this constructor.
+    """
+
     field: NumberField
-    coeffs: tuple
+    num: tuple
+    den: int
+
+    @property
+    def coeffs(self):
+        """The coefficients of 1, t, ..., t^(n-1) as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise InvalidField("mixed number fields")
             return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElement(
+                self.field, (other.numerator,) + self.field._zeros,
+                other.denominator)
         return None
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return NumberFieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        d, e = self.den, o.den
+        if d == e:
+            return _normal(self.field,
+                           [a + sign * b for a, b in zip(self.num, o.num)], d)
+        return _normal(self.field, [a * e + sign * b * d
+                                    for a, b in zip(self.num, o.num)], d * e)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        return NumberFieldElement(self.field, self.field._reduce(prod))
+        x, y = (o, self) if self.is_rational() else (self, o)
+        if y.is_rational():
+            # most products in the exact geometry have a rational factor
+            c = y.num[0]
+            return _normal(self.field, [a * c for a in x.num], x.den * y.den)
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(x.num):
+            if a:
+                for j, b in enumerate(y.num, i):
+                    prod[j] += a * b
+        return _normal(self.field, self.field._reduce(prod), x.den * y.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-c for c in self.coeffs))
+        return NumberFieldElement(self.field, tuple(-c for c in self.num),
+                                  self.den)
 
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of 0 in a number field")
-        # Extended Euclid on (a, m) over Q[t]: s·a + t·m = gcd.
-        m = list(self.field.minpoly)
-        r0, r1 = m, _qpoly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _qpoly_divmod(r0, r1)
-            s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-            for i, qi in enumerate(q):
-                if qi == 0:
-                    continue
-                for j, sj in enumerate(s1):
-                    s[i + j] -= qi * sj
-            r0, r1, s0, s1 = r1, r, s1, _qpoly_trim(s)
-        if len(r0) != 1:
-            raise InvalidField("minpoly is reducible: nontrivial gcd found")
-        inv_gcd = 1 / r0[0]
-        return self.field.element([c * inv_gcd for c in s0])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # Solve M x = e_0, where column j of M holds num * t^j, by
+        # fraction-free Gauss-Jordan elimination on ints (each division is
+        # exact).  It ends with the last pivot d = +-det M on the diagonal
+        # and d * x in the right-hand column.
+        field, n = self.field, self.field.degree
+        cols = [list(self.num)]
+        for _ in range(n - 1):
+            cols.append(field._reduce([0] + cols[-1]))
+        A = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            p = next((r for r in range(k, n) if A[r][k]), None)
+            if p is None:
+                raise InvalidField("minpoly is reducible: zero divisor found")
+            A[k], A[p] = A[p], A[k]
+            pivot_row, pivot = A[k], A[k][k]
+            for i in range(n):
+                f = A[i][k]
+                if i != k:
+                    A[i] = [(pivot * a - f * b) // prev
+                            for a, b in zip(A[i], pivot_row)]
+            prev = pivot
+        if prev < 0:
+            return _normal(field, [-self.den * row[n] for row in A], -prev)
+        return _normal(field, [self.den * row[n] for row in A], prev)
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __repr__(self):
         t = self.field.name
@@ -394,11 +388,21 @@ class NumberFieldElement:
         return " + ".join(parts) if parts else "0"
 
 
+_CYCLOTOMIC = {}
+
+
 def cyclotomic_field(p: int, name: str = "z") -> NumberField:
-    """Q(zeta_p) for prime p, with minpoly 1 + t + ... + t^(p-1)."""
-    if not is_prime(p):
-        raise InvalidField(f"{p} is not prime")
-    return NumberField([1] * (p - 1) + [1], name=name)
+    """Q(zeta_p) for prime p, with minpoly 1 + t + ... + t^(p-1).
+
+    One shared instance per (p, name): field checks on elements reduce to
+    an identity test, and the embedding roots are found once.
+    """
+    field = _CYCLOTOMIC.get((p, name))
+    if field is None:
+        if not is_prime(p):
+            raise InvalidField(f"{p} is not prime")
+        field = _CYCLOTOMIC[p, name] = NumberField([1] * p, name=name)
+    return field
 
 
 def nf_embed_complex(a, root_index: int = 0) -> complex:
@@ -430,14 +434,10 @@ def nf_embed_complex(a, root_index: int = 0) -> complex:
 
 def field_inverse(a):
     """Multiplicative inverse in whichever supported field a lives in."""
-    if isinstance(a, Fraction):
+    if isinstance(a, (int, Fraction)):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
-        return 1 / a
-    if isinstance(a, int):
-        if a == 0:
-            raise DivisionByZero("inverse of 0 in Q")
-        return Fraction(1, a)
+        return 1 / Fraction(a)
     if isinstance(a, (FpElement, NumberFieldElement)):
         return a.inverse()
     raise InvalidInput(f"no inverse for {type(a).__name__}")

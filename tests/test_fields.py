@@ -185,3 +185,233 @@ def test_embedding_is_ring_homomorphism_up_to_err():
         eb = nf_embed_complex(b, 5)
         eab = nf_embed_complex(a * b, 5)
         assert abs(eab - ea * eb) <= 1e-13 * (1 + abs(ea) * abs(eb))
+
+
+def test_number_field_requires_integral_monic_minpoly():
+    for bad in ([Fraction(1, 2), 0, 1], [1, Fraction(1, 3), 1],
+                [1, 0, 2], [1, 1]):
+        with pytest.raises(InvalidField):
+            NumberField(bad)
+    field = NumberField([Fraction(7), 0, Fraction(1)])
+    assert field.minpoly == (7, 0, 1)
+    assert all(type(c) is int for c in field.minpoly)
+    assert field.tag == QF7.tag == "NF:7,0,1"
+
+
+def test_cyclotomic_field_is_one_shared_instance():
+    z7 = cyclotomic_field(7)
+    assert cyclotomic_field(7) is z7
+    assert cyclotomic_field(7, "z") is z7
+    assert cyclotomic_field(7, name="z") is z7
+    assert cyclotomic_field(7, "w") is not z7
+    assert cyclotomic_field(7, "w") == z7
+    assert z7.embedding_roots() is cyclotomic_field(7).embedding_roots()
+    with pytest.raises(InvalidField):
+        cyclotomic_field(9)
+
+
+def test_separately_built_fields_compare_by_value():
+    other = NumberField([7, 0, 1])
+    assert other is not QF7 and other == QF7 and hash(other) == hash(QF7)
+    total = other.gen() + QF7.gen()
+    assert total == QF7.element([0, 2])
+    assert other.gen() * QF7.gen() == QF7.from_int(-7)
+    with pytest.raises(InvalidField):
+        NumberField([5, 0, 1]).gen() + QF7.gen()
+
+
+# ---------------------------------------------------------------------------
+# NumberFieldElement against a Fraction-tuple reference
+#
+# The reference keeps each element as a tuple of Fraction coefficients of
+# 1, t, ..., t^(n-1): products reduce modulo the minpoly over Q and the
+# inverse runs the extended Euclidean algorithm over Q[t].
+
+def _ref_mul(minpoly, a, b):
+    n = len(minpoly) - 1
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(minpoly):
+            prod[i - n + j] -= c * m
+    return tuple(prod[:n])
+
+
+def _ref_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return q, _ref_trim(a)
+
+
+def _ref_inverse(minpoly, a):
+    r0, r1 = [Fraction(c) for c in minpoly], _ref_trim(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _ref_divmod(r0, r1)
+        s = list(s0) + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s[i + j] -= qi * sj
+        r0, r1, s0, s1 = r1, r, s1, _ref_trim(s)
+    assert len(r0) == 1
+    out = [c / r0[0] for c in s0]
+    return tuple(out + [Fraction(0)] * (len(a) - len(out)))
+
+
+def _ref_pow(minpoly, a, k):
+    if k < 0:
+        a, k = _ref_inverse(minpoly, a), -k
+    acc = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    for _ in range(k):
+        acc = _ref_mul(minpoly, acc, a)
+    return acc
+
+
+def _ref_repr(coeffs, t):
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        parts.append(str(c) if i == 0 else f"{c}*{t}" if i == 1
+                     else f"{c}*{t}^{i}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _ref_embed(coeffs, field, root_index):
+    import mpmath
+
+    if all(c == 0 for c in coeffs[1:]):
+        return complex(float(coeffs[0]))
+    with mpmath.workdps(60):
+        t = field.embedding_roots()[root_index]
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
+        return complex(float(acc.real), float(acc.imag))
+
+
+def _assert_normal(a):
+    assert len(a.num) == a.field.degree
+    assert all(type(c) is int for c in a.num)
+    assert type(a.den) is int and a.den > 0
+    assert math.gcd(a.den, *a.num) == 1
+
+
+def _random_coeffs(rng, degree):
+    shape = rng.random()
+    if shape < 0.1:
+        return [Fraction(0)] * degree
+    if shape < 0.25:  # rational: exercises the scalar product path
+        head = [Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 6)))]
+        return head + [Fraction(0)] * (degree - 1)
+    return [Fraction(rng.randrange(-20, 21), rng.choice((1, 1, 2, 3, 4, 7, 9)))
+            if rng.random() < 0.7 else Fraction(0) for _ in range(degree)]
+
+
+@pytest.mark.parametrize("field", [cyclotomic_field(3), cyclotomic_field(7),
+                                   QF7], ids=["zeta3", "zeta7", "t2+7"])
+def test_number_field_matches_fraction_reference(field):
+    rng = random.Random(20261018 + field.degree)
+    m = field.minpoly
+    for _ in range(150):
+        ca, cb = (_random_coeffs(rng, field.degree) for _ in range(2))
+        a, b = field.element(ca), field.element(cb)
+        ca, cb = tuple(ca), tuple(cb)
+        q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+        k = rng.randrange(0, 5)
+        results = [
+            (a + b, tuple(x + y for x, y in zip(ca, cb))),
+            (a - b, tuple(x - y for x, y in zip(ca, cb))),
+            (-a, tuple(-x for x in ca)),
+            (a * b, _ref_mul(m, ca, cb)),
+            (a ** k, _ref_pow(m, ca, k)),
+            (a + q, (ca[0] + q,) + ca[1:]),
+            (q - a, (q - ca[0],) + tuple(-x for x in ca[1:])),
+            (3 * a, tuple(3 * x for x in ca)),
+            (a * q, tuple(q * x for x in ca)),
+        ]
+        if any(cb):
+            results.append((a / b, _ref_mul(m, ca, _ref_inverse(m, cb))))
+            results.append((b ** -2, _ref_pow(m, cb, -2)))
+            results.append((1 / b, _ref_inverse(m, cb)))
+        if q:
+            results.append((a / q, tuple(x / q for x in ca)))
+        for got, want in results + [(a, ca), (b, cb)]:
+            _assert_normal(got)
+            assert got.coeffs == want
+            assert bool(got) == any(want)
+            assert got.is_rational() == all(x == 0 for x in want[1:])
+            assert got == field.element(want)
+            assert hash(got) == hash(field.element(want))
+
+
+@pytest.mark.parametrize("field", [cyclotomic_field(3), cyclotomic_field(7),
+                                   QF7], ids=["zeta3", "zeta7", "t2+7"])
+def test_number_field_strings_and_embeddings_unchanged(field):
+    rng = random.Random(31 + field.degree)
+    for _ in range(40):
+        coeffs = tuple(_random_coeffs(rng, field.degree))
+        a = field.element(coeffs)
+        assert field.element_to_str(a) == ",".join(str(c) for c in coeffs)
+        assert repr(a) == _ref_repr(coeffs, field.name)
+        for root in range(field.degree):
+            assert nf_embed_complex(a, root) == _ref_embed(coeffs, field,
+                                                           root)
+    a = QF7.element([Fraction(1, 2), Fraction(-3)])
+    assert repr(a) == "1/2 + -3*t"
+    assert repr(QF7.zero()) == "0"
+    assert QF7.element_to_str(QF7.zero()) == "0,0"
+
+
+def test_equal_values_from_different_denominators_are_equal():
+    rng = random.Random(5)
+    for field in (cyclotomic_field(3), cyclotomic_field(7), QF7):
+        for _ in range(30):
+            a = field.element(_random_coeffs(rng, field.degree))
+            x = field.element([Fraction(1, rng.randrange(2, 30))]
+                              + [Fraction(rng.randrange(1, 9),
+                                          rng.randrange(2, 9))]
+                              * (field.degree - 1))
+            variants = [a + x - x, (a * x) / x, a * 6 / 6,
+                        (a + a) / 2, a * Fraction(2, 4) * 2,
+                        field.element([2 * c for c in a.coeffs]) / 2]
+            for v in variants:
+                _assert_normal(v)
+                assert v == a and hash(v) == hash(a)
+                assert v.num == a.num and v.den == a.den
+    assert QF7.element([Fraction(2, 4), 0]) == QF7.element([Fraction(1, 2)])
+
+
+def test_scaled_forms_give_the_same_line_key():
+    from enumtc.geometry import Line3D, fermat_lines
+
+    F = cyclotomic_field(3)
+    z = F.gen()
+    keys = {ln.rows: i for i, ln in enumerate(fermat_lines())}
+    scales = [F.from_int(3) / 7, (1 + z) / 5, z * Fraction(-2, 9),
+              F.element([Fraction(1, 6), Fraction(5, 4)])]
+    for i, line in enumerate(fermat_lines()):
+        r0, r1 = line.rows
+        s, u = scales[i % 4], scales[(i + 1) % 4]
+        forms = ([s * c for c in r0],
+                 [u * c + s * d for c, d in zip(r1, r0)])
+        moved = Line3D.from_forms(forms, F)
+        assert moved.rows == line.rows
+        assert keys[moved.rows] == i
+        for row in moved.rows:
+            for c in row:
+                _assert_normal(c)
