@@ -112,8 +112,10 @@ class KoszulComplex:
 
 
 def _times_monomial(f: Polynomial, m) -> Polynomial:
-    """f times the monomial with exponent tuple m."""
-    return f * Polynomial.monomial(m, f.field.one(), f.table, f.field)
+    """f times the monomial with exponent tuple m: every exponent shifts."""
+    return Polynomial(f.table, f.field,
+                      {tuple(a + b for a, b in zip(e, m)): c
+                       for e, c in f.terms.items()})
 
 
 def koszul_homology_dim(K: KoszulComplex, t: int):

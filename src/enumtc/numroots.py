@@ -1,16 +1,16 @@
 """Numeric root extraction and refinement.
 
-Simultaneous (Aberth) iteration for univariate complex roots,
-projective root lists for binary forms, chordal-metric clustering,
-finite eigenvalues of matrix polynomials via a companion pencil, and a
-damped Newton corrector that runs a batch of systems in lockstep.
+Simultaneous (Aberth) iteration for the complex roots of a batch of
+univariate polynomials, projective root lists for binary forms,
+chordal-metric clustering, finite eigenvalues of matrix polynomials via
+a companion pencil, and a damped Newton corrector that runs a batch of
+systems in lockstep.
 Everything here consumes plain complex numbers; exact coefficients are
 embedded upstream, so structural zeros arrive as exact 0j.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -19,83 +19,89 @@ import scipy.linalg
 from .errors import InvalidInput, NumericFailure
 
 
-def poly_eval(coeffs, z):
-    """Horner evaluation; coefficients low to high."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def aberth_roots(rows, tol: float = 1e-13, max_iter: int = 200):
+    """All complex roots of each row's polynomial, coefficients low to high.
 
-
-def poly_derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _eval_with_floor(coeffs, z):
-    """Horner value plus the roundoff floor sum(|c_k| |z|^k) * eps."""
-    acc = 0j
-    mag = 0.0
-    az = abs(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-        mag = mag * az + abs(c)
-    return acc, 8.0 * 2.220446049250313e-16 * mag
-
-
-def aberth_roots(coeffs, tol: float = 1e-13, max_iter: int = 200):
-    """All complex roots of a univariate polynomial, low-to-high coeffs.
-
-    Exact zero leading (low-order) coefficients contribute roots at 0;
-    the remaining roots come from simultaneous iteration.  Convergence
-    failure raises NumericFailure.
+    Returns (roots, converged): roots[i] is a complex array of row i's
+    roots, and converged[i] is False when row i still moved after
+    max_iter rounds.  Exact zero high-order coefficients lower a row's
+    degree and exact zero low-order ones give roots at 0; a row of
+    degree < 1 raises InvalidInput.  The rows left with one degree run
+    as lanes of one simultaneous (Aberth) iteration, each as if alone.
     """
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) <= 1:
-        raise InvalidInput("need degree >= 1 to extract roots")
-    zeros_at_origin = 0
-    while cs[0] == 0:
-        cs.pop(0)
-        zeros_at_origin += 1
-    degree = len(cs) - 1
-    roots = [0j] * zeros_at_origin
-    if degree == 0:
-        return roots
-    if degree == 1:
-        return roots + [-cs[0] / cs[1]]
-    lead = cs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in cs[:-1])
+    rows = [np.asarray(r, dtype=complex) for r in rows]
+    groups = {}
+    for i, r in enumerate(rows):
+        support = np.flatnonzero(r)
+        if not support.size or support[-1] < 1:
+            raise InvalidInput("need degree >= 1 to extract roots")
+        lo, hi = support[0], support[-1]
+        groups.setdefault(hi - lo, []).append((i, lo, hi))
+    roots = [None] * len(rows)
+    converged = np.ones(len(rows), dtype=bool)
+    for members in groups.values():
+        Z, ok = _aberth_lanes(
+            np.array([rows[i][lo:hi + 1] for i, lo, hi in members]).T,
+            tol, max_iter)
+        for (i, lo, _), z, o in zip(members, Z.T, ok):
+            roots[i] = np.concatenate([np.zeros(lo, dtype=complex), z])
+            converged[i] = o
+    return roots, converged
+
+
+def _aberth_lanes(C, tol, max_iter):
+    """Aberth iteration on the columns of C, (degree + 1) x lanes.
+
+    Every column has nonzero ends.  Returns the roots (degree x lanes)
+    and which lanes converged.
+    """
+    degree, lanes = C.shape[0] - 1, C.shape[1]
+    if degree < 2:  # no root left, or the one root -c_0 / c_1
+        return -C[:degree] / C[degree:], np.ones(lanes, dtype=bool)
+    radius = 1.0 + np.abs(C[:-1] / C[-1]).max(axis=0)
     # Slightly irrational angular offset avoids symmetric stalls.
-    start = [radius * cmath.exp(2j * math.pi * (k + 0.357) / degree)
-             for k in range(degree)]
-    der = poly_derivative(cs)
-    z = list(start)
-    for _ in range(max_iter):
-        moved = 0.0
-        for i in range(degree):
-            pi, floor = _eval_with_floor(cs, z[i])
-            if abs(pi) <= floor:
-                # backward-stable root: |p(z)| is below evaluation noise,
-                # which is the plateau multiple roots converge onto
-                continue
-            di = poly_eval(der, z[i])
-            if di == 0:
-                z[i] = z[i] * (1 + 1e-8) + 1e-8
-                moved = math.inf
-                continue
-            ratio = pi / di
-            s = 0j
-            for j in range(degree):
-                if j != i:
-                    s += 1.0 / (z[i] - z[j])
-            denom = 1.0 - ratio * s
-            step = ratio if denom == 0 else ratio / denom
-            z[i] = z[i] - step
-            moved = max(moved, abs(step) / (1.0 + abs(z[i])))
-        if moved < tol:
-            return roots + z
-    raise NumericFailure(f"root iteration stalled after {max_iter} rounds")
+    circle = np.exp(2j * np.pi * (np.arange(degree) + 0.357) / degree)
+    Z = circle[:, None] * radius
+    # Horner tables for p, p' (top entry 0) and sum |c_k| |z|^k
+    H = np.stack([C, np.vstack([C[1:] * np.arange(1, degree + 1)[:, None],
+                                np.zeros(lanes)]), np.abs(C)], axis=1)
+    running = np.arange(lanes)
+    converged = np.zeros(lanes, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not running.size:
+                break
+            z, h = Z[:, running], H[:, :, None, running]
+            # root i is still unmoved when its turn comes, so its values
+            # and Newton ratio are taken for all roots at once
+            at = np.stack([z, z, np.abs(z)])
+            acc = h[degree]
+            for k in range(degree - 1, -1, -1):
+                acc = acc * at + h[k]
+            p, dp, mag = acc[0], acc[1], acc[2].real
+            # |p| below the roundoff floor 8 eps sum(|c_k| |z|^k) marks a
+            # backward-stable root: the plateau multiple roots converge onto
+            live = ~(np.abs(p) <= 8.0 * 2.220446049250313e-16 * mag)
+            flat = dp == 0
+            ratio = p / dp
+            nudged = z * (1 + 1e-8) + 1e-8
+            step = np.zeros_like(z)
+            # Gauss-Seidel order: root i sees the roots updated before it
+            for i in range(degree):
+                inv = 1.0 / (z[i] - z)
+                inv[i] = 0
+                denom = 1.0 - ratio[i] * inv.sum(axis=0)
+                step[i] = np.where(denom == 0, ratio[i], ratio[i] / denom)
+                z[i] = np.where(live[i], np.where(flat[i], nudged[i],
+                                                  z[i] - step[i]), z[i])
+            gain = np.where(flat, np.inf, np.abs(step) / (1.0 + np.abs(z)))
+            moved = np.fmax.reduce(np.where(live, gain, 0.0), axis=0,
+                                   initial=0.0)
+            Z[:, running] = z
+            done = moved < tol
+            converged[running[done]] = True
+            running = running[~done]
+    return Z, converged
 
 
 def projective_binary_roots(coeffs, degree: int, tol: float = 1e-13):
@@ -115,8 +121,10 @@ def projective_binary_roots(coeffs, degree: int, tol: float = 1e-13):
     roots = [(1 + 0j, 0j)] * mu + [(0j, 1 + 0j)] * nu
     middle = coeffs[mu:top + 1]
     if len(middle) > 1:
-        for t in aberth_roots(middle, tol=tol):
-            roots.append(normalize_projective((1 + 0j, t)))
+        (ts,), (ok,) = aberth_roots([middle], tol=tol)
+        if not ok:
+            raise NumericFailure("root iteration stalled")
+        roots += [normalize_projective((1 + 0j, complex(t))) for t in ts]
     return roots
 
 

@@ -283,8 +283,9 @@ def _flex_core(G: Polynomial, tol: float, root: int):
     # cluster multiplicity is split evenly over the lifts that also
     # kill the Hessian
     in_x = _Compiled(univariate_coeffs(G, "x"), root)
-    xs = [aberth_roots([complex(v) for v in row])
-          for row in in_x([(1, y0, z0) for (y0, z0), _ in clusters])]
+    xs, ok = aberth_roots(in_x([(1, y0, z0) for (y0, z0), _ in clusters]))
+    if not ok.all():
+        raise NumericFailure("root iteration stalled")
     hv = np.abs(system([(x, y0, z0) for xr, ((y0, z0), _)
                         in zip(xs, clusters) for x in xr])[:, 4])
     starts, shares = [], []
@@ -454,30 +455,23 @@ class _ChartFit:
             for j in range(db1 + 1):
                 for k in range(da1 + 1):
                     mats[k][db1 + r, r + j] += G1[k, db1 - j]
-        out = []
-        for a0 in polyeig(mats):
-            if abs(a0) > 1e8:
-                continue
-            c0 = [sum(G0[k, j] * a0 ** k for k in range(da0 + 1))
-                  for j in range(db0 + 1)]
-            scale0 = max(abs(v) for v in c0)
-            if scale0 < 1e-12:
-                continue
-            try:
-                bs = aberth_roots([v / scale0 for v in c0])
-            except NumericFailure:
-                continue
-            for b0 in bs:
-                if abs(b0) > 1e8:
-                    continue
-                v1 = sum(self.G1[k, j] * a0 ** k * b0 ** j
-                         for k in range(da1 + 1) for j in range(db1 + 1))
-                br = max(1.0, abs(b0))
-                s1scale = sum(abs(G1[k, j]) * abs(a0) ** k * br ** j
-                              for k in range(da1 + 1) for j in range(db1 + 1))
-                if abs(v1) <= 1e-4 * max(s1scale, 1e-30):
-                    out.append((a0, b0))
-        return out
+        a = np.array([a0 for a0 in polyeig(mats) if abs(a0) <= 1e8],
+                     dtype=complex)
+        C0 = np.vander(a, da0 + 1, increasing=True) @ G0
+        scale0 = np.abs(C0).max(axis=1)
+        big = scale0 >= 1e-12
+        bs, ok = aberth_roots(C0[big] / scale0[big, None])
+        bs = [r for r, o in zip(bs, ok) if o]
+        a = np.repeat(a[big][ok], [len(r) for r in bs])
+        b = np.concatenate([np.zeros(0, dtype=complex)] + bs)
+        a, b = a[np.abs(b) <= 1e8], b[np.abs(b) <= 1e8]
+        A1 = np.vander(a, da1 + 1, increasing=True)
+        v1 = ((A1 @ G1) * np.vander(b, db1 + 1, increasing=True)).sum(axis=1)
+        br = np.maximum(1.0, np.abs(b))
+        s1scale = ((np.abs(A1) @ np.abs(G1))
+                   * np.vander(br, db1 + 1, increasing=True)).sum(axis=1)
+        cut = np.abs(v1) <= 1e-4 * np.maximum(s1scale, 1e-30)
+        return list(zip(a[cut].tolist(), b[cut].tolist()))
 
     def fits(self, tol):
         """Structured fits at every candidate; TangentLines in candidate order.
@@ -490,17 +484,12 @@ class _ChartFit:
         """
         accept = max(1e-9, 10 * tol)
         cands = self.candidates(tol)
-        starts = []
-        for (a0, b0), q in zip(cands, self.q(cands)[:, :5]):
-            q = [complex(v) for v in q]
-            sc = max(abs(v) for v in q)
-            if sc < 1e-12 or abs(q[4]) < 1e-9 * sc:
-                continue
-            try:
-                roots = aberth_roots([v / q[4] for v in q])
-            except NumericFailure:
-                continue
-            starts.append(((a0, b0, q[4]), roots))
+        Q = self.q(cands)[:, :5]
+        sc = np.abs(Q).max(axis=1)
+        fit = np.flatnonzero((sc >= 1e-12) & (np.abs(Q[:, 4]) >= 1e-9 * sc))
+        rts, ok = aberth_roots(Q[fit] / Q[fit, 4:])
+        starts = [(cands[i] + (complex(Q[i, 4]),), r)
+                  for i, r, o in zip(fit, rts, ok) if o]
         if not starts:
             return []
         Z, res, double = self._fit_model(

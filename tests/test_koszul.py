@@ -7,11 +7,12 @@ from enumtc.errors import (
     InvalidInput,
     UnsupportedLength,
 )
-from enumtc.fields import QQ, PrimeField
+from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.koszul import (
     GradedSequence,
     HilbertSeries,
     KoszulComplex,
+    _times_monomial,
     em_poincare,
     free_ring_hilbert,
     is_regular_maximal,
@@ -318,3 +319,29 @@ def test_macaulay_rank_basic():
     rank, dim = macaulay_rank(seq, 2)
     # degree-2 stratum {x^2, xy, y^2}; image of x * {x, y} has rank 2
     assert (rank, dim) == (2, 3)
+
+
+def test_times_monomial_shifts_exponents():
+    rng = random.Random(1103)
+    t = make_table(("x", "y", "z"))
+    Q3 = cyclotomic_field(3)
+    w = Q3.gen()
+    for field, coeffs in ((F3, [F3.from_int(k) for k in (1, 2)]),
+                          (Q3, [Q3.one(), w, w * w - Q3.from_int(2)])):
+        x, y, z = (Polynomial.variable(n, t, field) for n in ("x", "y", "z"))
+        cases = [Polynomial.zero(t, field), x ** 2 * y - z,
+                 Polynomial.one(t, field)]
+        for _ in range(4):
+            f = Polynomial.zero(t, field)
+            for _ in range(5):
+                e = tuple(rng.randrange(4) for _ in range(3))
+                f = f + Polynomial.monomial(e, rng.choice(coeffs), t, field)
+            cases.append(f)
+        for f in cases:
+            for m in ((0, 0, 0), (1, 0, 2), (3, 1, 1)):
+                shifted = _times_monomial(f, m)
+                product = f * Polynomial.monomial(m, field.one(), t, field)
+                assert shifted.terms == product.terms
+                assert shifted.table is t and shifted.field is field
+        assert not _times_monomial(Polynomial.zero(t, field), (1, 2, 3))
+

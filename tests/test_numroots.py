@@ -12,8 +12,6 @@ from enumtc.numroots import (
     cluster_points,
     damped_newton,
     normalize_projective,
-    poly_derivative,
-    poly_eval,
     polyeig,
     projective_binary_roots,
 )
@@ -29,34 +27,101 @@ def match_multisets(found, expected, tol):
     assert not left
 
 
-def test_poly_eval_and_derivative():
-    cs = [2, 0, 1]  # 2 + t^2
-    assert poly_eval(cs, 3) == 11
-    assert poly_derivative(cs) == [0, 2]
+def scalar_aberth(coeffs, tol=1e-13, max_iter=200):
+    # The one-polynomial loop aberth_roots batches, kept as its
+    # reference; it reports a stall instead of raising.
+    cs = [complex(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    zeros_at_origin = 0
+    while cs[0] == 0:
+        cs.pop(0)
+        zeros_at_origin += 1
+    degree = len(cs) - 1
+    roots = [0j] * zeros_at_origin
+    if degree == 0:
+        return roots, True
+    if degree == 1:
+        return roots + [-cs[0] / cs[1]], True
+    radius = 1.0 + max(abs(c / cs[-1]) for c in cs[:-1])
+    z = [radius * cmath.exp(2j * math.pi * (k + 0.357) / degree)
+         for k in range(degree)]
+    der = [i * c for i, c in enumerate(cs)][1:]
+
+    def horner(coeffs, x):
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    for _ in range(max_iter):
+        moved = 0.0
+        for i in range(degree):
+            pi = horner(cs, z[i])
+            floor = 8.0 * 2.220446049250313e-16 * horner(
+                [abs(c) for c in cs], abs(z[i])).real
+            if abs(pi) <= floor:
+                continue
+            di = horner(der, z[i])
+            if di == 0:
+                z[i] = z[i] * (1 + 1e-8) + 1e-8
+                moved = math.inf
+                continue
+            ratio = pi / di
+            s = 0j
+            for j in range(degree):
+                if j != i:
+                    s += 1.0 / (z[i] - z[j])
+            denom = 1.0 - ratio * s
+            step = ratio if denom == 0 else ratio / denom
+            z[i] = z[i] - step
+            moved = max(moved, abs(step) / (1.0 + abs(z[i])))
+        if moved < tol:
+            return roots + z, True
+    return roots + z, False
+
+
+def poly_from_roots(roots):
+    coeffs = np.array([1 + 0j])
+    for r in roots:
+        coeffs = np.convolve(coeffs, np.array([-r, 1 + 0j]))
+    return coeffs
 
 
 def test_cubic_roots():
-    # (t-1)(t-2)(t-3) = -6 + 11 t - 6 t^2 + t^3
-    roots = aberth_roots([-6, 11, -6, 1])
-    match_multisets(roots, [1, 2, 3], 1e-10)
+    # (t-1)(t-2)(t-3) = -6 + 11 t - 6 t^2 + t^3, with the same cubic
+    # scaled and with a trailing zero in the same batch
+    rows = [[-6, 11, -6, 1], [-12, 22, -12, 2], [-6, 11, -6, 1, 0]]
+    roots, ok = aberth_roots(rows)
+    assert ok.all()
+    for found in roots:
+        match_multisets(found, [1, 2, 3], 1e-10)
 
 
 def test_zero_roots_split_off():
-    # t^2 (t - 5)
-    roots = aberth_roots([0, 0, -5, 1])
-    match_multisets(roots, [0, 0, 5], 1e-10)
+    # t^2 (t - 5), 5 t^3, t (t - 1)(t + 1)
+    roots, ok = aberth_roots([[0, 0, -5, 1], [0, 0, 0, 5], [0, -1, 0, 1]])
+    assert ok.all()
+    assert roots[0][:2].tolist() == [0, 0]
+    match_multisets(roots[0], [0, 0, 5], 1e-10)
+    assert roots[1].tolist() == [0, 0, 0]
+    match_multisets(roots[2], [0, 1, -1], 1e-10)
 
 
 def test_degree_one_and_invalid():
-    assert aberth_roots([3, -1]) == [3.0]
-    with pytest.raises(InvalidInput):
-        aberth_roots([7])
-    with pytest.raises(InvalidInput):
-        aberth_roots([0, 0])
+    roots, ok = aberth_roots([[3, -1], [0, 2, 0]])
+    assert [r.tolist() for r in roots] == [[3.0], [0.0]]
+    assert ok.tolist() == [True, True]
+    for bad in ([7], [0, 0], []):
+        with pytest.raises(InvalidInput):
+            aberth_roots([[3, -1], bad])
+    roots, ok = aberth_roots([])
+    assert roots == [] and ok.size == 0
 
 
 def test_random_roots_recovered():
     rng = random.Random(7001)
+    expected, rows = [], []
     for _ in range(100):
         deg = rng.randrange(2, 9)
         roots = []
@@ -64,12 +129,48 @@ def test_random_roots_recovered():
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if all(abs(z - w) > 0.3 for w in roots):
                 roots.append(z)
-        coeffs = np.array([1 + 0j])
-        for r in roots:
-            coeffs = np.convolve(coeffs, np.array([-r, 1 + 0j]))
-        found = aberth_roots(list(coeffs))
-        match_multisets(found, roots, 1e-7)
-        match_multisets(found, list(np.roots(list(reversed(coeffs)))), 1e-6)
+        expected.append(roots)
+        rows.append(poly_from_roots(roots))
+    found, ok = aberth_roots(rows)
+    assert ok.all()
+    for got, roots, coeffs in zip(found, expected, rows):
+        match_multisets(got, roots, 1e-7)
+        match_multisets(got, list(np.roots(list(reversed(coeffs)))), 1e-6)
+
+
+def test_aberth_lanes_run_as_if_alone():
+    rng = random.Random(7002)
+    rows = [poly_from_roots([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                             for _ in range(deg)]) for deg in (2, 5, 5, 9)]
+    rows += [
+        [0j, 0j, 2, -3, 0j, 1, 0j, 0j],       # t^2 (t-1)^2 (t+2), both ends
+        [0j, 4, 1, 0j],                       # roots 0 and -4
+        [0j, 0j, 5],                          # only roots at 0
+        poly_from_roots([1.5, 1.5, -0.5j]),   # a double root
+    ]
+    # numpy's complex arithmetic rounds differently from Python's, and a
+    # double root moves by about the square root of that, sqrt(eps)
+    tols = [1e-12] * 4 + [1e-7, 1e-12, 1e-12, 1e-7]
+    roots, ok = aberth_roots(rows)
+    assert ok.all()
+    for row, got, tol in zip(rows, roots, tols):
+        (alone,), _ = aberth_roots([row])
+        assert np.array_equal(alone, got)
+        ref, ref_ok = scalar_aberth(row)
+        assert ref_ok and len(ref) == len(got)
+        assert max(abs(a - b) for a, b in zip(ref, got)) < tol
+    # two rounds cannot finish the degree-9 lane: it reports that, and
+    # no lane's stall changes another lane
+    short, ok = aberth_roots(rows, max_iter=2)
+    assert not ok[3] and ok[5:7].all()
+    assert np.array_equal(short[5], roots[5])
+    assert np.array_equal(short[6], roots[6])
+    for i, row in enumerate(rows):
+        (alone,), (alone_ok,) = aberth_roots([row], max_iter=2)
+        assert np.array_equal(alone, short[i]) and alone_ok == ok[i]
+    ref, ref_ok = scalar_aberth(rows[3], max_iter=2)
+    assert not ref_ok
+    assert max(abs(a - b) for a, b in zip(ref, short[3])) < 1e-12
 
 
 def test_binary_form_roots():
@@ -255,8 +356,9 @@ def test_damped_newton_lanes_run_as_if_alone():
 
 
 def test_aberth_against_roots_of_unity():
-    n = 12
-    coeffs = [-1 + 0j] + [0j] * (n - 1) + [1 + 0j]
-    found = aberth_roots(coeffs)
-    expected = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
-    match_multisets(found, expected, 1e-9)
+    rows = [[-1 + 0j] + [0j] * (n - 1) + [1 + 0j] for n in (12, 7)]
+    roots, ok = aberth_roots(rows)
+    assert ok.all()
+    for found, n in zip(roots, (12, 7)):
+        expected = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
+        match_multisets(found, expected, 1e-9)

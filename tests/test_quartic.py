@@ -11,9 +11,9 @@ from enumtc.geometry import (
     induced_permutation,
     verify_projective_equivalence,
 )
-from enumtc.numroots import chordal_distance
+from enumtc.numroots import aberth_roots, chordal_distance, polyeig
 from enumtc import quartic
-from enumtc.poly import Polynomial, make_table
+from enumtc.poly import CHARTS, Polynomial, make_table
 from enumtc.quartic import (
     PLANE_VARS,
     bitangent_scan,
@@ -139,6 +139,60 @@ def test_fermat_scan_needs_coordinate_change():
         d = min(chordal_distance(t.tangencies[0].coords, p.coords)
                 for p in pts)
         assert d < 1e-6
+
+
+def scalar_candidates(fit):
+    # The per-eigenvalue loop _ChartFit.candidates replaced, kept as its
+    # reference: one root solve per eigenvalue, double sums for the S1 cut.
+    G0, G1 = fit.G0, fit.G1
+    da0, db0 = G0.shape[0] - 1, G0.shape[1] - 1
+    da1, db1 = G1.shape[0] - 1, G1.shape[1] - 1
+    size = db0 + db1
+    mats = [np.zeros((size, size), dtype=complex)
+            for _ in range(max(da0, da1) + 1)]
+    for r in range(db1):
+        for j in range(db0 + 1):
+            for k in range(da0 + 1):
+                mats[k][r, r + j] += G0[k, db0 - j]
+    for r in range(db0):
+        for j in range(db1 + 1):
+            for k in range(da1 + 1):
+                mats[k][db1 + r, r + j] += G1[k, db1 - j]
+    out = []
+    for a0 in polyeig(mats):
+        if abs(a0) > 1e8:
+            continue
+        c0 = [sum(G0[k, j] * a0 ** k for k in range(da0 + 1))
+              for j in range(db0 + 1)]
+        scale0 = max(abs(v) for v in c0)
+        if scale0 < 1e-12:
+            continue
+        (bs,), (ok,) = aberth_roots([[v / scale0 for v in c0]])
+        if not ok:
+            continue
+        for b0 in bs:
+            if abs(b0) > 1e8:
+                continue
+            v1 = sum(G1[k, j] * a0 ** k * b0 ** j
+                     for k in range(da1 + 1) for j in range(db1 + 1))
+            br = max(1.0, abs(b0))
+            s1scale = sum(abs(G1[k, j]) * abs(a0) ** k * br ** j
+                          for k in range(da1 + 1) for j in range(db1 + 1))
+            if abs(v1) <= 1e-4 * max(s1scale, 1e-30):
+                out.append((a0, b0))
+    return out
+
+
+def test_candidates_match_scalar_reference():
+    F = klein_quartic()
+    fit = quartic._ChartFit(F, CHARTS[0], quartic._embed_root(F.field))
+    got, ref = fit.candidates(1e-10), scalar_candidates(fit)
+    assert len(got) == len(ref) == 840
+    # Each b is a double root of S0(a, .), a node of the dual curve, so
+    # rounding S0(a, .) differently moves it by about sqrt(eps) = 1.5e-8.
+    for pair, ref_pair in zip(got, ref):
+        for v, w in zip(pair, ref_pair):
+            assert abs(v - w) <= 1e-7 * max(1.0, abs(w))
 
 
 def test_sign_group_permutes_flexes_and_bitangents():
