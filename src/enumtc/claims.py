@@ -5,7 +5,7 @@ statement, a dependency list, and a compute function.  The compute
 function receives the run's Config and the values its declared
 dependencies returned, and returns a status, structured evidence, and a
 value for the claims that depend on it: the certified sequence, its
-Poincare series, the genus, the lines, the flexes, the bitangent scan.
+Poincare series, the genus, the lines, the exact flexes and bitangents.
 Literature nodes carry no computation: they record the cited facts the
 computational claims plug into, and they are never folded into
 "verified".
@@ -23,17 +23,20 @@ from time import perf_counter
 
 from .errors import InconsistentEvidence, InvalidInput, UnknownClaim
 from .fields import QQ, PrimeField, cyclotomic_field
-from .geometry import (common_fixed_check, fermat_cubic, fermat_lines,
-                       h_group_matrices, homomorphism_spot_check,
-                       k_group_matrices, line_on_surface, make_group_action,
+from .geometry import (LineP2, PointP2, common_fixed_check, fermat_cubic,
+                       fermat_lines, h_group_matrices,
+                       homomorphism_spot_check, k_group_matrices,
+                       line_on_surface, make_group_action,
                        verify_projective_equivalence)
 from .koszul import (GradedSequence, HilbertSeries, em_poincare,
                      is_regular_maximal, permuted_regularity,
                      tor_concentration_check)
 from .nabla import stated_image_generators, verify_generators
-from .numroots import chordal_distance
-from .quartic import (bitangent_scan, classical_klein_quartic, flex_points,
-                      klein_quartic, quartic_to_classical_matrix)
+from .quartic import (classical_klein_quartic, embedded, exact_bitangents,
+                      exact_flex_tangents, exact_flexes,
+                      klein_bitangent_seeds, klein_flex_seed, klein_quartic,
+                      quartic_to_classical_matrix,
+                      signed_permutation_symmetries)
 from .restriction import (h_datum, k_datum, phi_star_generators,
                           verify_specialization_from_generators)
 
@@ -52,11 +55,9 @@ class Config:
 
     prime: int = 7
     max_degree: int = 12
-    tol: float = 1e-10
 
     def to_json(self):
-        return {"prime": self.prime, "max_degree": self.max_degree,
-                "tol": self.tol}
+        return {"prime": self.prime, "max_degree": self.max_degree}
 
 
 @dataclass
@@ -252,41 +253,30 @@ def _run_k_faithful(lines):
     return ("verified" if ok else "failed"), evidence, None
 
 
-def _run_klein_flexes(config: Config):
-    pts = flex_points(klein_quartic(), tol=config.tol)
-    max_res = max(p.residual for p in pts)
-    ok = (len(pts) == 24 and all(p.multiplicity == 1 for p in pts)
-          and max_res < 1e-8)
-    evidence = {"count": len(pts),
-                "multiplicities": sorted({p.multiplicity for p in pts}),
-                "max_residual": max_res}
-    return ("verified" if ok else "failed"), evidence, pts
+def _run_klein_flexes():
+    """The exact flexes are the value; any failed check raises CheckFailed."""
+    F = klein_quartic()
+    flexes = exact_flexes(F, klein_flex_seed(),
+                          signed_permutation_symmetries(F))
+    # 24 distinct points exhaust the Bezout number 24, so each is simple
+    evidence = {"count": len(flexes), "multiplicities": [1],
+                "max_residual": 0.0}
+    return "verified", evidence, flexes
 
 
-def _run_klein_bitangents(flexes, config: Config):
-    scan = bitangent_scan(klein_quartic(), tol=config.tol)
-    bits, flt = scan.bitangents, scan.flex_tangents
-    max_res = max(t.residual for t in bits)
-    matched = 0
-    worst_match = 0.0
-    for t in flt:
-        for tp in t.tangencies:
-            d = min(chordal_distance(tp.coords, f.coords) for f in flexes)
-            worst_match = max(worst_match, d)
-            if d < 1e-6:
-                matched += 1
-    flex_contacts = sum(len(t.tangencies) for t in flt)
-    ok = (len(bits) == 28 and max_res < 1e-6
-          and len(flt) == 24 and matched == flex_contacts
-          and worst_match < 1e-6)
-    change = scan.coordinate_change
-    evidence = {"bitangents": len(bits), "flex_tangents": len(flt),
-                "max_bitangent_residual": max_res,
-                "tangencies_matching_flexes": matched,
-                "worst_flex_match_distance": worst_match,
-                "coordinate_change": change if change is None
-                else [[int(v) for v in row] for row in change]}
-    return ("verified" if ok else "failed"), evidence, scan
+def _run_klein_bitangents(flexes):
+    """The exact bitangents are the value; the flex tangents are checked
+    to have triple contact exactly at their flexes."""
+    F = klein_quartic()
+    bits = exact_bitangents(F, klein_bitangent_seeds(),
+                            signed_permutation_symmetries(F))
+    tangents = exact_flex_tangents(F, flexes)
+    evidence = {"bitangents": len(bits), "flex_tangents": len(tangents),
+                "max_bitangent_residual": 0.0,
+                "tangencies_matching_flexes": len(tangents),
+                "worst_flex_match_distance": 0.0,
+                "coordinate_change": None}
+    return "verified", evidence, bits
 
 
 def _free_orbit_report(action):
@@ -459,14 +449,15 @@ _REGISTRY = {
         "every nontrivial element moves at least one line.",
         ("fermat-lines",), lambda c, d: _run_k_faithful(d["fermat-lines"])),
     "klein-flexes": _Claim(
-        "The Klein quartic has 24 simple flexes, located with residuals "
-        "below 1e-8.",
-        (), lambda c, d: _run_klein_flexes(c)),
+        "The Klein quartic is smooth and has 24 simple flexes, one orbit "
+        "of its signed permutation symmetries, exact over Q(zeta_7).",
+        (), lambda c, d: _run_klein_flexes()),
     "klein-bitangents": _Claim(
-        "The Klein quartic has 28 bitangents with residuals below 1e-6, "
-        "and the discarded double-contact lines are the 24 flex tangents.",
+        "The Klein quartic has 28 bitangents, three orbits of its signed "
+        "permutation symmetries exact over Q(zeta_7), and its 24 flex "
+        "tangents have triple contact exactly at the flexes.",
         ("klein-flexes",),
-        lambda c, d: _run_klein_bitangents(d["klein-flexes"], c)),
+        lambda c, d: _run_klein_bitangents(d["klein-flexes"])),
     "klein-equivalence": _Claim(
         "The stated symmetric matrix conjugates the alpha-form quartic "
         "onto the classical model x^3 y + y^3 z + z^3 x up to scale.",
@@ -475,13 +466,16 @@ _REGISTRY = {
         "The sign-change four-group permutes the 24 flexes with a free "
         "orbit, and every nontrivial element moves at least one flex.",
         ("klein-flexes",),
-        lambda c, d: _run_h_free(d["klein-flexes"], 24)),
+        lambda c, d: _run_h_free(
+            [PointP2.from_coords(embedded(p)) for p in d["klein-flexes"]],
+            24)),
     "h-free-on-bitangents": _Claim(
         "The sign-change four-group permutes the 28 bitangents with a free "
         "orbit, and every nontrivial element moves at least one bitangent.",
         ("klein-bitangents",),
         lambda c, d: _run_h_free(
-            [t.line for t in d["klein-bitangents"].bitangents], 28)),
+            [LineP2.from_coords(embedded(v))
+             for v in d["klein-bitangents"]], 28)),
     "genus-pu4k": _Claim(
         "The bundle of the rank-3 diagonal subgroup quotient has genus "
         "exactly 16: lower bound from the top nonvanishing class, upper "

@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra cross-check prime (default 7)")
     verify.add_argument("--max-degree", type=int, default=12,
                         help="degree window for generator and Tor checks")
-    verify.add_argument("--tol", type=float, default=1e-10,
-                        help="numeric tolerance for the curve geometry")
     verify.add_argument("--json", metavar="PATH",
                         help="write the canonical JSON report to PATH")
     return parser
@@ -58,8 +56,7 @@ def main(argv=None) -> int:
         print("nothing to verify: pass claim ids, --all, or --list",
               file=sys.stderr)
         return 2
-    config = Config(prime=args.prime, max_degree=args.max_degree,
-                    tol=args.tol)
+    config = Config(prime=args.prime, max_degree=args.max_degree)
     try:
         report = run_claims(ids, config)
     except EnumTCError as exc:

@@ -72,6 +72,10 @@ class AmbiguousClassification(EnumTCError):
     classification thresholds."""
 
 
+class CheckFailed(EnumTCError):
+    """An exact check of a claimed property came out false."""
+
+
 class InconsistentEvidence(EnumTCError):
     """Two independent computations of the same quantity disagree."""
 

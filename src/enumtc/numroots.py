@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, NumericFailure
 
@@ -189,6 +188,9 @@ def polyeig(mats, drop_infinite: float = 1e-10):
     with |beta| <= drop_infinite * |alpha| count as infinite and are
     dropped.
     """
+    # imported by its only user, so importing enumtc does not load scipy
+    import scipy.linalg
+
     mats = [np.asarray(m, dtype=complex) for m in mats]
     while len(mats) > 1 and not mats[-1].any():
         mats.pop()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from enumtc import claims, cli, errors
+from enumtc import claims, cli, errors, quartic
 from enumtc.claims import (
     Config,
     VerificationReport,
@@ -230,10 +230,10 @@ def test_report_is_byte_stable():
 
 
 def test_config_snapshot_lands_in_report():
-    cfg = Config(prime=5, max_degree=10, tol=1e-9)
+    cfg = Config(prime=5, max_degree=10)
     report = run_claims(["nabla-generators-n3"], cfg)
     data = json.loads(report.canonical_json())
-    assert data["config"] == {"prime": 5, "max_degree": 10, "tol": 1e-9}
+    assert data["config"] == {"prime": 5, "max_degree": 10}
     rows = report.claim("nabla-generators-n3").evidence["fields"]
     assert [t["p"] for t in rows] == [None, 2, 5, 7]
     assert all(r["degree"] <= 10 for t in rows for r in t["rows"])
@@ -249,3 +249,57 @@ def test_summary_counts_match_statuses():
     assert summary["failed"] == statuses.count("failed")
     assert summary["total"] == len(statuses)
     assert isinstance(report, VerificationReport)
+
+
+def test_klein_claims_keep_their_evidence_schema():
+    report = run_claims(["h-free-on-bitangents", "h-free-on-flexes"])
+    flexes = report.claim("klein-flexes").evidence
+    assert flexes == {"count": 24, "multiplicities": [1], "max_residual": 0.0}
+    bits = report.claim("klein-bitangents").evidence
+    assert bits == {"bitangents": 28, "flex_tangents": 24,
+                    "max_bitangent_residual": 0.0,
+                    "tangencies_matching_flexes": 24,
+                    "worst_flex_match_distance": 0.0,
+                    "coordinate_change": None}
+    # the reference check of the benchmark tells floats from ints
+    for value in (flexes["max_residual"], bits["max_bitangent_residual"],
+                  bits["worst_flex_match_distance"]):
+        assert type(value) is float
+    for cid, fixed in (("h-free-on-flexes", [0, 0, 0]),
+                       ("h-free-on-bitangents", [4, 4, 4])):
+        rec = report.claim(cid)
+        assert rec.status == "verified"
+        assert rec.evidence["fixed_per_element"] == fixed
+        assert all(type(r["min_displacement"]) is float and
+                   r["min_displacement"] > 1e-3 for r in rec.evidence["rows"])
+
+
+def test_moved_klein_seed_fails_its_claim_with_the_check_named(
+        monkeypatch, tmp_path, capsys):
+    field = claims.klein_quartic().field
+
+    def off_curve():
+        x, y, z = quartic.klein_flex_seed()
+        return (x + field.one(), y, z)
+
+    monkeypatch.setattr(claims, "klein_flex_seed", off_curve)
+    target = tmp_path / "report.json"
+    assert cli.main(["verify", "h-free-on-bitangents", "--json",
+                     str(target)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    records = {rec["id"]: rec for rec in
+               json.loads(target.read_text())["claims"]}
+    assert records["klein-flexes"]["status"] == "failed"
+    assert records["klein-flexes"]["evidence"]["error"].startswith(
+        "CheckFailed: flex equations: F = Hess F = 0 fails at 24 of")
+    assert records["klein-bitangents"]["evidence"] == {
+        "blocked_by": ["klein-flexes"]}
+
+
+def test_dropped_bitangent_seed_fails_the_orbit_check(monkeypatch):
+    monkeypatch.setattr(claims, "klein_bitangent_seeds",
+                        lambda: quartic.klein_bitangent_seeds()[:2])
+    rec = run_claims(["klein-bitangents"]).claim("klein-bitangents")
+    assert rec.status == "failed"
+    assert rec.evidence == {"error": "CheckFailed: bitangent orbits: 16 "
+                                     "distinct lines, need 28"}

@@ -80,7 +80,24 @@ def test_composite_prime_is_usage_error(monkeypatch, capsys):
 def test_parser_defaults():
     args = build_parser().parse_args(["verify", "--all"])
     assert args.prime == 7 and args.max_degree == 12
-    assert args.tol == 1e-10 and args.all
+    assert args.all and not hasattr(args, "tol")
+
+
+def test_tol_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "klein-flexes", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_verify_does_not_import_scipy():
+    code = ("import sys, enumtc.cli, enumtc.claims; "
+            "enumtc.claims.run_claims(['klein-bitangents']); "
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs():

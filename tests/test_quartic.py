@@ -4,23 +4,38 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from enumtc.errors import AmbiguousClassification, InvalidInput, NumericFailure
+from enumtc.errors import (
+    AmbiguousClassification,
+    CheckFailed,
+    InvalidInput,
+    NotInvariant,
+    NumericFailure,
+)
 from enumtc.fields import QQ, cyclotomic_field
 from enumtc.geometry import (
+    compose_with_matrix,
     h_group_matrices,
     induced_permutation,
     verify_projective_equivalence,
 )
 from enumtc.numroots import aberth_roots, chordal_distance, polyeig
 from enumtc import quartic
-from enumtc.poly import CHARTS, Polynomial, make_table
+from enumtc.poly import CHARTS, Polynomial, hessian_det, make_table
 from enumtc.quartic import (
     PLANE_VARS,
     bitangent_scan,
     classical_klein_quartic,
+    embedded,
+    exact_bitangents,
+    exact_flex_tangents,
+    exact_flexes,
     flex_points,
+    klein_bitangent_seeds,
+    klein_flex_seed,
     klein_quartic,
     quartic_to_classical_matrix,
+    signed_permutation_symmetries,
+    smoothness_certificate,
 )
 
 np.seterr(all="ignore")
@@ -295,3 +310,140 @@ def test_flex_retry_is_seeded_and_stable():
     assert rng_runs[0] == rng_runs[1]
     assert random.Random(40427).randrange(100) == \
         random.Random(40427).randrange(100)
+
+
+# ---------------------------------------------------------------------------
+# exact Klein geometry over Q(zeta_7)
+
+def klein_exact():
+    if "exact" not in _MEMO:
+        F = klein_quartic()
+        group = signed_permutation_symmetries(F)
+        flexes = exact_flexes(F, klein_flex_seed(), group)
+        _MEMO["exact"] = (F, group, flexes,
+                          exact_bitangents(F, klein_bitangent_seeds(), group),
+                          exact_flex_tangents(F, flexes))
+    return _MEMO["exact"]
+
+
+def nodal_quartic(shift: int = 0):
+    """x^4 + y^4 - x^2 z^2 at x - zeta^shift z, over Q(zeta_7).
+
+    The node sits at (0 : 0 : 1) for shift 0, else at (zeta^shift : 0 : 1).
+    """
+    field = cyclotomic_field(7)
+    x, y, z = (Polynomial.variable(n, make_table(PLANE_VARS), field)
+               for n in PLANE_VARS)
+    if shift:
+        x = x - z * field.gen() ** shift
+    return x ** 4 + y ** 4 - x ** 2 * z ** 2
+
+
+def test_every_signed_permutation_fixes_the_klein_quartic():
+    F, group = klein_quartic(), klein_exact()[1]
+    assert len(group) == len(set(group)) == 48
+    assert all(compose_with_matrix(F, g) == F for g in group)
+    # g and -g are one projective map
+    assert len({frozenset((g, tuple(tuple(-c for c in r) for r in g)))
+                for g in group}) == 24
+    # the classical model has no sign symmetry
+    with pytest.raises(NotInvariant):
+        signed_permutation_symmetries(classical_klein_quartic())
+
+
+def test_klein_orbit_sizes():
+    group = klein_exact()[1]
+    assert len(quartic._orbit(klein_flex_seed(), group)) == 24
+    orbits = [quartic._orbit(s, group, covector=True)
+              for s in klein_bitangent_seeds()]
+    assert [len(o) for o in orbits] == [4, 12, 12]
+    assert len({v for o in orbits for v in o}) == 28
+
+
+def test_exact_flexes_lie_on_the_curve_and_its_hessian():
+    F, _, flexes, _, _ = klein_exact()
+    H = hessian_det(F)
+    assert len(flexes) == len(set(flexes)) == 24
+    for p in flexes:
+        assert not quartic._value(F, p) and not quartic._value(H, p)
+
+
+def test_contact_gcds_of_bitangents_and_flex_tangents():
+    F, _, flexes, bits, tangents = klein_exact()
+    assert len(bits) == 28 and len(tangents) == len(set(tangents)) == 24
+    for line in bits:
+        g, _, _ = quartic._contact_gcd(F, line, "test")
+        assert g.degree_in("t") == 2
+        assert quartic.univariate_gcd(g, g.partial("t"), "t") \
+            .degree_in("t") == 0
+    for flex, line in zip(flexes, tangents):
+        g, p, q = quartic._contact_gcd(F, line, "test")
+        c0, c1 = (g.terms.get((e,), F.field.zero()) for e in (0, 1))
+        assert g.degree_in("t") == 2 and c1 * c1 == 4 * c0
+        r = -c1 / 2
+        assert quartic._normalize([a + r * b for a, b in zip(p, q)]) == flex
+    # bitangents and flex tangents are different lines
+    assert not set(bits) & set(tangents)
+
+
+def test_klein_smoothness_certificate_mod_29():
+    for F in (klein_quartic(), classical_klein_quartic()):
+        cert = smoothness_certificate(F)
+        assert cert.verdict == "Regular"
+        assert cert.checked_degrees == [7]
+        assert cert.ranks == [{"degree": 7, "rank": 36, "stratum_dim": 36}]
+        assert cert.elements[0].field.p == 29
+
+
+def test_nodal_quartic_fails_the_smoothness_check():
+    F = nodal_quartic()
+    assert smoothness_certificate(F).verdict == "NotRegular"
+    # a node at a point with zeta coordinates survives only a reduction
+    # that sends zeta to a root of its minpoly mod 29
+    for shift in (1, 3):
+        assert smoothness_certificate(nodal_quartic(shift)).verdict == \
+            "NotRegular"
+    with pytest.raises(CheckFailed, match="smoothness"):
+        exact_flexes(F, klein_flex_seed(), klein_exact()[1])
+    with pytest.raises(CheckFailed, match="smoothness"):
+        exact_bitangents(F, klein_bitangent_seeds(), klein_exact()[1])
+    # x = 0 meets F only at (0 : 0 : 1), the spanning point q of the chart
+    one, zero = F.field.one(), F.field.zero()
+    with pytest.raises(CheckFailed, match="degree 0, need 4"):
+        quartic._contact_gcd(F, (one, zero, zero), "probe")
+
+
+def test_moved_seeds_fail_their_named_check():
+    F, group, flexes, bits, tangents = klein_exact()
+    one = F.field.one()
+    seed = klein_flex_seed()
+    with pytest.raises(CheckFailed, match="flex equations"):
+        exact_flexes(F, (seed[0] + one, seed[1], seed[2]), group)
+    with pytest.raises(CheckFailed, match="flex orbit"):
+        exact_flexes(F, (one, one, one), group)
+    s0, s1, s2 = klein_bitangent_seeds()
+    with pytest.raises(CheckFailed, match="bitangent orbits"):
+        exact_bitangents(F, (s0, s1), group)
+    # 28 distinct lines, one of them a flex tangent (group[0] is 1)
+    with pytest.raises(CheckFailed, match="bitangent contact"):
+        exact_bitangents(F, bits[:27] + tangents[:1], group[:1])
+    with pytest.raises(CheckFailed, match="flex tangent contact"):
+        exact_flex_tangents(F, [(seed[0] + one, seed[1], seed[2])])
+
+
+def test_exact_objects_match_the_numeric_layer():
+    _, _, flexes, bits, tangents = klein_exact()
+    numeric_flexes = [p.coords for p in klein_flexes()]
+    scan = klein_scan()
+    numeric_bits = [t.line.coords for t in scan.bitangents]
+    numeric_tangents = [t.line.coords for t in scan.flex_tangents]
+    for exact, numeric in ((flexes, numeric_flexes), (bits, numeric_bits),
+                           (tangents, numeric_tangents)):
+        assert len(exact) == len(numeric)
+        matched = set()
+        for v in exact:
+            d = [chordal_distance(embedded(v), w) for w in numeric]
+            j = min(range(len(d)), key=d.__getitem__)
+            assert d[j] < 1e-8
+            matched.add(j)
+        assert len(matched) == len(numeric)
