@@ -5,7 +5,8 @@ statement, a dependency list, and a compute function.  The compute
 function receives the run's Config and the values its declared
 dependencies returned, and returns a status, structured evidence, and a
 value for the claims that depend on it: the certified sequence, its
-Poincare series, the genus, the lines, the exact flexes and bitangents.
+Poincare series, the genus, the lines, the exact flexes (with the Klein
+quartic and its checked symmetry group) and the exact bitangents.
 Literature nodes carry no computation: they record the cited facts the
 computational claims plug into, and they are never folded into
 "verified".
@@ -254,22 +255,24 @@ def _run_k_faithful(lines):
 
 
 def _run_klein_flexes():
-    """The exact flexes are the value; any failed check raises CheckFailed."""
+    """The quartic, its checked symmetry group and the exact flexes are
+    the value; any failed check raises CheckFailed."""
     F = klein_quartic()
-    flexes = exact_flexes(F, klein_flex_seed(),
-                          signed_permutation_symmetries(F))
+    group = signed_permutation_symmetries(F)
+    flexes = exact_flexes(F, klein_flex_seed(), group)
     # 24 distinct points exhaust the Bezout number 24, so each is simple
     evidence = {"count": len(flexes), "multiplicities": [1],
                 "max_residual": 0.0}
-    return "verified", evidence, flexes
+    return "verified", evidence, {"quartic": F, "group": group,
+                                  "flexes": flexes}
 
 
-def _run_klein_bitangents(flexes):
+def _run_klein_bitangents(klein):
     """The exact bitangents are the value; the flex tangents are checked
-    to have triple contact exactly at their flexes."""
-    F = klein_quartic()
-    bits = exact_bitangents(F, klein_bitangent_seeds(),
-                            signed_permutation_symmetries(F))
+    to have triple contact exactly at their flexes.  The symmetry group
+    comes checked from klein-flexes."""
+    F, flexes = klein["quartic"], klein["flexes"]
+    bits = exact_bitangents(F, klein_bitangent_seeds(), klein["group"])
     tangents = exact_flex_tangents(F, flexes)
     evidence = {"bitangents": len(bits), "flex_tangents": len(tangents),
                 "max_bitangent_residual": 0.0,
@@ -467,7 +470,8 @@ _REGISTRY = {
         "orbit, and every nontrivial element moves at least one flex.",
         ("klein-flexes",),
         lambda c, d: _run_h_free(
-            [PointP2.from_coords(embedded(p)) for p in d["klein-flexes"]],
+            [PointP2.from_coords(embedded(p))
+             for p in d["klein-flexes"]["flexes"]],
             24)),
     "h-free-on-bitangents": _Claim(
         "The sign-change four-group permutes the 28 bitangents with a free "

@@ -1,24 +1,31 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Two elimination kernels, both with first-nonzero pivoting; every field
+Three elimination kernels, all with first-nonzero pivoting; every field
 here is exact, so there is no conditioning to worry about.
 
 - ``rank_mod_p`` ranks rows of plain Python ints over F_p by forward
   elimination alone.  ``Matrix.rank`` sends every prime-field matrix
   here, so Koszul and Macaulay ranks do no arithmetic on field element
   objects.
+- ``rank_int`` ranks rows over Q by clearing each row's denominators
+  and running fraction-free (Bareiss) forward elimination on ints.
+  ``Matrix.rank`` sends every QQ matrix here, so QQ ranks do no
+  Fraction arithmetic.
 - ``Matrix.rref`` is the generic reduced row echelon form on field
   elements (QQ, F_p, Q(zeta_m)); kernels, inverses, line normal forms
-  and ranks over the other fields use it.
+  and ranks over number fields use it.
 
-Both update a row only from the pivot column onward, since the pivot row
-is zero left of it, and leave an entry alone where the pivot row is zero.
+All three update a row only from the pivot column onward, since the
+pivot row is zero left of it; ``rank_mod_p`` and ``rref`` also leave an
+entry alone where the pivot row is zero.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import InvalidInput
-from .fields import PrimeField, field_inverse
+from .fields import PrimeField, RationalField, field_inverse
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -50,6 +57,39 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
+def rank_int(rows) -> int:
+    """Rank over Q of rows of ints or Fractions, computed on ints.
+
+    Rows are scaled by the lcm of their denominators into copies.  Then
+    Bareiss (Math. Comp. 22, 1968): after k pivots each entry is a
+    (k+1)-minor, so dividing by the k-th pivot is exact.
+    """
+    scaled = []
+    for row in rows:
+        den = lcm(*(e.denominator for e in row))
+        scaled.append([e.numerator * (den // e.denominator) for e in row])
+    rows = scaled
+    width = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
+    for c in range(width):
+        for i, row in enumerate(rows):
+            if row[c]:
+                break
+        else:
+            continue
+        pivot = rows.pop(i)
+        rank += 1
+        if not rows:
+            break
+        a, tail = pivot[c], pivot[c + 1:]
+        for row in rows:
+            f = row[c]
+            row[c + 1:] = [(a * x - f * b) // prev
+                           for x, b in zip(row[c + 1:], tail)]
+        prev = a
+    return rank
+
+
 class Matrix:
     """Row-major exact matrix over one declared field."""
 
@@ -73,6 +113,8 @@ class Matrix:
         width = len(row_lists[0])
         if any(len(r) != width for r in row_lists):
             raise InvalidInput("ragged rows")
+        if cols is not None and width != cols:
+            raise InvalidInput(f"rows have width {width}, need {cols}")
         flat = [e for r in row_lists for e in r]
         return cls(rows, width, flat, field)
 
@@ -104,15 +146,17 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise InvalidInput("dimension mismatch")
+        zero = self.field.zero()
+        right = other.row_lists()
         ents = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.field.zero()
-                for k in range(self.cols):
-                    a = self.at(i, k)
-                    if a:
-                        acc = acc + a * other.at(k, j)
-                ents.append(acc)
+            acc = [zero] * other.cols
+            for a, brow in zip(self.row(i), right):
+                if a:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] = acc[j] + a * b
+            ents.extend(acc)
         return Matrix(self.rows, other.cols, ents, self.field)
 
     def rref(self):
@@ -148,6 +192,8 @@ class Matrix:
         if isinstance(self.field, PrimeField):
             return rank_mod_p([[e.residue for e in self.row(i)]
                                for i in range(self.rows)], self.field.p)
+        if isinstance(self.field, RationalField):
+            return rank_int([self.row(i) for i in range(self.rows)])
         return len(self.rref()[1])
 
     def kernel_basis(self):

@@ -11,8 +11,10 @@ by c_2..c_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GeneratorCheckFailure, InvalidInput
+from .fields import QQ
 from .linalg import Matrix
 from .poly import Polynomial, make_table, monomials_of_weighted_degree
 
@@ -83,6 +85,13 @@ def kernel_of_nabla(ctx: NablaContext, degree: int):
     return basis
 
 
+@lru_cache(maxsize=256)
+def integral_kernel_dim(n: int, degree: int) -> int:
+    """Dimension of the degreewise kernel over Q: sources minus rank."""
+    M, sources, _ = nabla_matrix(make_context(n, QQ), degree)
+    return len(sources) - M.rank()
+
+
 def bsu_monomial_count(ctx: NablaContext, degree: int) -> int:
     """Monomials in c_2..c_n of the given weighted degree."""
     use = tuple(range(1, ctx.n))
@@ -146,15 +155,17 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int):
     modulo small primes (2c_1 vanishes mod 2, 3c_1 mod 3), so the mod-p
     kernel can be strictly larger than the reduction of the integral
     kernel; the quantity the claims consume is the integral kernel rank
-    per degree, which the rational computation gives exactly.  The span
-    of generator products is taken over ctx's field, so for F_p contexts
-    the check is: mod-p span rank = integral kernel rank = subring count.
+    per degree, which the rational computation gives exactly.  It is
+    integral_kernel_dim(n, degree): the source count minus the rank of
+    the QQ nabla matrix, ranked on ints (linalg.rank_int) and cached per
+    (n, degree), so every field of a claim shares one rank per degree.
+    The span of generator products is taken over ctx's field, so for
+    F_p contexts the check is: mod-p span rank = integral kernel rank =
+    subring count.
 
     Returns one report row per degree; any failure raises
     GeneratorCheckFailure naming the degree and witness.
     """
-    from .fields import QQ
-
     p = ctx.p
     if p is not None and ctx.n % p == 0:
         raise InvalidInput(f"p={p} divides n={ctx.n}")
@@ -165,10 +176,9 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int):
                 f"claimed generator {g!r} is not in the kernel")
         if not g.is_homogeneous():
             raise GeneratorCheckFailure(f"generator {g!r} not homogeneous")
-    qctx = make_context(ctx.n, QQ)
     rows = []
     for degree in range(0, max_degree + 1, 2):
-        kdim = len(kernel_of_nabla(qctx, degree))
+        kdim = integral_kernel_dim(ctx.n, degree)
         bdim = bsu_monomial_count(ctx, degree)
         gdim = generated_dim(ctx, gens, degree)
         ok = kdim == bdim == gdim

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -57,11 +58,6 @@ def make_table(names, weights=None) -> VariableTable:
     if weights is None:
         weights = (1,) * len(names)
     return VariableTable(names, tuple(weights))
-
-
-def _order_key(exps):
-    # Graded reverse lexicographic, for use with descending sorts.
-    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def _grevlex_key(table, exps):
@@ -356,9 +352,16 @@ def monomials_of_weighted_degree(table: VariableTable, d: int,
     """All exponent tuples of weighted degree exactly d, canonical order.
 
     use restricts to a subset of variable indices (others stay zero).
+    The enumeration is cached per (table, d, use); each call returns a
+    new list.
     """
+    return list(_monomials(table, d, None if use is None else tuple(use)))
+
+
+@lru_cache(maxsize=1024)
+def _monomials(table: VariableTable, d: int, use):
     n = len(table)
-    idxs = list(range(n)) if use is None else list(use)
+    idxs = range(n) if use is None else use
     out = []
 
     def rec(pos, remaining, current):
@@ -375,7 +378,7 @@ def monomials_of_weighted_degree(table: VariableTable, d: int,
 
     rec(0, d, [0] * n)
     out.sort(key=lambda e: _grevlex_key(table, e), reverse=True)
-    return out
+    return tuple(out)
 
 
 def hessian_det(F: Polynomial) -> Polynomial:

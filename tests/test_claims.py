@@ -303,3 +303,16 @@ def test_dropped_bitangent_seed_fails_the_orbit_check(monkeypatch):
     assert rec.status == "failed"
     assert rec.evidence == {"error": "CheckFailed: bitangent orbits: 16 "
                                      "distinct lines, need 28"}
+
+
+def test_klein_bitangents_reuse_the_checked_group(monkeypatch):
+    calls = []
+
+    def counted(F):
+        calls.append(F)
+        return quartic.signed_permutation_symmetries(F)
+
+    monkeypatch.setattr(claims, "signed_permutation_symmetries", counted)
+    report = run_claims(["klein-bitangents"])
+    assert report.claim("klein-bitangents").status == "verified"
+    assert len(calls) == 1

@@ -81,6 +81,15 @@ def test_non_line_and_non_cubic_rejected():
         line_on_surface(x_eq_y_eq_0, quadric)
 
 
+def test_line_forms_must_have_four_coordinates():
+    one, zero = Fraction(1), Fraction(0)
+    with pytest.raises(InvalidInput, match="width 3, need 4"):
+        Line3D.from_forms([[one, zero, zero], [zero, one, zero]], QQ)
+    line = Line3D.from_forms([[one, zero, zero, zero],
+                              [zero, one, zero, zero]], QQ)
+    assert len(line.spanning_points()) == 2
+
+
 def test_matrix_inverse_round_trip_and_singular():
     rng = random.Random(4451)
     for _ in range(5):

@@ -5,7 +5,7 @@ import pytest
 
 from enumtc.errors import InvalidInput
 from enumtc.fields import QQ, PrimeField, cyclotomic_field, field_inverse
-from enumtc.linalg import Matrix, rank_mod_p
+from enumtc.linalg import Matrix, rank_int, rank_mod_p
 
 
 def qmat(rows):
@@ -104,9 +104,85 @@ def test_prime_field_rank_never_calls_rref(monkeypatch):
     M = Matrix.from_rows([[F5.from_int(e) for e in r]
                           for r in [[1, 2, 3], [2, 4, 6], [0, 1, 4]]], F5)
     assert M.rank() == 2
-    # every other field still ranks through rref
+    # QQ ranks run on ints too
+    assert qmat([[1, 2], [3, 4]]).rank() == 2
+    # number fields still rank through rref
+    Q3 = cyclotomic_field(3)
     with pytest.raises(AssertionError, match="rref called"):
-        qmat([[1, 2], [3, 4]]).rank()
+        Matrix.from_rows([[Q3.one(), Q3.gen()], [Q3.gen(), Q3.one()]],
+                         Q3).rank()
+
+
+def test_rank_int_matches_rref_rank():
+    rng = random.Random(31)
+    shapes = [(0, 0), (0, 3), (1, 1), (3, 0)] + \
+        [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(296)]
+    for k, (n_rows, n_cols) in enumerate(shapes):
+        if k % 2:
+            def draw():
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        else:
+            def draw():
+                return rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)])
+        rows = deficient_rows(rng, n_rows, n_cols, draw)
+        if rows and k % 3 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n_cols)
+        M = Matrix.from_rows([[Fraction(e) for e in r] for r in rows], QQ,
+                             cols=n_cols)
+        expected = len(M.rref()[1])
+        assert M.rank() == expected
+        if k % 2 == 0:
+            before = [list(r) for r in rows]
+            assert rank_int(rows) == expected
+            assert rows == before
+
+
+def test_rank_int_small_cases():
+    assert rank_int([]) == 0
+    assert rank_int([[], []]) == 0
+    assert rank_int([[0]]) == 0 and rank_int([[-7]]) == 1
+    # the second pivot divides by the first; a skipped column keeps it
+    assert rank_int([[2, 4, 1], [4, 8, 3], [6, 12, 5]]) == 2
+    assert rank_int([[3, 1], [6, 2], [9, 4]]) == 2
+    assert qmat([[Fraction(1, 2), Fraction(1, 3)],
+                 [Fraction(3, 2), 1]]).rank() == 1
+
+
+def naive_product(A, B):
+    zero = A.field.zero()
+    return [[sum((A.at(i, k) * B.at(k, j) for k in range(A.cols)), zero)
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), cyclotomic_field(3)],
+                         ids=["QQ", "F5", "Qzeta3"])
+def test_product_matches_naive_triple_loop(field):
+    rng = random.Random(37)
+    gen = field.gen() if hasattr(field, "gen") else field.one()
+
+    def draw():
+        return rng.choice([field.zero(), field.zero(), field.one(),
+                           field.from_int(rng.randint(-4, 4)) * gen])
+
+    for _ in range(60):
+        n, m, k = (rng.randrange(0, 5) for _ in range(3))
+        A = [[draw() for _ in range(m)] for _ in range(n)]
+        B = [[draw() for _ in range(k)] for _ in range(m)]
+        # a zero row of A and a zero column of B
+        if n and m:
+            A[rng.randrange(n)] = [field.zero()] * m
+        if m and k:
+            j = rng.randrange(k)
+            for row in B:
+                row[j] = field.zero()
+        MA = Matrix(n, m, [e for r in A for e in r], field)
+        MB = Matrix(m, k, [e for r in B for e in r], field)
+        C = MA * MB
+        assert (C.rows, C.cols) == (n, k)
+        assert C.row_lists() == naive_product(MA, MB)
+    with pytest.raises(InvalidInput, match="dimension mismatch"):
+        Matrix(2, 3, [field.one()] * 6, field) * \
+            Matrix(2, 3, [field.one()] * 6, field)
 
 
 @pytest.mark.parametrize("field", [QQ, cyclotomic_field(3)],
@@ -237,3 +313,11 @@ def test_shape_validation():
         Matrix(2, 2, [Fraction(1)], QQ)
     with pytest.raises(InvalidInput):
         Matrix.from_rows([[Fraction(1)], [Fraction(1), Fraction(2)]], QQ)
+
+
+def test_from_rows_checks_a_stated_width():
+    with pytest.raises(InvalidInput, match="width 3, need 4"):
+        Matrix.from_rows([[Fraction(1), Fraction(0), Fraction(0)]], QQ,
+                         cols=4)
+    assert Matrix.from_rows([[Fraction(1)] * 4], QQ, cols=4).cols == 4
+    assert Matrix.from_rows([], QQ, cols=4).cols == 4

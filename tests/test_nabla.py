@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from enumtc import nabla as nabla_module
 from enumtc.errors import GeneratorCheckFailure, InvalidInput
 from enumtc.fields import QQ, PrimeField
+from enumtc.linalg import Matrix
 from enumtc.nabla import (
     bsu_monomial_count,
     generated_dim,
+    integral_kernel_dim,
     kernel_of_nabla,
     make_context,
     nabla,
@@ -197,3 +200,39 @@ def test_mod_p_kernel_can_exceed_integral_rank():
     ctx3 = make_context(4, PrimeField(3))
     assert len(kernel_of_nabla(ctx3, 6)) == 2
     assert bsu_monomial_count(ctx3, 6) == 1
+
+
+def test_integral_kernel_dim_matches_kernel_basis():
+    # odd degrees included: the derivation maps them to the zero space
+    for n in (3, 4):
+        ctx = make_context(n, QQ)
+        for degree in range(17):
+            assert integral_kernel_dim(n, degree) == \
+                len(kernel_of_nabla(ctx, degree))
+
+
+def test_fields_of_a_claim_share_one_rank_per_degree(monkeypatch):
+    built, ranked = [], []
+    build, rank = nabla_module.nabla_matrix, Matrix.rank
+
+    def spy_build(ctx, degree):
+        out = build(ctx, degree)
+        if ctx.field == QQ:
+            built.append((degree, out[0]))
+        return out
+
+    def spy_rank(self):
+        ranked.extend(d for d, M in built if M is self)
+        return rank(self)
+
+    monkeypatch.setattr(nabla_module, "nabla_matrix", spy_build)
+    monkeypatch.setattr(Matrix, "rank", spy_rank)
+    integral_kernel_dim.cache_clear()
+    try:
+        for field in (QQ, PrimeField(3), PrimeField(5), PrimeField(7)):
+            ctx, gens = stated_image_generators(4, field)
+            rows = verify_generators(ctx, gens, 14)
+            assert [r["degree"] for r in rows] == list(range(0, 15, 2))
+    finally:
+        integral_kernel_dim.cache_clear()
+    assert sorted(ranked) == [d for d, _ in built] == list(range(0, 15, 2))

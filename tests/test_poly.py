@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from enumtc import poly
 from enumtc.errors import (
     GradingViolation,
     IncompleteMap,
@@ -164,6 +166,28 @@ def test_monomials_of_weighted_degree():
     assert monomials_of_weighted_degree(t, 7) == []
     sub = monomials_of_weighted_degree(t, 8, use=(1,))
     assert sub == [(0, 2)]
+
+
+def test_monomials_are_cached_but_never_shared():
+    t = make_table(("a", "b", "c"), (1, 2, 3))
+
+    def fresh(d, use=None):
+        idxs = range(3) if use is None else use
+        out = [e for e in itertools.product(range(d + 1), repeat=3)
+               if t.weighted_degree(e) == d
+               and all(e[i] == 0 for i in range(3) if i not in idxs)]
+        return sorted(out, key=lambda e: poly._grevlex_key(t, e),
+                      reverse=True)
+
+    for d in range(9):
+        for use in (None, (0, 2), [1, 2]):
+            first = monomials_of_weighted_degree(t, d, use=use)
+            assert first == fresh(d, use)
+            first.append((99, 0, 0))
+            first.reverse()
+            again = monomials_of_weighted_degree(t, d, use=use)
+            assert again == fresh(d, use)
+            assert again is not first
 
 
 def test_exact_division():
