@@ -31,7 +31,7 @@ class IncompleteMap(EnumTCError):
 
 
 class InvalidIndex(EnumTCError):
-    """An index (variable, subresultant, root choice) is out of range."""
+    """An index (variable, root choice) is out of range."""
 
 
 class InvalidInput(EnumTCError):
@@ -61,15 +61,6 @@ class NotInvariant(EnumTCError):
 
 class CollisionAtTolerance(EnumTCError):
     """Two points are closer than the matching tolerance allows."""
-
-
-class DegenerateCoordinates(EnumTCError):
-    """A coordinate chart is degenerate for the given input curve."""
-
-
-class AmbiguousClassification(EnumTCError):
-    """A candidate solution sits in the dead zone between two
-    classification thresholds."""
 
 
 class CheckFailed(EnumTCError):

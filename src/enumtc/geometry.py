@@ -126,14 +126,10 @@ class PointP2:
     """Projective plane point: largest-modulus coordinate is exactly 1."""
 
     coords: tuple
-    residual: float = 0.0
-    multiplicity: int = 1
 
     @classmethod
-    def from_coords(cls, coords, residual: float = 0.0,
-                    multiplicity: int = 1):
-        return cls(normalize_projective(tuple(complex(c) for c in coords)),
-                   residual, multiplicity)
+    def from_coords(cls, coords):
+        return cls(normalize_projective(tuple(complex(c) for c in coords)))
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,10 @@ class LineP2:
     """Projective plane line ax+by+cz = 0, normalized like PointP2."""
 
     coords: tuple
-    residual: float = 0.0
 
     @classmethod
-    def from_coords(cls, coords, residual: float = 0.0):
-        return cls(normalize_projective(tuple(complex(c) for c in coords)),
-                   residual)
+    def from_coords(cls, coords):
+        return cls(normalize_projective(tuple(complex(c) for c in coords)))
 
 
 def _numeric_image(g, obj):

@@ -2,10 +2,9 @@
 
 Sparse term maps keyed by exponent tuples, with a graded reverse
 lexicographic canonical order used for printing, hashing of term lists,
-leading terms, and JSON output.  Also houses the univariate machinery the
-elimination steps need: Sylvester resultants and principal subresultant
-coefficients via fraction-free Bareiss determinants, monic gcd over a
-field, and the closed-form quartic discriminant.
+leading terms, and JSON output.  Also houses univariate machinery:
+Sylvester resultants via fraction-free Bareiss determinants, and the
+monic gcd over a field that the exact contact checks use.
 """
 
 from __future__ import annotations
@@ -396,56 +395,7 @@ def hessian_det(F: Polynomial) -> Polynomial:
             + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0]))
 
 
-# ----- restriction of a quartic to a pencil of lines -----
-
-CHARTS = ("z=ax+by", "y=ax+bz", "x=ay+bz")
-
-# chart -> (solved variable, (kept1, kept2)); the line is
-# solved = a*kept1 + b*kept2.
-_CHART_SHAPE = {
-    "z=ax+by": ("z", ("x", "y")),
-    "y=ax+bz": ("y", ("x", "z")),
-    "x=ay+bz": ("x", ("y", "z")),
-}
-
-
-@dataclass
-class BinaryFormSlice:
-    """Degree-d binary form; coeffs[i] multiplies s^(d-i) t^i.
-
-    Entries are polynomials in (a, b); the degree is recorded explicitly
-    because leading entries may vanish for particular (a, b).
-    """
-
-    degree: int
-    coeffs: list
-    chart: str = ""
-
-
-def restrict_to_line(F: Polynomial, chart: str) -> BinaryFormSlice:
-    """Substitute one chart of the line pencil into a ternary quartic."""
-    if chart not in _CHART_SHAPE:
-        raise InvalidInput(f"unknown chart {chart!r}")
-    if len(F.table) != 3 or not F.is_homogeneous() or F.weighted_degree() != 4:
-        raise InvalidInput("restrict_to_line expects a ternary quartic")
-    solved, (k1, k2) = _CHART_SHAPE[chart]
-    work = make_table((k1, k2, "a", "b"))
-    fld = F.field
-    xs = Polynomial.variable(k1, work, fld)
-    xt = Polynomial.variable(k2, work, fld)
-    a = Polynomial.variable("a", work, fld)
-    b = Polynomial.variable("b", work, fld)
-    images = {k1: xs, k2: xt, solved: a * xs + b * xt}
-    g = substitute(F, SpecializationMap(images))
-    ab = make_table(("a", "b"))
-    qs = [Polynomial.zero(ab, fld) for _ in range(5)]
-    for e, c in g.terms.items():
-        es, et, ea, eb = e
-        qs[et] = qs[et] + Polynomial.monomial((ea, eb), c, ab, fld)
-    return BinaryFormSlice(4, qs, chart)
-
-
-# ----- univariate views, resultants, subresultants -----
+# ----- univariate views, resultants, gcd -----
 
 def univariate_coeffs(f: Polynomial, var: str):
     """Coefficient list in var, low to high, entries free of var."""
@@ -544,28 +494,6 @@ def resultant(f: Polynomial, g: Polynomial, var: str,
     return bareiss_determinant(rows, zero, one)
 
 
-def principal_subresultant(f: Polynomial, g: Polynomial, j: int, var: str,
-                           deg_f: int = None, deg_g: int = None):
-    """j-th principal subresultant coefficient at the declared degrees.
-
-    psc_j vanishes for all j < k exactly when deg gcd(f, g) >= k (over a
-    field); psc_0 is the resultant.
-    """
-    fc, gc, m, n = _declared_coeff_lists(f, g, var, deg_f, deg_g)
-    if m <= 0 and n <= 0:
-        raise InvalidInput("both inputs constant in the variable")
-    if not 0 <= j < min(m, n):
-        raise InvalidIndex(f"j={j} outside [0, min({m},{n}))")
-    zero = Polynomial.zero(f.table, f.field)
-    one = Polynomial.one(f.table, f.field)
-    width = m + n - j
-    rows = _shift_rows(list(reversed(fc)), n - j, width, zero)
-    rows += _shift_rows(list(reversed(gc)), m - j, width, zero)
-    keep = m + n - 2 * j
-    rows = [row[:keep] for row in rows]
-    return bareiss_determinant(rows, zero, one)
-
-
 def _field_univ_coeffs(f: Polynomial, var: str):
     coeffs = univariate_coeffs(f, var)
     out = []
@@ -602,30 +530,6 @@ def univariate_gcd(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     inv_lead = field_inverse(a[-1])
     monic = [c * inv_lead for c in a]
     return from_univariate_coeffs(monic, var, f.table, f.field)
-
-
-def quartic_discriminant(a, b, c, d, e):
-    """Discriminant of a*T^4 + b*T^3 + c*T^2 + d*T + e.
-
-    Entries may be field elements or polynomials; only ring operations and
-    integer scalars are used.  Res_T(q, q') = a * disc for degree 4.
-    """
-    return (256 * (a * a * a) * (e * e * e)
-            - 192 * (a * a) * (b * d) * (e * e)
-            - 128 * (a * a) * (c * c) * (e * e)
-            + 144 * (a * a) * (c * e) * (d * d)
-            - 27 * (a * a) * (d * d) * (d * d)
-            + 144 * a * (b * b) * (c * e * e)
-            - 6 * a * (b * b) * (d * d * e)
-            - 80 * a * (b * c) * (c * d * e)
-            + 18 * a * (b * c) * (d * d * d)
-            + 16 * a * (c * c) * (c * c * e)
-            - 4 * a * (c * c) * (c * d * d)
-            - 27 * (b * b) * (b * b) * (e * e)
-            + 18 * (b * b) * (b * c) * (d * e)
-            - 4 * (b * b) * (b * d) * (d * d)
-            - 4 * (b * b) * (c * c) * (c * e)
-            + (b * b) * (c * c) * (d * d))
 
 
 # ----- JSON -----

@@ -9,10 +9,10 @@ import random
 from fractions import Fraction
 from time import perf_counter
 
-import numpy as np
-
 from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.geometry import (
+    LineP2,
+    PointP2,
     common_fixed_check,
     fermat_cubic,
     fermat_lines,
@@ -36,15 +36,23 @@ from enumtc.numroots import chordal_distance
 from enumtc.poly import (
     Polynomial,
     SpecializationMap,
+    hessian_det,
     make_table,
     resultant,
     substitute,
     univariate_gcd,
 )
-from enumtc.quartic import bitangent_scan, flex_points, klein_quartic
+from enumtc.quartic import (
+    embedded,
+    exact_bitangents,
+    exact_flex_tangents,
+    exact_flexes,
+    klein_bitangent_seeds,
+    klein_flex_seed,
+    klein_quartic,
+    signed_permutation_symmetries,
+)
 from enumtc.restriction import h_datum, k_datum, phi_star_generators
-
-np.seterr(all="ignore")
 
 _MEMO = {}
 
@@ -71,8 +79,24 @@ def seq_h():
                 lambda: GradedSequence(tuple(phi_star_generators(h_datum()))))
 
 
-def klein_flex_list():
-    return _get("flexes", lambda: flex_points(klein_quartic(), tol=1e-10))
+def klein_flexes():
+    """The Klein quartic, its checked sign symmetries, its exact flexes."""
+    def build():
+        F = klein_quartic()
+        group = signed_permutation_symmetries(F)
+        return F, group, exact_flexes(F, klein_flex_seed(), group)
+    return _get("flexes", build)
+
+
+def _value_at(P, point):
+    """P at an exact point, term by term."""
+    total = P.field.zero()
+    for e, c in P.terms.items():
+        for x, k in zip(point, e):
+            if k:
+                c = c * x ** k
+        total = total + c
+    return total
 
 
 def test_criterion_01_regseq_pu4k():
@@ -176,42 +200,44 @@ def test_criterion_07_fermat_lines_and_witness():
 
 def test_criterion_08_klein_flexes():
     t0 = perf_counter()
-    pts = klein_flex_list()
+    F, _, flexes = klein_flexes()
     dt = perf_counter() - t0
+    H = hessian_det(F)
+    on_both = all(not _value_at(F, p) and not _value_at(H, p)
+                  for p in flexes)
+    pts = [PointP2.from_coords(embedded(p)) for p in flexes]
     distinct = all(chordal_distance(pts[i].coords, q.coords) > 1e-6
                    for i in range(len(pts)) for q in pts[i + 1:])
-    max_res = max(p.residual for p in pts)
-    action = make_group_action(h_group_matrices(), list(pts), tol=1e-6)
+    action = make_group_action(h_group_matrices(), pts, tol=1e-6)
     check = common_fixed_check(action)
     moves = all(r["moved"] >= 1 and r["min_displacement"] > 1e-3
                 for r in check["rows"])
-    ok = (len(pts) == 24 and distinct and max_res < 1e-8 and moves
-          and dt < 30)
-    _criterion(8, ok, f"{len(pts)} flexes, max residual {max_res:.2e}, "
-                      f"all sign changes move one by > 1e-3: {moves}, "
-                      f"{dt:.2f}s")
+    ok = len(pts) == 24 and distinct and on_both and moves and dt < 30
+    _criterion(8, ok, f"{len(pts)} flexes, F = Hess F = 0 exactly at "
+                      f"each: {on_both}, all sign changes move one by "
+                      f"> 1e-3: {moves}, {dt:.2f}s")
 
 
 def test_criterion_09_klein_bitangents():
+    F, group, flexes = klein_flexes()
     t0 = perf_counter()
-    scan = bitangent_scan(klein_quartic(), tol=1e-10)
+    bits = exact_bitangents(F, klein_bitangent_seeds(), group)
+    tangents = exact_flex_tangents(F, flexes)
     dt = perf_counter() - t0
-    bits, flt = scan.bitangents, scan.flex_tangents
-    distinct = all(chordal_distance(a.line.coords, b.line.coords) > 1e-6
-                   for i, a in enumerate(bits) for b in bits[i + 1:])
-    max_res = max(t.residual for t in bits)
-    flexes = klein_flex_list()
-    matches = all(min(chordal_distance(t.tangencies[0].coords, f.coords)
-                      for f in flexes) < 1e-6 for t in flt)
-    action = make_group_action(h_group_matrices(),
-                               [t.line for t in bits], tol=1e-6)
+    lines = [LineP2.from_coords(embedded(v)) for v in bits]
+    distinct = all(chordal_distance(a.coords, b.coords) > 1e-6
+                   for i, a in enumerate(lines) for b in lines[i + 1:])
+    zero = F.field.zero()
+    meets = all(t[0] * p[0] + t[1] * p[1] + t[2] * p[2] == zero
+                for t, p in zip(tangents, flexes))
+    action = make_group_action(h_group_matrices(), lines, tol=1e-6)
     check = common_fixed_check(action)
     moves = all(r["moved"] >= 1 for r in check["rows"])
-    ok = (len(bits) == 28 and distinct and max_res < 1e-6
-          and len(flt) == 24 and matches and moves and dt < 120)
-    _criterion(9, ok, f"{len(bits)} bitangents (max residual "
-                      f"{max_res:.2e}), {len(flt)} flex tangents matching "
-                      f"the flexes: {matches}, {dt:.2f}s")
+    ok = (len(bits) == 28 and distinct and len(tangents) == 24 and meets
+          and moves and dt < 120)
+    _criterion(9, ok, f"{len(bits)} bitangents (contact gcds checked "
+                      f"exactly), {len(tangents)} flex tangents meeting "
+                      f"their flexes: {meets}, {dt:.2f}s")
 
 
 def test_criterion_10_tor_concentration():

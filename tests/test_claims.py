@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from enumtc import claims, cli, errors, quartic
@@ -15,8 +14,6 @@ from enumtc.claims import (
 )
 from enumtc.errors import InconsistentEvidence, InvalidInput, UnknownClaim
 from enumtc.koszul import HilbertSeries
-
-np.seterr(all="ignore")
 
 
 def test_genus_bounds_windows():

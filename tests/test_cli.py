@@ -2,14 +2,11 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from enumtc import cli
 from enumtc.cli import build_parser, main
 from enumtc.errors import InconsistentEvidence
-
-np.seterr(all="ignore")
 
 
 def test_list_prints_every_id(capsys):

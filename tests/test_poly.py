@@ -14,17 +14,14 @@ from enumtc.errors import (
 )
 from enumtc.fields import QQ, PrimeField
 from enumtc.poly import (
-    CHARTS,
     Polynomial,
     SpecializationMap,
+    bareiss_determinant,
     elementary_symmetric,
     hessian_det,
     make_table,
     monomials_of_weighted_degree,
     polynomial_to_json,
-    principal_subresultant,
-    quartic_discriminant,
-    restrict_to_line,
     resultant,
     substitute,
     univariate_coeffs,
@@ -246,40 +243,49 @@ def test_hessian_covariance_random():
         assert lhs == rhs
 
 
+XYAB = make_table(("x", "y", "a", "b"))
+
+
+def _restrict_z_ax_by(F):
+    """F on the line z = a x + b y by substitute, as binary-form coefficients.
+
+    Entry i is the coefficient of x^(4-i) y^i, a polynomial in a and b.
+    """
+    x, y, a, b = (Polynomial.variable(n, XYAB, QQ) for n in XYAB.names)
+    f = substitute(F, SpecializationMap({"x": x, "y": y, "z": a * x + b * y}))
+    coeffs = [Polynomial.zero(XYAB, QQ) for _ in range(5)]
+    for (_, ey, ea, eb), c in f.terms.items():
+        coeffs[ey] = coeffs[ey] + Polynomial.monomial((0, 0, ea, eb), c,
+                                                      XYAB, QQ)
+    return coeffs, a, b
+
+
 def test_restrict_to_line_z_power():
-    x, y, z = var("x"), var("y"), var("z")
-    q = restrict_to_line(z ** 4, "z=ax+by")
-    ab = q.coeffs[0].table
-    a = Polynomial.variable("a", ab, QQ)
-    b = Polynomial.variable("b", ab, QQ)
-    assert q.coeffs[0] == a ** 4
-    assert q.coeffs[4] == b ** 4
-    assert q.coeffs[1] == 4 * (a ** 3) * b
+    z = var("z")
+    q, a, b = _restrict_z_ax_by(z ** 4)
+    assert q[0] == a ** 4
+    assert q[4] == b ** 4
+    assert q[1] == 4 * (a ** 3) * b
 
 
 def test_restrict_fermat_quartic():
     x, y, z = var("x"), var("y"), var("z")
-    F = x ** 4 + y ** 4 + z ** 4
-    q = restrict_to_line(F, "z=ax+by")
-    ab = q.coeffs[0].table
-    a = Polynomial.variable("a", ab, QQ)
-    b = Polynomial.variable("b", ab, QQ)
-    one = Polynomial.one(ab, QQ)
-    assert q.coeffs[0] == one + a ** 4
-    assert q.coeffs[1] == 4 * a ** 3 * b
-    assert q.coeffs[2] == 6 * a ** 2 * b ** 2
-    assert q.coeffs[3] == 4 * a * b ** 3
-    assert q.coeffs[4] == one + b ** 4
+    q, a, b = _restrict_z_ax_by(x ** 4 + y ** 4 + z ** 4)
+    one = Polynomial.one(XYAB, QQ)
+    assert q[0] == one + a ** 4
+    assert q[1] == 4 * a ** 3 * b
+    assert q[2] == 6 * a ** 2 * b ** 2
+    assert q[3] == 4 * a * b ** 3
+    assert q[4] == one + b ** 4
 
 
 def test_restrict_no_dependence():
     x, y = var("x"), var("y")
-    F = x ** 4 + x ** 2 * y ** 2
-    q = restrict_to_line(F, "z=ax+by")
-    for c in q.coeffs:
+    q, _, _ = _restrict_z_ax_by(x ** 4 + x ** 2 * y ** 2)
+    for c in q:
         assert not c.degree_in("a") > 0
         assert not c.degree_in("b") > 0
-    assert len(CHARTS) == 3
+    assert [c.constant_value() if c else 0 for c in q] == [1, 0, 1, 0, 0]
 
 
 def test_resultant_linear():
@@ -313,13 +319,33 @@ def test_resultant_both_constant():
         resultant(one, one + one, "x")
 
 
+def _psc(f, g, j, var="x"):
+    """The j-th principal subresultant coefficient of f and g.
+
+    The determinant of the first m + n - 2j columns of the Sylvester rows
+    x^(n-j-1) f, ..., f, x^(m-j-1) g, ..., g.  psc_0 is the resultant, and
+    over a field deg gcd(f, g) is the first j with psc_j != 0.
+    """
+    fc = list(reversed(univariate_coeffs(f, var)))
+    gc = list(reversed(univariate_coeffs(g, var)))
+    m, n = len(fc) - 1, len(gc) - 1
+    assert 0 <= j < min(m, n)
+    zero, one = Polynomial.zero(f.table, f.field), Polynomial.one(f.table,
+                                                                  f.field)
+    keep = m + n - 2 * j
+    rows = [([zero] * i + fc + [zero] * keep)[:keep] for i in range(n - j)]
+    rows += [([zero] * i + gc + [zero] * keep)[:keep] for i in range(m - j)]
+    return bareiss_determinant(rows, zero, one)
+
+
 def test_psc_simple():
     t = make_table(("x",))
     x = Polynomial.variable("x", t, QQ)
     f = x * x - 1
     g = 2 * x
-    p0 = principal_subresultant(f, g, 0, "x")
+    p0 = _psc(f, g, 0)
     assert p0.constant_value() == -4
+    assert p0 == resultant(f, g, "x")
 
 
 def test_psc_double_double():
@@ -327,9 +353,9 @@ def test_psc_double_double():
     x = Polynomial.variable("x", t, QQ)
     f = (x - 1) ** 2 * (x - 2) ** 2
     g = f.partial("x")
-    assert not principal_subresultant(f, g, 0, "x")
-    assert not principal_subresultant(f, g, 1, "x")
-    assert principal_subresultant(f, g, 2, "x")
+    assert not _psc(f, g, 0)
+    assert not _psc(f, g, 1)
+    assert _psc(f, g, 2)
     # deg gcd = 2 exactly, matching the vanishing pattern
     assert univariate_gcd(f, g, "x").degree_in("x") == 2
 
@@ -339,10 +365,11 @@ def test_psc_x4():
     x = Polynomial.variable("x", t, QQ)
     f = x ** 4
     g = 4 * x ** 3
-    assert not principal_subresultant(f, g, 0, "x")
-    assert not principal_subresultant(f, g, 1, "x")
-    with pytest.raises(InvalidIndex):
-        principal_subresultant(f, g, 3, "x")
+    assert not _psc(f, g, 0)
+    assert not _psc(f, g, 1)
+    assert not _psc(f, g, 2)
+    # every psc below min(4, 3) vanishes: gcd(f, g) = x^3 is g itself
+    assert univariate_gcd(f, g, "x") == x ** 3
 
 
 def test_univariate_gcd():
@@ -403,37 +430,56 @@ def test_psc_pattern_matches_gcd_degree():
         dgcd = univariate_gcd(f, g, "x").degree_in("x")
         m, n = f.degree_in("x"), g.degree_in("x")
         for j in range(min(m, n)):
-            p = principal_subresultant(f, g, j, "x")
+            p = _psc(f, g, j)
             if j < dgcd:
                 assert not p
         # First nonvanishing index is exactly dgcd when in range.
         if dgcd < min(m, n):
-            assert principal_subresultant(f, g, dgcd, "x")
+            assert _psc(f, g, dgcd)
+
+
+def _disc4(a, b, c, d, e):
+    """Classical discriminant of a*T^4 + b*T^3 + c*T^2 + d*T + e."""
+    return (256 * a ** 3 * e ** 3 - 192 * a ** 2 * b * d * e ** 2
+            - 128 * a ** 2 * c ** 2 * e ** 2 + 144 * a ** 2 * c * d ** 2 * e
+            - 27 * a ** 2 * d ** 4 + 144 * a * b ** 2 * c * e ** 2
+            - 6 * a * b ** 2 * d ** 2 * e - 80 * a * b * c ** 2 * d * e
+            + 18 * a * b * c * d ** 3 + 16 * a * c ** 4 * e
+            - 4 * a * c ** 3 * d ** 2 - 27 * b ** 4 * e ** 2
+            + 18 * b ** 3 * c * d * e - 4 * b ** 3 * d ** 3
+            - 4 * b ** 2 * c ** 3 * e + b ** 2 * c ** 2 * d ** 2)
+
+
+def _quartic(cs, t):
+    f = Polynomial.zero(t, QQ)
+    for i, c in enumerate(cs):
+        f = f + Polynomial.monomial((4 - i,), c, t, QQ)
+    return f
 
 
 def test_quartic_discriminant_matches_resultant():
+    # Res(f, f') = a * disc(f) in degree 4
     rng = random.Random(99)
     t = make_table(("x",))
-    x = Polynomial.variable("x", t, QQ)
     for _ in range(30):
         cs = [Fraction(rng.randrange(-5, 6)) for _ in range(5)]
         if cs[0] == 0:
             cs[0] = Fraction(1)
-        f = Polynomial.zero(t, QQ)
-        for i, c in enumerate(cs):
-            f = f + Polynomial.monomial((4 - i,), c, t, QQ)
-        disc = quartic_discriminant(*cs)
+        f = _quartic(cs, t)
         res = resultant(f, f.partial("x"), "x")
-        assert res.constant_value() == cs[0] * disc
+        assert res.constant_value() == cs[0] * _disc4(*cs)
 
 
 def test_quartic_discriminant_double_root():
-    # (T-1)^2 (T-2)(T-3) has a repeated root, so disc = 0.
-    from math import prod
-    # expand (T-1)^2 (T-2)(T-3) = T^4 -7T^3 +17T^2 -17T + 6
-    assert quartic_discriminant(
-        Fraction(1), Fraction(-7), Fraction(17), Fraction(-17), Fraction(6)
-    ) == 0
+    # (T-1)^2 (T-2)(T-3) = T^4 - 7T^3 + 17T^2 - 17T + 6 has a repeated
+    # root, so disc = 0; moving the constant term separates the roots.
+    t = make_table(("x",))
+    cs = [Fraction(c) for c in (1, -7, 17, -17, 6)]
+    assert _disc4(*cs) == 0
+    f = _quartic(cs, t)
+    assert not resultant(f, f.partial("x"), "x")
+    f = _quartic(cs[:4] + [Fraction(7)], t)
+    assert resultant(f, f.partial("x"), "x")
 
 
 def _polynomial_from_blob(blob, field, parse):

@@ -1,35 +1,31 @@
-import random
-from fractions import Fraction
-
-import numpy as np
 import pytest
 
-from enumtc.errors import (
-    AmbiguousClassification,
-    CheckFailed,
-    InvalidInput,
-    NotInvariant,
-    NumericFailure,
-)
-from enumtc.fields import QQ, cyclotomic_field
+from enumtc.errors import CheckFailed, InvalidInput, NotInvariant
+from enumtc.fields import NumberField, cyclotomic_field
 from enumtc.geometry import (
+    LineP2,
+    PointP2,
     compose_with_matrix,
     h_group_matrices,
     induced_permutation,
     verify_projective_equivalence,
 )
-from enumtc.numroots import aberth_roots, chordal_distance, polyeig
+from enumtc.numroots import chordal_distance
 from enumtc import quartic
-from enumtc.poly import CHARTS, Polynomial, hessian_det, make_table
+from enumtc.poly import (
+    Polynomial,
+    SpecializationMap,
+    hessian_det,
+    make_table,
+    substitute,
+)
 from enumtc.quartic import (
     PLANE_VARS,
-    bitangent_scan,
     classical_klein_quartic,
     embedded,
     exact_bitangents,
     exact_flex_tangents,
     exact_flexes,
-    flex_points,
     klein_bitangent_seeds,
     klein_flex_seed,
     klein_quartic,
@@ -38,27 +34,7 @@ from enumtc.quartic import (
     smoothness_certificate,
 )
 
-np.seterr(all="ignore")
-
 _MEMO = {}
-
-
-def klein_flexes():
-    if "flex" not in _MEMO:
-        _MEMO["flex"] = flex_points(klein_quartic())
-    return _MEMO["flex"]
-
-
-def klein_scan():
-    if "scan" not in _MEMO:
-        _MEMO["scan"] = bitangent_scan(klein_quartic())
-    return _MEMO["scan"]
-
-
-def fermat_quartic():
-    t = make_table(PLANE_VARS)
-    x, y, z = (Polynomial.variable(n, t, QQ) for n in PLANE_VARS)
-    return x ** 4 + y ** 4 + z ** 4
 
 
 def test_klein_models_and_alpha_roots():
@@ -84,205 +60,6 @@ def test_klein_models_and_alpha_roots():
     assert quartic_to_classical_matrix(True) != M
 
 
-def test_non_quartic_inputs_rejected():
-    t = make_table(PLANE_VARS)
-    x, y, z = (Polynomial.variable(n, t, QQ) for n in PLANE_VARS)
-    with pytest.raises(InvalidInput):
-        flex_points(x ** 3 + y ** 3 + z ** 3)
-    with pytest.raises(InvalidInput):
-        bitangent_scan(x ** 4 + y ** 3)
-    t2 = make_table(("s", "t"))
-    s = Polynomial.variable("s", t2, QQ)
-    with pytest.raises(InvalidInput):
-        flex_points(s ** 4)
-
-
-def test_klein_flexes_simple_and_separated():
-    pts = klein_flexes()
-    assert len(pts) == 24
-    assert all(p.multiplicity == 1 for p in pts)
-    assert max(p.residual for p in pts) < 1e-8
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            assert chordal_distance(p.coords, q.coords) > 1e-3
-
-
-def test_fermat_flexes_are_twelve_hyperflexes():
-    pts = flex_points(fermat_quartic())
-    assert len(pts) == 12
-    assert all(p.multiplicity == 2 for p in pts)
-    assert sum(p.multiplicity for p in pts) == 24
-
-
-def test_klein_scan_counts_kinds_and_flex_match():
-    scan = klein_scan()
-    assert len(scan.bitangents) == 28
-    assert len(scan.flex_tangents) == 24
-    assert scan.coordinate_change is None
-    for t in scan.bitangents:
-        assert t.kind == "bitangent"
-        assert len(t.tangencies) == 2
-        assert t.residual < 1e-6
-    flexes = klein_flexes()
-    for t in scan.flex_tangents:
-        assert t.kind == "flex"
-        (tp,) = t.tangencies
-        assert min(chordal_distance(tp.coords, f.coords)
-                   for f in flexes) < 1e-6
-    lines = [t.line for t in scan.bitangents]
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            assert chordal_distance(a.coords, b.coords) > scan.dedup_radius
-
-
-def test_fermat_scan_needs_coordinate_change():
-    scan = bitangent_scan(fermat_quartic())
-    assert scan.coordinate_change is not None
-    bits, flt = scan.bitangents, scan.flex_tangents
-    hyper = [t for t in flt if t.kind == "hyperflex"]
-    assert len(bits) == 16
-    assert len(hyper) == 12 and len(flt) == 12
-    # classical counts with multiplicity
-    assert len(bits) + len(hyper) == 28
-    assert sum(1 for t in flt if t.kind == "flex") + 2 * len(hyper) == 24
-    for t in hyper:
-        (tp,) = t.tangencies
-        assert tp.multiplicity == 2
-    # the hyperflex tangency points are the flexes of the curve
-    pts = flex_points(fermat_quartic())
-    for t in hyper:
-        d = min(chordal_distance(t.tangencies[0].coords, p.coords)
-                for p in pts)
-        assert d < 1e-6
-
-
-def scalar_candidates(fit):
-    # The per-eigenvalue loop _ChartFit.candidates replaced, kept as its
-    # reference: one root solve per eigenvalue, double sums for the S1 cut.
-    G0, G1 = fit.G0, fit.G1
-    da0, db0 = G0.shape[0] - 1, G0.shape[1] - 1
-    da1, db1 = G1.shape[0] - 1, G1.shape[1] - 1
-    size = db0 + db1
-    mats = [np.zeros((size, size), dtype=complex)
-            for _ in range(max(da0, da1) + 1)]
-    for r in range(db1):
-        for j in range(db0 + 1):
-            for k in range(da0 + 1):
-                mats[k][r, r + j] += G0[k, db0 - j]
-    for r in range(db0):
-        for j in range(db1 + 1):
-            for k in range(da1 + 1):
-                mats[k][db1 + r, r + j] += G1[k, db1 - j]
-    out = []
-    for a0 in polyeig(mats):
-        if abs(a0) > 1e8:
-            continue
-        c0 = [sum(G0[k, j] * a0 ** k for k in range(da0 + 1))
-              for j in range(db0 + 1)]
-        scale0 = max(abs(v) for v in c0)
-        if scale0 < 1e-12:
-            continue
-        (bs,), (ok,) = aberth_roots([[v / scale0 for v in c0]])
-        if not ok:
-            continue
-        for b0 in bs:
-            if abs(b0) > 1e8:
-                continue
-            v1 = sum(G1[k, j] * a0 ** k * b0 ** j
-                     for k in range(da1 + 1) for j in range(db1 + 1))
-            br = max(1.0, abs(b0))
-            s1scale = sum(abs(G1[k, j]) * abs(a0) ** k * br ** j
-                          for k in range(da1 + 1) for j in range(db1 + 1))
-            if abs(v1) <= 1e-4 * max(s1scale, 1e-30):
-                out.append((a0, b0))
-    return out
-
-
-def test_candidates_match_scalar_reference():
-    F = klein_quartic()
-    fit = quartic._ChartFit(F, CHARTS[0], quartic._embed_root(F.field))
-    got, ref = fit.candidates(1e-10), scalar_candidates(fit)
-    assert len(got) == len(ref) == 840
-    # Each b is a double root of S0(a, .), a node of the dual curve, so
-    # rounding S0(a, .) differently moves it by about sqrt(eps) = 1.5e-8.
-    for pair, ref_pair in zip(got, ref):
-        for v, w in zip(pair, ref_pair):
-            assert abs(v - w) <= 1e-7 * max(1.0, abs(w))
-
-
-def test_sign_group_permutes_flexes_and_bitangents():
-    pts = list(klein_flexes())
-    lines = [t.line for t in klein_scan().bitangents]
-    for h in h_group_matrices()[1:]:
-        perm = induced_permutation(h, pts, tol=1e-6)
-        assert sorted(perm) == list(range(24))
-        assert any(perm[i] != i for i in range(24))
-        lperm = induced_permutation(h, lines, tol=1e-6)
-        assert sorted(lperm) == list(range(28))
-
-
-def test_fractional_flex_multiplicities_are_never_truncated(monkeypatch):
-    # Two lifts of one root cluster that fail to merge carry 1/2 each.
-    # The multiplicities still sum to 24, but int(1/2) would report a
-    # multiplicity-0 flex, so every coordinate attempt must be rejected.
-    F = klein_quartic()
-    (p, res, _), *rest = quartic._flex_core(F, 1e-10,
-                                            quartic._embed_root(F.field))
-    apart = tuple(c + 0.5 for c in p)
-    split = [(p, res, Fraction(1, 2)), (apart, res, Fraction(1, 2))] + rest
-    calls = []
-    monkeypatch.setattr(quartic, "_flex_core",
-                        lambda G, tol, root: calls.append(G) or split)
-    with pytest.raises(NumericFailure, match="positive integers"):
-        flex_points(F)
-    assert len(calls) == quartic.MAX_ATTEMPTS
-
-
-def test_flex_retry_survives_a_failing_attempt(monkeypatch):
-    # Attempt 0 loses one flex, so it is rejected.  On the Klein quartic
-    # the mapped-back refinement of attempt 1 stalls; that failure must
-    # end attempt 1 only.
-    real = quartic._flex_core
-    calls = []
-
-    def drop_one_first(G, tol, root):
-        calls.append(G)
-        pts = real(G, tol, root)
-        return pts[1:] if len(calls) == 1 else pts
-
-    monkeypatch.setattr(quartic, "_flex_core", drop_one_first)
-    try:
-        flex_points(klein_quartic())
-    except NumericFailure as exc:
-        assert all("attempt %d: " % k in str(exc)
-                   for k in range(quartic.MAX_ATTEMPTS))
-    assert len(calls) >= 3
-
-
-def test_ambiguous_contact_ends_only_its_attempt(monkeypatch):
-    # Every fit is classified ambiguous.  The scan must go on to the next
-    # coordinate attempt and name each attempt's reason at the end.  Two
-    # attempts, the second in identity "random" coordinates, keep it short.
-    fits_reached = set()
-
-    def ambiguous(self, is_flex, z, res, tol):
-        fits_reached.add(id(self))
-        raise AmbiguousClassification("contact discriminant in the dead zone")
-
-    def identity(field, attempt):
-        return tuple(tuple(field.from_int(int(i == j)) for j in range(3))
-                     for i in range(3))
-
-    monkeypatch.setattr(quartic._ChartFit, "_tangent_line", ambiguous)
-    monkeypatch.setattr(quartic, "_random_change", identity)
-    monkeypatch.setattr(quartic, "MAX_ATTEMPTS", 2)
-    with pytest.raises(NumericFailure) as err:
-        bitangent_scan(klein_quartic())
-    for k in range(2):
-        assert "attempt %d: contact discriminant" % k in str(err.value)
-    assert len(fits_reached) == 2
-
-
 def test_matrix_conjugation_fails_in_every_reading():
     C = classical_klein_quartic()
     devs = []
@@ -300,16 +77,6 @@ def test_matrix_conjugation_fails_in_every_reading():
     assert len(devs) == 8
     assert all(d > 1 for d in devs)
     assert 2.5 < min(devs) < 2.65
-
-
-def test_flex_retry_is_seeded_and_stable():
-    rng_runs = []
-    for _ in range(2):
-        pts = flex_points(fermat_quartic())
-        rng_runs.append(tuple(p.coords for p in pts))
-    assert rng_runs[0] == rng_runs[1]
-    assert random.Random(40427).randrange(100) == \
-        random.Random(40427).randrange(100)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +153,52 @@ def test_contact_gcds_of_bitangents_and_flex_tangents():
     assert not set(bits) & set(tangents)
 
 
+def test_non_quartic_inputs_rejected():
+    field = cyclotomic_field(7)
+    x, y, z = (Polynomial.variable(n, make_table(PLANE_VARS), field)
+               for n in PLANE_VARS)
+    s = Polynomial.variable("s", make_table(("s", "t")), field)
+    _, group, flexes, _, _ = klein_exact()
+    for G, reason in ((x ** 3 + y ** 3 + z ** 3, "homogeneous quartic"),
+                      (x ** 4 + y ** 3, "homogeneous quartic"),
+                      (s ** 4, "three variables")):
+        with pytest.raises(InvalidInput, match=reason):
+            exact_flexes(G, klein_flex_seed(), group)
+        with pytest.raises(InvalidInput, match=reason):
+            exact_bitangents(G, klein_bitangent_seeds(), group)
+        with pytest.raises(InvalidInput, match=reason):
+            exact_flex_tangents(G, flexes)
+
+
+def test_klein_flexes_simple_and_separated():
+    F, _, flexes, _, _ = klein_exact()
+    H = hessian_det(F)
+    grads = [[P.partial(n) for n in PLANE_VARS] for P in (F, H)]
+    for p in flexes:
+        # F and Hess F cross transversally: their gradients at p are
+        # independent, so p is a simple intersection point
+        f, h = ([quartic._value(D, p) for D in g] for g in grads)
+        assert any(f[i] * h[j] != f[j] * h[i]
+                   for i in range(3) for j in range(i + 1, 3))
+    pts = [embedded(p) for p in flexes]
+    assert len(pts) == 24
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            assert chordal_distance(p, q) > 1e-3
+
+
+def test_sign_group_permutes_flexes_and_bitangents():
+    _, _, flexes, bits, _ = klein_exact()
+    pts = [PointP2.from_coords(embedded(p)) for p in flexes]
+    lines = [LineP2.from_coords(embedded(v)) for v in bits]
+    for h in h_group_matrices()[1:]:
+        perm = induced_permutation(h, pts, tol=1e-6)
+        assert sorted(perm) == list(range(24))
+        assert any(perm[i] != i for i in range(24))
+        lperm = induced_permutation(h, lines, tol=1e-6)
+        assert sorted(lperm) == list(range(28))
+
+
 def test_klein_smoothness_certificate_mod_29():
     for F in (klein_quartic(), classical_klein_quartic()):
         cert = smoothness_certificate(F)
@@ -431,19 +244,82 @@ def test_moved_seeds_fail_their_named_check():
         exact_flex_tangents(F, [(seed[0] + one, seed[1], seed[2])])
 
 
-def test_exact_objects_match_the_numeric_layer():
-    _, _, flexes, bits, tangents = klein_exact()
-    numeric_flexes = [p.coords for p in klein_flexes()]
-    scan = klein_scan()
-    numeric_bits = [t.line.coords for t in scan.bitangents]
-    numeric_tangents = [t.line.coords for t in scan.flex_tangents]
-    for exact, numeric in ((flexes, numeric_flexes), (bits, numeric_bits),
-                           (tangents, numeric_tangents)):
-        assert len(exact) == len(numeric)
-        matched = set()
-        for v in exact:
-            d = [chordal_distance(embedded(v), w) for w in numeric]
-            j = min(range(len(d)), key=d.__getitem__)
-            assert d[j] < 1e-8
-            matched.add(j)
-        assert len(matched) == len(numeric)
+# ---------------------------------------------------------------------------
+# the Fermat quartic over Q(zeta_8): twelve hyperflexes
+
+def fermat_quartic():
+    """x^4 + y^4 + z^4 over Q(e), e^4 = -1, where its flexes are defined."""
+    field = NumberField([1, 0, 0, 0, 1], name="e")
+    x, y, z = (Polynomial.variable(n, make_table(PLANE_VARS), field)
+               for n in PLANE_VARS)
+    return x ** 4 + y ** 4 + z ** 4
+
+
+def fermat_flexes(field):
+    """(0 : r : 1), (r : 0 : 1) and (r : 1 : 0) for the four roots r^4 = -1."""
+    zero, one = field.zero(), field.one()
+    return [v for r in (field.gen() ** k for k in (1, 3, 5, 7))
+            for v in ((zero, r, one), (r, zero, one), (r, one, zero))]
+
+
+def _gradient_line(F, p):
+    return quartic._normalize(tuple(quartic._value(F.partial(n), p)
+                                    for n in PLANE_VARS))
+
+
+def test_fermat_flexes_are_twelve_hyperflexes():
+    F = fermat_quartic()
+    x, y, z = (Polynomial.variable(n, F.table, F.field) for n in PLANE_VARS)
+    H = hessian_det(F)
+    # Hess F = 12^3 (xyz)^2, so F and Hess F meet only on the coordinate
+    # lines, where F = 0 leaves r^4 = -1: 3 * 4 points
+    assert H == 1728 * (x * y * z) ** 2
+    flexes = fermat_flexes(F.field)
+    assert len({quartic._normalize(p) for p in flexes}) == 12
+    line_table = make_table(("t",))
+    total = 0
+    for p in flexes:
+        assert not quartic._value(F, p) and not quartic._value(H, p)
+        # F crosses the coordinate line x_m = 0 through p transversally,
+        # so F meets (x_m)^2, and with it Hess F, with multiplicity 2
+        line = _gradient_line(F, p)
+        m = p.index(F.field.zero())
+        assert any(line[i] for i in range(3) if i != m)
+        total += 2
+        # contact order 4: along the tangent, F(p + t q) = c t^4
+        a, b, c = line
+        q = (b * p[2] - c * p[1], c * p[0] - a * p[2], a * p[1] - b * p[0])
+        f = substitute(F, SpecializationMap({
+            n: Polynomial(line_table, F.field, {(0,): u, (1,): v})
+            for n, u, v in zip(PLANE_VARS, p, q)}))
+        assert list(f.terms) == [(4,)]
+    # the 24 of Bezout (4 * 6), so these are all the flexes
+    assert total == 24
+
+
+def test_fermat_scan_needs_coordinate_change():
+    # _contact_gcd reads each line in the chart p + t q fixed by the
+    # line's last nonzero entry; on the Fermat quartic four hyperflex
+    # tangents touch at q itself, outside the chart
+    F = fermat_quartic()
+    flexes = fermat_flexes(F.field)
+    outside = 0
+    for p in flexes:
+        line = _gradient_line(F, p)
+        try:
+            g, _, _ = quartic._contact_gcd(F, line, "probe")
+        except CheckFailed as exc:
+            assert "degree 0, need 4" in str(exc)
+            outside += 1
+            # swapping x and y fixes F and moves the contact into the chart
+            g, _, _ = quartic._contact_gcd(F, (line[1], line[0], line[2]),
+                                           "probe")
+        # gcd(f, f') = (t - r)^3: contact of order 4
+        assert g.degree_in("t") == 3
+    assert outside == 4
+    # the flex-tangent check wants triple contact at a simple flex
+    zero, one, r = F.field.zero(), F.field.one(), F.field.gen()
+    with pytest.raises(CheckFailed, match="degree 0, need 4"):
+        exact_flex_tangents(F, [(zero, r, one)])
+    with pytest.raises(CheckFailed, match="square of a linear factor"):
+        exact_flex_tangents(F, [(r, zero, one)])
