@@ -24,8 +24,8 @@ from time import perf_counter
 
 from .errors import InconsistentEvidence, InvalidInput, UnknownClaim
 from .fields import QQ, PrimeField, cyclotomic_field
-from .geometry import (LineP2, PointP2, common_fixed_check, fermat_cubic,
-                       fermat_lines, h_group_matrices,
+from .geometry import (NUMERIC_TOL, LineP2, PointP2, common_fixed_check,
+                       fermat_cubic, fermat_lines, h_group_matrices,
                        homomorphism_spot_check, k_group_matrices,
                        line_on_surface, make_group_action,
                        verify_projective_equivalence)
@@ -33,7 +33,7 @@ from .koszul import (GradedSequence, HilbertSeries, em_poincare,
                      is_regular_maximal, permuted_regularity,
                      tor_concentration_check)
 from .nabla import stated_image_generators, verify_generators
-from .quartic import (classical_klein_quartic, embedded, exact_bitangents,
+from .quartic import (classical_klein_quartic, exact_bitangents,
                       exact_flex_tangents, exact_flexes,
                       klein_bitangent_seeds, klein_flex_seed, klein_quartic,
                       quartic_to_classical_matrix,
@@ -42,10 +42,6 @@ from .restriction import (h_datum, k_datum, phi_star_generators,
                           verify_specialization_from_generators)
 
 OK_STATUSES = ("verified", "assumed-from-literature")
-
-# Matching radius for numeric group actions on flexes and bitangents;
-# common_fixed_check then demands displacements above 1e3 times this.
-ACTION_TOL = 1e-6
 
 SPOT_CHECK_SEED = 40427
 
@@ -299,7 +295,7 @@ def _free_orbit_report(action):
 
 
 def _run_h_free(objects, count):
-    action = make_group_action(h_group_matrices(), objects, tol=ACTION_TOL)
+    action = make_group_action(h_group_matrices(objects[0].field), objects)
     check = common_fixed_check(action)
     orbits = _free_orbit_report(action)
     ok = (check["verdict"] == "PASS" and orbits["has_free_orbit"]
@@ -351,7 +347,7 @@ def _run_klein_equivalence():
                 combos.append(row)
     exact_hits = [r for r in combos if r["exact"]]
     evidence = {"interpretations": combos,
-                "numeric_tol": 1e-8,
+                "numeric_tol": NUMERIC_TOL,
                 "exact_matches": len(exact_hits),
                 "min_max_abs_deviation": best,
                 "verdict": "no interpretation yields a projective "
@@ -470,16 +466,14 @@ _REGISTRY = {
         "orbit, and every nontrivial element moves at least one flex.",
         ("klein-flexes",),
         lambda c, d: _run_h_free(
-            [PointP2.from_coords(embedded(p))
-             for p in d["klein-flexes"]["flexes"]],
+            [PointP2.from_coords(p) for p in d["klein-flexes"]["flexes"]],
             24)),
     "h-free-on-bitangents": _Claim(
         "The sign-change four-group permutes the 28 bitangents with a free "
         "orbit, and every nontrivial element moves at least one bitangent.",
         ("klein-bitangents",),
         lambda c, d: _run_h_free(
-            [LineP2.from_coords(embedded(v))
-             for v in d["klein-bitangents"]], 28)),
+            [LineP2.from_coords(v) for v in d["klein-bitangents"]], 28)),
     "genus-pu4k": _Claim(
         "The bundle of the rank-3 diagonal subgroup quotient has genus "
         "exactly 16: lower bound from the top nonvanishing class, upper "

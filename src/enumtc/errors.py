@@ -60,7 +60,7 @@ class NotInvariant(EnumTCError):
 
 
 class CollisionAtTolerance(EnumTCError):
-    """Two points are closer than the matching tolerance allows."""
+    """Two objects have the same image under a group element."""
 
 
 class CheckFailed(EnumTCError):

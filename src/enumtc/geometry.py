@@ -3,18 +3,16 @@
 The 27 lines are exact objects over Q(zeta_3): a line is the common
 zero set of two independent linear forms in (x, y, z, w), canonically
 presented by the reduced row echelon form of its 2x4 coefficient
-matrix.  Group elements act exactly on lines and numerically on plane
+matrix.  Group elements act exactly on these lines and on exact plane
 points and lines; induced index permutations feed the faithfulness and
 freeness checks.  Projective equivalence of two ternary quartics under
-an explicit matrix is decided exactly, with a numeric fallback report
-when the exact comparison fails.
+an explicit matrix is decided exactly; when the exact comparison fails,
+a report of the complex-embedded coefficients says by how much.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     CollisionAtTolerance,
@@ -24,11 +22,15 @@ from .errors import (
 )
 from .fields import cyclotomic_field, nf_embed_complex
 from .linalg import Matrix
-from .numroots import chordal_distance, normalize_projective
+from .numroots import chordal_distance
 from .poly import Polynomial, SpecializationMap, make_table, substitute
 
 SPACE_VARS = ("x", "y", "z", "w")
 PLANE_VARS = ("x", "y", "z")
+
+# verify_projective_equivalence calls embedded coefficient vectors
+# proportional when they deviate by at most this, relative to their size.
+NUMERIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -121,73 +123,89 @@ def _push_forms(line: Line3D, inv_matrix: Matrix) -> Line3D:
     return Line3D.from_forms((M * inv_matrix).row_lists(), line.field)
 
 
+def _normalize(v):
+    """v divided by its last nonzero coordinate."""
+    last = next((c for c in reversed(v) if c), None)
+    if last is None:
+        raise InvalidInput("the zero vector is no projective point")
+    inv = last.inverse()
+    return tuple(c * inv for c in v)
+
+
+def _plane_image(m, v, covector: bool = False):
+    """The normalised image m v of a plane point, or v m of a covector."""
+    rows = zip(*m) if covector else m    # v m is m^T v
+    return _normalize(tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
+                            for r in rows))
+
+
 @dataclass(frozen=True)
-class PointP2:
-    """Projective plane point: largest-modulus coordinate is exactly 1."""
+class _PlaneObject:
+    """Exact projective coordinates, last nonzero coordinate 1."""
 
     coords: tuple
 
     @classmethod
     def from_coords(cls, coords):
-        return cls(normalize_projective(tuple(complex(c) for c in coords)))
+        return cls(_normalize(tuple(coords)))
+
+    @property
+    def field(self):
+        return self.coords[0].field
 
 
-@dataclass(frozen=True)
-class LineP2:
-    """Projective plane line ax+by+cz = 0, normalized like PointP2."""
-
-    coords: tuple
-
-    @classmethod
-    def from_coords(cls, coords):
-        return cls(normalize_projective(tuple(complex(c) for c in coords)))
+class PointP2(_PlaneObject):
+    """Projective plane point; moves to g v."""
 
 
-def _numeric_image(g, obj):
-    m = np.asarray(g, dtype=complex)
-    if isinstance(obj, PointP2):
-        return tuple(m @ np.array(obj.coords))
-    if isinstance(obj, LineP2):
-        # Lines transform by the inverse: (l . g^-1 P) = 0.
-        return tuple(np.array(obj.coords) @ np.linalg.inv(m))
-    raise InvalidInput(f"cannot act on {type(obj).__name__}")
+class LineP2(_PlaneObject):
+    """Projective plane line ax+by+cz = 0 as a covector; moves to v g^-1."""
 
 
-def induced_permutation(g, objects, tol: float = None):
+def embedded(v):
+    """Complex coordinates of an exact point or covector (_embed_root)."""
+    root = _embed_root(v[0].field)
+    return tuple(nf_embed_complex(c, root) for c in v)
+
+
+def _embed_root(field) -> int:
+    """Deterministic embedding choice: the last root in (re, im) order.
+
+    For a cyclotomic field that is exp(2 pi i/n); rationals ignore it.
+    """
+    roots = getattr(field, "embedding_roots", None)
+    return len(roots()) - 1 if roots else 0
+
+
+def induced_permutation(g, objects):
     """Index permutation sending each object to its image under g.
 
-    Exact matching for Line3D lists; nearest-object matching within tol
-    for numeric plane points and lines.  Non-membership raises
-    NotInvariant, a double match raises CollisionAtTolerance.
+    Objects are exact and matched exactly: a Line3D moves by its forms
+    times g^-1, a PointP2 to g v and a LineP2 to v g^-1.  Non-membership
+    raises NotInvariant, a double match raises CollisionAtTolerance.
     """
     if not objects:
         return ()
-    perm = [None] * len(objects)
-    taken = [False] * len(objects)
+    field = objects[0].field
     if isinstance(objects[0], Line3D):
-        field = objects[0].field
         inv = Matrix.from_rows(
             [list(r) for r in matrix_inverse(g, field)], field)
-        index = {line.rows: i for i, line in enumerate(objects)}
-        for i, line in enumerate(objects):
-            moved = _push_forms(line, inv)
-            j = index.get(moved.rows)
-            if j is None:
-                raise NotInvariant(f"image of line {i} is not in the set")
-            if taken[j]:
-                raise CollisionAtTolerance(f"two lines map to index {j}")
-            perm[i] = j
-            taken[j] = True
-        return tuple(perm)
-    if tol is None:
-        raise InvalidInput("numeric objects need a tolerance")
-    for i, obj in enumerate(objects):
-        image = normalize_projective(_numeric_image(g, obj))
-        dists = [chordal_distance(image, o.coords) for o in objects]
-        j = min(range(len(objects)), key=dists.__getitem__)
-        if dists[j] >= tol:
-            raise NotInvariant(
-                f"image of object {i} misses the set by {dists[j]:.3e}")
+        keys = [line.rows for line in objects]
+        images = (_push_forms(line, inv).rows for line in objects)
+    elif isinstance(objects[0], LineP2):
+        inv = matrix_inverse(g, field)
+        keys = [line.coords for line in objects]
+        images = (_plane_image(inv, v, covector=True) for v in keys)
+    else:
+        keys = [point.coords for point in objects]
+        images = (_plane_image(g, v) for v in keys)
+    index = {key: i for i, key in enumerate(keys)}
+    perm = [None] * len(objects)
+    taken = [False] * len(objects)
+    for i, image in enumerate(images):
+        j = index.get(image)
+        if j is None:
+            raise NotInvariant(f"image of object {i} is not in the set")
         if taken[j]:
             raise CollisionAtTolerance(f"two objects map to index {j}")
         perm[i] = j
@@ -202,29 +220,24 @@ class GroupAction:
     matrices: list
     objects: list
     permutations: list
-    tol: float = None
 
 
-def _is_identity_matrix(m, exact: bool) -> bool:
-    if exact:
-        for i, row in enumerate(m):
-            for j, entry in enumerate(row):
-                want_one = i == j
-                if bool(entry) != want_one:
-                    return False
-                if want_one and entry * entry != entry:
-                    return False
-        return True
-    arr = np.asarray(m, dtype=complex)
-    return bool(np.allclose(arr, np.eye(arr.shape[0]), atol=1e-12))
+def _is_identity_matrix(m) -> bool:
+    for i, row in enumerate(m):
+        for j, entry in enumerate(row):
+            want_one = i == j
+            if bool(entry) != want_one:
+                return False
+            if want_one and entry * entry != entry:
+                return False
+    return True
 
 
-def make_group_action(matrices, objects, tol: float = None) -> GroupAction:
-    exact = bool(objects) and isinstance(objects[0], Line3D)
-    if not matrices or not _is_identity_matrix(matrices[0], exact):
+def make_group_action(matrices, objects) -> GroupAction:
+    if not matrices or not _is_identity_matrix(matrices[0]):
         raise InvalidInput("matrices[0] must be the identity")
-    perms = [induced_permutation(g, objects, tol) for g in matrices]
-    return GroupAction(list(matrices), list(objects), perms, tol)
+    perms = [induced_permutation(g, objects) for g in matrices]
+    return GroupAction(list(matrices), list(objects), perms)
 
 
 def compose_permutations(outer, inner):
@@ -237,20 +250,13 @@ def homomorphism_spot_check(action: GroupAction, rng, samples: int = 10):
     k = len(action.matrices)
     if k < 2:
         return True
-    exact = isinstance(action.objects[0], Line3D)
+    field = action.objects[0].field
     for _ in range(samples):
         i = rng.randrange(k)
         j = rng.randrange(k)
-        if exact:
-            gi = Matrix.from_rows([list(r) for r in action.matrices[i]],
-                                  action.objects[0].field)
-            gj = Matrix.from_rows([list(r) for r in action.matrices[j]],
-                                  action.objects[0].field)
-            product = (gi * gj).row_lists()
-        else:
-            product = (np.asarray(action.matrices[i], dtype=complex)
-                       @ np.asarray(action.matrices[j], dtype=complex))
-        got = induced_permutation(product, action.objects, action.tol)
+        gi, gj = (Matrix.from_rows([list(r) for r in action.matrices[m]],
+                                   field) for m in (i, j))
+        got = induced_permutation((gi * gj).row_lists(), action.objects)
         want = compose_permutations(action.permutations[i],
                                     action.permutations[j])
         if got != want:
@@ -258,37 +264,26 @@ def homomorphism_spot_check(action: GroupAction, rng, samples: int = 10):
     return True
 
 
-def _displacement(action: GroupAction, mat_index: int, obj_index: int):
-    obj = action.objects[obj_index]
-    if isinstance(obj, Line3D):
-        return None
-    image = normalize_projective(
-        _numeric_image(action.matrices[mat_index], obj))
-    return chordal_distance(image, obj.coords)
-
-
 def common_fixed_check(action: GroupAction) -> dict:
     """Per nontrivial element: moved-object count and least displacement.
 
-    PASS means every nontrivial element moves at least one object, with
-    displacement above 1000x the action tolerance when objects are
-    numeric (exact objects either move or they do not).
+    PASS means every nontrivial element moves at least one object.  The
+    displacement of a moved plane object is the chordal distance between
+    the complex embeddings of it and its image; lines in P^3 report none.
     """
+    objects = action.objects
+    emb = (None if not objects or isinstance(objects[0], Line3D)
+           else [embedded(obj.coords) for obj in objects])
     rows = []
     verdict = "PASS"
-    threshold = None if action.tol is None else 1e3 * action.tol
     for gi in range(1, len(action.matrices)):
         perm = action.permutations[gi]
         moved = [i for i in range(len(perm)) if perm[i] != i]
         min_disp = None
-        for i in moved:
-            d = _displacement(action, gi, i)
-            if d is not None and (min_disp is None or d < min_disp):
-                min_disp = d
-        ok = bool(moved)
-        if ok and threshold is not None and min_disp is not None:
-            ok = min_disp > threshold
-        if not ok:
+        if emb is not None and moved:
+            min_disp = min(chordal_distance(emb[perm[i]], emb[i])
+                           for i in moved)
+        if not moved:
             verdict = "FAIL"
         rows.append({"element": gi, "moved": len(moved),
                      "min_displacement": min_disp})
@@ -311,12 +306,12 @@ def k_group_matrices():
     return out
 
 
-def h_group_matrices():
-    """The four sign-diagonal elements of order dividing 2, identity first."""
-    return [np.diag([1.0, 1.0, 1.0]),
-            np.diag([-1.0, 1.0, 1.0]),
-            np.diag([1.0, -1.0, 1.0]),
-            np.diag([-1.0, -1.0, 1.0])]
+def h_group_matrices(field):
+    """The four sign diagonals diag(+-1, +-1, 1) over field, identity first."""
+    one, zero = field.one(), field.zero()
+    return [tuple(tuple(sign if i == j else zero for j in range(3))
+                  for i, sign in enumerate((sx, sy, one)))
+            for sy in (one, -one) for sx in (one, -one)]
 
 
 def _det3(rows):
@@ -344,13 +339,12 @@ def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:
 
 
 def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows,
-                                  numeric_tol: float = 1e-8,
                                   root_index: int = 0):
     """Decide F(Mx) = lambda * G exactly; report numerically on failure.
 
     Returns the exact nonzero lambda on success.  Otherwise returns a
     report dict with the best numeric proportionality factor and the
-    maximum coefficient deviation, judged at numeric_tol.
+    maximum coefficient deviation, judged at NUMERIC_TOL.
     """
     if F.table != G.table or F.field != G.field:
         raise InvalidInput("the two quartics live in different rings")
@@ -366,21 +360,20 @@ def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows,
                 return lam
     # numeric fallback: compare embedded coefficient vectors
     exps = sorted(set(FM.terms) | set(G.terms))
-    fv = np.array([nf_embed_complex(FM.terms.get(e, 0), root_index)
-                   for e in exps])
-    gv = np.array([nf_embed_complex(G.terms.get(e, 0), root_index)
-                   for e in exps])
-    k = int(np.argmax(np.abs(gv)))
+    fv = [nf_embed_complex(FM.terms.get(e, 0), root_index) for e in exps]
+    gv = [nf_embed_complex(G.terms.get(e, 0), root_index) for e in exps]
+    f_max = max(abs(c) for c in fv)
+    k = max(range(len(gv)), key=lambda i: abs(gv[i]))
     report = {"exact": False, "lambda": None,
-              "numeric_tol": numeric_tol, "monomials": len(exps)}
+              "numeric_tol": NUMERIC_TOL, "monomials": len(exps)}
     if abs(gv[k]) == 0:
         report["numeric_proportional"] = False
-        report["max_abs_deviation"] = float(np.max(np.abs(fv)))
+        report["max_abs_deviation"] = f_max
         return report
     lam_num = fv[k] / gv[k]
-    dev = float(np.max(np.abs(fv - lam_num * gv)))
-    scale = float(max(np.max(np.abs(fv)), np.max(np.abs(gv)), 1.0))
-    report["numeric_lambda"] = (float(lam_num.real), float(lam_num.imag))
+    dev = max(abs(f - lam_num * g) for f, g in zip(fv, gv))
+    scale = max(f_max, abs(gv[k]), 1.0)
+    report["numeric_lambda"] = (lam_num.real, lam_num.imag)
     report["max_abs_deviation"] = dev
-    report["numeric_proportional"] = bool(dev <= numeric_tol * scale)
+    report["numeric_proportional"] = dev <= NUMERIC_TOL * scale
     return report

@@ -1,7 +1,8 @@
-"""Projective normalisation and distance for complex coordinate vectors.
+"""Distance between complex coordinate vectors.
 
-The group actions of geometry.py match the complex embeddings of plane
-points and lines by these two helpers.
+common_fixed_check in geometry.py reports how far a group element moves
+an exact plane point or line by the chordal distance of the complex
+embeddings.
 """
 
 from __future__ import annotations
@@ -9,16 +10,6 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidInput
-
-
-def normalize_projective(vec):
-    """Scale so the first largest-modulus coordinate equals exactly 1."""
-    best = max(range(len(vec)), key=lambda i: abs(vec[i]))
-    pivot = vec[best]
-    if pivot == 0:
-        raise InvalidInput("cannot normalize the zero vector")
-    out = tuple(c / pivot for c in vec)
-    return out[:best] + (1 + 0j,) + out[best + 1:]
 
 
 def chordal_distance(u, v) -> float:

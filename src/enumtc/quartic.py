@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import CheckFailed, InvalidField, InvalidInput, NotInvariant
-from .fields import PrimeField, cyclotomic_field, nf_embed_complex
-from .geometry import compose_with_matrix
+from .fields import PrimeField, cyclotomic_field
+from .geometry import _normalize, _plane_image, compose_with_matrix
 from .koszul import GradedSequence, is_regular_maximal
 from .poly import (
     Polynomial,
@@ -241,21 +241,6 @@ def exact_flex_tangents(F: Polynomial, flexes):
     return tangents
 
 
-def embedded(v):
-    """Complex coordinates of an exact point or covector (_embed_root)."""
-    root = _embed_root(v[0].field)
-    return tuple(nf_embed_complex(c, root) for c in v)
-
-
-def _embed_root(field) -> int:
-    """Deterministic embedding choice: the last root in (re, im) order.
-
-    For a cyclotomic field that is exp(2 pi i/n); rationals ignore it.
-    """
-    roots = getattr(field, "embedding_roots", None)
-    return len(roots()) - 1 if roots else 0
-
-
 def _require_ternary_quartic(F: Polynomial):
     if len(F.table) != 3:
         raise InvalidInput("expected a polynomial in three variables")
@@ -272,15 +257,6 @@ def _require_smooth(F: Polynomial):
                           f"{SMOOTHNESS_PRIME}")
 
 
-def _normalize(v):
-    """v divided by its last nonzero coordinate."""
-    last = next((c for c in reversed(v) if c), None)
-    if last is None:
-        raise InvalidInput("the zero vector is no projective point")
-    inv = last.inverse()
-    return tuple(c * inv for c in v)
-
-
 def _exact_key(v):
     return [repr(c) for c in v]
 
@@ -291,12 +267,8 @@ def _orbit(v, group, covector: bool = False):
     A point moves to g v.  A covector moves to v g^-1, and over a whole
     group the set {v g^-1} is {v g}.
     """
-    images = set()
-    for g in group:
-        rows = zip(*g) if covector else g    # v g is g^T v
-        images.add(_normalize(tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
-                                    for r in rows)))
-    return sorted(images, key=_exact_key)
+    return sorted({_plane_image(g, v, covector) for g in group},
+                  key=_exact_key)
 
 
 def _value(P: Polynomial, point):
@@ -314,21 +286,25 @@ def _contact_gcd(F: Polynomial, line, check: str):
     """(gcd(f, f'), p, q) for f(t) = F(p + t q) on the line l . x = 0.
 
     With l_k the last nonzero entry of l and i < j the other indices,
-    p = l_k e_i - l_i e_k and q = l_k e_j - l_j e_k span the line.
-    CheckFailed unless f has degree 4, so that no root of f, contact
-    point or not, sits at q, outside the chart t.
+    p = l_k e_i - l_i e_k and q = (l_k e_j - l_j e_k) + c p span the line,
+    for the first c in 0..4 with F(q) != 0.  Then f has degree 4, and no
+    root of f, contact point or not, sits at q, outside the chart t.  A
+    quartic that vanishes at five points of a line contains it, so
+    CheckFailed if no c works.
     """
     k = max(m for m in range(3) if line[m])
     i, j = (m for m in range(3) if m != k)
     zero = F.field.zero()
-    p, q = [zero] * 3, [zero] * 3
+    p, q0 = [zero] * 3, [zero] * 3
     p[i], p[k] = line[k], -line[i]
-    q[j], q[k] = line[k], -line[j]
+    q0[j], q0[k] = line[k], -line[j]
+    for c in range(5):
+        q = [b + c * a for a, b in zip(p, q0)]
+        if _value(F, q):
+            break
+    else:
+        raise CheckFailed(f"{check}: F vanishes on the line")
     f = substitute(F, SpecializationMap({
         name: Polynomial(_LINE_TABLE, F.field, {(0,): p[m], (1,): q[m]})
         for m, name in enumerate(F.table.names)}))
-    if f.degree_in("t") != 4:
-        raise CheckFailed(f"{check}: F restricts to a line with degree "
-                          f"{f.degree_in('t')}, need 4")
     return univariate_gcd(f, f.partial("t"), "t"), p, q
-

@@ -14,6 +14,7 @@ from enumtc.geometry import (
     LineP2,
     PointP2,
     common_fixed_check,
+    embedded,
     fermat_cubic,
     fermat_lines,
     h_group_matrices,
@@ -43,7 +44,6 @@ from enumtc.poly import (
     univariate_gcd,
 )
 from enumtc.quartic import (
-    embedded,
     exact_bitangents,
     exact_flex_tangents,
     exact_flexes,
@@ -205,10 +205,11 @@ def test_criterion_08_klein_flexes():
     H = hessian_det(F)
     on_both = all(not _value_at(F, p) and not _value_at(H, p)
                   for p in flexes)
-    pts = [PointP2.from_coords(embedded(p)) for p in flexes]
-    distinct = all(chordal_distance(pts[i].coords, q.coords) > 1e-6
-                   for i in range(len(pts)) for q in pts[i + 1:])
-    action = make_group_action(h_group_matrices(), pts, tol=1e-6)
+    pts = [PointP2.from_coords(p) for p in flexes]
+    emb = [embedded(p.coords) for p in pts]
+    distinct = all(chordal_distance(emb[i], q) > 1e-6
+                   for i in range(len(emb)) for q in emb[i + 1:])
+    action = make_group_action(h_group_matrices(F.field), pts)
     check = common_fixed_check(action)
     moves = all(r["moved"] >= 1 and r["min_displacement"] > 1e-3
                 for r in check["rows"])
@@ -224,13 +225,14 @@ def test_criterion_09_klein_bitangents():
     bits = exact_bitangents(F, klein_bitangent_seeds(), group)
     tangents = exact_flex_tangents(F, flexes)
     dt = perf_counter() - t0
-    lines = [LineP2.from_coords(embedded(v)) for v in bits]
-    distinct = all(chordal_distance(a.coords, b.coords) > 1e-6
-                   for i, a in enumerate(lines) for b in lines[i + 1:])
+    lines = [LineP2.from_coords(v) for v in bits]
+    emb = [embedded(v.coords) for v in lines]
+    distinct = all(chordal_distance(a, b) > 1e-6
+                   for i, a in enumerate(emb) for b in emb[i + 1:])
     zero = F.field.zero()
     meets = all(t[0] * p[0] + t[1] * p[1] + t[2] * p[2] == zero
                 for t, p in zip(tangents, flexes))
-    action = make_group_action(h_group_matrices(), lines, tol=1e-6)
+    action = make_group_action(h_group_matrices(F.field), lines)
     check = common_fixed_check(action)
     moves = all(r["moved"] >= 1 for r in check["rows"])
     ok = (len(bits) == 28 and distinct and len(tangents) == 24 and meets

@@ -97,6 +97,18 @@ def test_verify_does_not_import_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_and_claims_run_without_numpy():
+    code = ("import sys, enumtc.cli, enumtc.claims; "
+            "loaded = 'numpy' in sys.modules; "
+            "enumtc.claims.run_claims(['h-free-on-flexes', "
+            "'h-free-on-bitangents', 'k-faithful', 'klein-equivalence']); "
+            "print(loaded, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "enumtc.cli", "verify", "--list"],

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from enumtc.errors import (
@@ -10,7 +9,7 @@ from enumtc.errors import (
     InvalidLine,
     NotInvariant,
 )
-from enumtc.fields import QQ, cyclotomic_field
+from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.geometry import (
     Line3D,
     LineP2,
@@ -32,6 +31,15 @@ from enumtc.geometry import (
 from enumtc.poly import Polynomial, make_table
 
 F3CYC = cyclotomic_field(3)
+F7CYC = cyclotomic_field(7)
+
+
+def _vec(v, field=F7CYC):
+    return tuple(field.from_int(e) for e in v)
+
+
+def _plane_matrix(rows, field=F7CYC):
+    return tuple(_vec(row, field) for row in rows)
 
 
 def witness_line():
@@ -159,40 +167,62 @@ def test_common_fixed_check_exact_and_trivial():
     assert vacuous["verdict"] == "PASS" and vacuous["rows"] == []
 
 
-def test_point_normalization_and_numeric_permutation():
-    p = PointP2.from_coords((0, 3j, 0))
-    assert p.coords == (0j, 1 + 0j, 0j)
-    pts = [PointP2.from_coords(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
-    perm = induced_permutation(cycle, pts, tol=1e-8)
-    assert perm == (1, 2, 0)
-    with pytest.raises(InvalidInput):
-        induced_permutation(cycle, pts)  # numeric objects need tol
-    outside = [PointP2.from_coords((1, 1, 1))] + pts[1:]
+def test_point_normalization_and_exact_permutation():
+    z = F7CYC.gen()
+    p = PointP2.from_coords((z, 3 * z, F7CYC.zero()))
+    assert p.coords == (F7CYC.from_int(3).inverse(), F7CYC.one(),
+                        F7CYC.zero())
+    assert p.field == F7CYC
+    pts = [PointP2.from_coords(_vec(v)) for v in ((1, 0, 0), (0, 1, 0),
+                                                  (0, 0, 1))]
+    cycle = _plane_matrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    assert induced_permutation(cycle, pts) == (1, 2, 0)
+    outside = [PointP2.from_coords(_vec((1, 1, 1)))] + pts[1:]
     with pytest.raises(NotInvariant):
-        induced_permutation(cycle, outside, tol=1e-8)
+        induced_permutation(cycle, outside)
+    with pytest.raises(InvalidInput):
+        PointP2.from_coords(_vec((0, 0, 0)))
 
 
-def test_numeric_collision_detection():
-    pts = [PointP2.from_coords((1, 0, 0)), PointP2.from_coords((1, 1, 0))]
-    squash = np.array([[1, 0, 0], [0, 1e-9, 0], [0, 0, 1]], dtype=float)
+def test_exact_collision_detection():
+    pts = [PointP2.from_coords(_vec(v)) for v in ((1, 0, 1), (1, 1, 1))]
+    squash = _plane_matrix(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
     with pytest.raises(CollisionAtTolerance):
-        induced_permutation(squash, pts, tol=0.5)
+        induced_permutation(squash, pts)
 
 
 def test_line_objects_transform_by_inverse():
-    lines = [LineP2.from_coords(v) for v in ((1, 0, 0), (0, 1, 0))]
-    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
-    perm = induced_permutation(swap, lines, tol=1e-8)
-    assert perm == (1, 0)
+    # over F_3 the shear g: (x : y : z) -> (x + y : y : z) has order 3 and
+    # moves the covector (1, 0, 0) by g^-1 to (1, -1, 0) = (1, 2, 0)
+    f3 = PrimeField(3)
+    objs = [_vec(v, f3) for v in ((1, 0, 0), (1, 2, 0), (1, 1, 0))]
+    shear = _plane_matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), f3)
+    lines = [LineP2.from_coords(v) for v in objs]
+    assert induced_permutation(shear, lines) == (1, 2, 0)
+    # v g instead of v g^-1 would give (2, 0, 1); as points they move by
+    # g itself, and (1 : 2 : 0) goes to (0 : 1 : 0), outside the set
+    with pytest.raises(NotInvariant):
+        induced_permutation(shear, [PointP2.from_coords(v) for v in objs])
+    singular = _plane_matrix(((1, 0, 0), (1, 0, 0), (0, 0, 1)), f3)
+    with pytest.raises(InvalidInput):
+        induced_permutation(singular, lines)
 
 
 def test_h_group_matrices_shape():
-    mats = h_group_matrices()
-    assert len(mats) == 4
-    assert np.allclose(mats[0], np.eye(3))
-    for m in mats[1:]:
-        assert np.allclose(m @ m, np.eye(3))
+    for field in (F3CYC, F7CYC):
+        mats = h_group_matrices(field)
+        one, zero = field.one(), field.zero()
+        assert len(mats) == len(set(mats)) == 4
+        assert mats[0] == _plane_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                        field)
+        for m in mats:
+            square = tuple(tuple(sum((m[i][k] * m[k][j] for k in range(3)),
+                                     zero) for j in range(3))
+                           for i in range(3))
+            assert square == mats[0]
+            assert m[2][2] == one
+            assert all(not m[i][j] for i in range(3) for j in range(3)
+                       if i != j)
 
 
 def test_equivalence_identity_and_scaling():

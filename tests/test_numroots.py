@@ -3,18 +3,7 @@ import math
 import pytest
 
 from enumtc.errors import InvalidInput
-from enumtc.numroots import chordal_distance, normalize_projective
-
-
-def test_normalize_projective():
-    v = normalize_projective((3j, 1 + 0j))
-    assert v[0] == 1
-    assert abs(v[1] - (-1j / 3)) < 1e-15
-    # scaling invariance
-    w = normalize_projective((3j * (2 - 1j), (1 + 0j) * (2 - 1j)))
-    assert max(abs(a - b) for a, b in zip(v, w)) < 1e-15
-    with pytest.raises(InvalidInput):
-        normalize_projective((0j, 0j))
+from enumtc.numroots import chordal_distance
 
 
 def test_chordal_distance():
@@ -23,3 +12,5 @@ def test_chordal_distance():
     assert chordal_distance((1, 0), (1j, 0)) < 1e-15
     d = chordal_distance((1, 1), (1, 0))
     assert abs(d - math.sin(math.pi / 4)) < 1e-12
+    with pytest.raises(InvalidInput):
+        chordal_distance((0j, 0j), (1, 0))

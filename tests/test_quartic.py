@@ -6,6 +6,7 @@ from enumtc.geometry import (
     LineP2,
     PointP2,
     compose_with_matrix,
+    embedded,
     h_group_matrices,
     induced_permutation,
     verify_projective_equivalence,
@@ -22,7 +23,6 @@ from enumtc.poly import (
 from enumtc.quartic import (
     PLANE_VARS,
     classical_klein_quartic,
-    embedded,
     exact_bitangents,
     exact_flex_tangents,
     exact_flexes,
@@ -189,14 +189,23 @@ def test_klein_flexes_simple_and_separated():
 
 def test_sign_group_permutes_flexes_and_bitangents():
     _, _, flexes, bits, _ = klein_exact()
-    pts = [PointP2.from_coords(embedded(p)) for p in flexes]
-    lines = [LineP2.from_coords(embedded(v)) for v in bits]
-    for h in h_group_matrices()[1:]:
-        perm = induced_permutation(h, pts, tol=1e-6)
+    pts = [PointP2.from_coords(p) for p in flexes]
+    lines = [LineP2.from_coords(v) for v in bits]
+    assert [p.coords for p in pts] == flexes
+    assert [v.coords for v in lines] == bits
+    for h in h_group_matrices(pts[0].field)[1:]:
+        perm = induced_permutation(h, pts)
         assert sorted(perm) == list(range(24))
         assert any(perm[i] != i for i in range(24))
-        lperm = induced_permutation(h, lines, tol=1e-6)
+        lperm = induced_permutation(h, lines)
         assert sorted(lperm) == list(range(28))
+        # the sign changes are diagonal, so each image is the exact
+        # flex or bitangent with negated coordinates
+        signs = [h[i][i] for i in range(3)]
+        for objs, got in ((flexes, perm), (bits, lperm)):
+            for i, j in enumerate(got):
+                assert quartic._normalize(
+                    tuple(s * c for s, c in zip(signs, objs[i]))) == objs[j]
 
 
 def test_klein_smoothness_certificate_mod_29():
@@ -220,10 +229,22 @@ def test_nodal_quartic_fails_the_smoothness_check():
         exact_flexes(F, klein_flex_seed(), klein_exact()[1])
     with pytest.raises(CheckFailed, match="smoothness"):
         exact_bitangents(F, klein_bitangent_seeds(), klein_exact()[1])
-    # x = 0 meets F only at (0 : 0 : 1), the spanning point q of the chart
+    # x = 0 meets F only at (0 : 0 : 1), where F(0, y, z) = y^4 vanishes:
+    # the chart moves off that point and reads the quadruple contact there
     one, zero = F.field.one(), F.field.zero()
-    with pytest.raises(CheckFailed, match="degree 0, need 4"):
-        quartic._contact_gcd(F, (one, zero, zero), "probe")
+    g, p, q = quartic._contact_gcd(F, (one, zero, zero), "probe")
+    assert q == [zero, one, one]
+    assert g.degree_in("t") == 3
+    r = -g.terms[(2,)] / 3
+    assert g == Polynomial(g.table, F.field,
+                           {(3,): one, (2,): -3 * r, (1,): 3 * r * r,
+                            (0,): -r ** 3})
+    assert quartic._normalize([a + r * b for a, b in zip(p, q)]) == \
+        (zero, zero, one)
+    # a quartic containing the line has no contact points on it
+    x = Polynomial.variable("x", F.table, F.field)
+    with pytest.raises(CheckFailed, match="probe: F vanishes on the line"):
+        quartic._contact_gcd(x * F.partial("x"), (one, zero, zero), "probe")
 
 
 def test_moved_seeds_fail_their_named_check():
@@ -298,28 +319,28 @@ def test_fermat_flexes_are_twelve_hyperflexes():
 
 
 def test_fermat_scan_needs_coordinate_change():
-    # _contact_gcd reads each line in the chart p + t q fixed by the
-    # line's last nonzero entry; on the Fermat quartic four hyperflex
-    # tangents touch at q itself, outside the chart
+    # _contact_gcd reads each line in the chart p + t q; on the Fermat
+    # quartic four hyperflex tangents touch at the first choice of q, so
+    # the chart moves q along the line until F(q) != 0
     F = fermat_quartic()
     flexes = fermat_flexes(F.field)
     outside = 0
     for p in flexes:
         line = _gradient_line(F, p)
-        try:
-            g, _, _ = quartic._contact_gcd(F, line, "probe")
-        except CheckFailed as exc:
-            assert "degree 0, need 4" in str(exc)
-            outside += 1
-            # swapping x and y fixes F and moves the contact into the chart
-            g, _, _ = quartic._contact_gcd(F, (line[1], line[0], line[2]),
-                                           "probe")
-        # gcd(f, f') = (t - r)^3: contact of order 4
+        g, p0, q = quartic._contact_gcd(F, line, "probe")
+        # q starts on the coordinate line x_i = 0, i the first index
+        # other than that of the line's last nonzero entry
+        i = min(m for m in range(3) if m != max(n for n in range(3)
+                                                 if line[n]))
+        outside += bool(q[i])
+        # gcd(f, f') = (t - r)^3: contact of order 4 at the flex
         assert g.degree_in("t") == 3
+        r = -g.terms.get((2,), F.field.zero()) / 3
+        assert quartic._normalize([a + r * b for a, b in zip(p0, q)]) == \
+            quartic._normalize(p)
     assert outside == 4
     # the flex-tangent check wants triple contact at a simple flex
     zero, one, r = F.field.zero(), F.field.one(), F.field.gen()
-    with pytest.raises(CheckFailed, match="degree 0, need 4"):
-        exact_flex_tangents(F, [(zero, r, one)])
-    with pytest.raises(CheckFailed, match="square of a linear factor"):
-        exact_flex_tangents(F, [(r, zero, one)])
+    for flex in ((zero, r, one), (r, zero, one)):
+        with pytest.raises(CheckFailed, match="square of a linear factor"):
+            exact_flex_tangents(F, [flex])
