@@ -226,7 +226,7 @@ def _run_fermat_lines():
     cubic = fermat_cubic(cyclotomic_field(3))
     on_surface = all(line_on_surface(ln, cubic) for ln in lines)
     distinct = sum(1 for i, a in enumerate(lines)
-                   for b in lines[i + 1:] if a.rows == b.rows) == 0
+                   for b in lines[i + 1:] if a.coords == b.coords) == 0
     ok = len(lines) == 27 and on_surface and distinct
     evidence = {"count": len(lines), "all_on_surface": on_surface,
                 "pairwise_distinct": distinct, "exact": True}

@@ -2,8 +2,9 @@
 
 Prime fields F_p, rationals (stdlib Fraction) and number fields
 Q[t]/(m(t)) for a monic integer m, whose elements are int vectors over one
-denominator, with complex embeddings for handing exact values to the
-numeric solvers.  All values are immutable and all operations are pure.
+denominator, with complex embeddings for the floats a report shows
+(displacements and deviations).  All values are immutable and all
+operations are pure.
 """
 
 from __future__ import annotations

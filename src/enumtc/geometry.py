@@ -1,18 +1,20 @@
 """Lines on the Fermat cubic surface and finite group actions.
 
-The 27 lines are exact objects over Q(zeta_3): a line is the common
-zero set of two independent linear forms in (x, y, z, w), canonically
-presented by the reduced row echelon form of its 2x4 coefficient
-matrix.  Group elements act exactly on these lines and on exact plane
-points and lines; induced index permutations feed the faithfulness and
-freeness checks.  Projective equivalence of two ternary quartics under
-an explicit matrix is decided exactly; when the exact comparison fails,
-a report of the complex-embedded coefficients says by how much.
+Plane points, plane lines (covectors) and lines in P^3 (Plucker vectors)
+are one kind of object, an exact coordinate vector scaled to last nonzero
+entry 1, and g moves each by one matrix built from its minors: a point by
+g, a covector by the cofactor matrix, a space line by the 2x2 minors.
+Induced index permutations of the 27 Fermat-cubic lines over Q(zeta_3)
+and of plane points and lines feed the faithfulness and freeness checks.
+Projective equivalence of two ternary quartics under an explicit matrix
+is decided exactly; when the exact comparison fails, a report of the
+complex-embedded coefficients says by how much.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     CollisionAtTolerance,
@@ -20,8 +22,7 @@ from .errors import (
     InvalidLine,
     NotInvariant,
 )
-from .fields import cyclotomic_field, nf_embed_complex
-from .linalg import Matrix
+from .fields import QQ, cyclotomic_field, field_inverse, nf_embed_complex
 from .numroots import chordal_distance
 from .poly import Polynomial, SpecializationMap, make_table, substitute
 
@@ -33,30 +34,119 @@ PLANE_VARS = ("x", "y", "z")
 NUMERIC_TOL = 1e-8
 
 
+def _normalize(v):
+    """v divided by its last nonzero coordinate."""
+    last = next((c for c in reversed(v) if c), None)
+    if last is None:
+        raise InvalidInput("the zero vector is no projective point")
+    inv = field_inverse(last)
+    return tuple(c * inv for c in v)
+
+
+def _field_of(c):
+    return QQ if isinstance(c, Fraction) else c.field
+
+
+def _image(m, v):
+    """The normalised image m v.  Zero products are skipped; a row left
+    with none sums to int 0, which normalising turns into a field zero."""
+    return _normalize(tuple(sum(a * b for a, b in zip(row, v) if a and b)
+                            for row in m))
+
+
 @dataclass(frozen=True)
-class Line3D:
-    """A line in P^3 as the zero set of two independent linear forms.
+class _Projective:
+    """Exact projective coordinates, last nonzero coordinate 1; under g
+    they move by the matrix moved_by(g) of the subclass."""
 
-    rows is the 2x4 reduced row echelon coefficient matrix, making the
-    representation unique per line.
-    """
-
-    rows: tuple
-    field: object
+    coords: tuple
 
     @classmethod
-    def from_forms(cls, row_lists, field):
-        M = Matrix.from_rows([list(r) for r in row_lists], field, cols=4)
-        R, pivots = M.rref()
-        if len(pivots) != 2:
-            raise InvalidLine(f"coefficient rank {len(pivots)}, need 2")
-        rows = tuple(tuple(R.row(i)) for i in range(2))
-        return cls(rows, field)
+    def from_coords(cls, coords):
+        return cls(_normalize(tuple(coords)))
+
+    @property
+    def field(self):
+        return _field_of(self.coords[0])
+
+
+class PointP2(_Projective):
+    """Projective plane point; moves to g v."""
+
+    @staticmethod
+    def moved_by(g):
+        return g
+
+
+class LineP2(_Projective):
+    """Plane line ax+by+cz = 0 as its covector v; moves to v g^-1, which
+    is proportional to cof(g) v since (g^-1)^T = cof(g) / det g."""
+
+    @staticmethod
+    def moved_by(g):
+        if not _det3(g):
+            raise InvalidInput("matrix is singular")
+        return _cofactors(g)
+
+
+def _cross(u, v):
+    return tuple(u[(k + 1) % 3] * v[(k + 2) % 3]
+                 - u[(k + 2) % 3] * v[(k + 1) % 3] for k in range(3))
+
+
+def _cofactors(m):
+    """Row i of the cofactor matrix is row i+1 cross row i+2 (mod 3)."""
+    return tuple(_cross(m[(i + 1) % 3], m[(i + 2) % 3]) for i in range(3))
+
+
+def _det3(m):
+    return sum(a * c for a, c in zip(m[0], _cross(m[1], m[2])))
+
+
+# Plucker coordinates are indexed by these pairs, in this order.
+PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+class Line3D(_Projective):
+    """A line in P^3 as its Plucker vector: p_ij = u_i v_j - u_j v_i over
+    PLUCKER_PAIRS for two points u, v spanning it, unique up to scale."""
+
+    @classmethod
+    def from_forms(cls, forms):
+        """The line a.x = b.x = 0.  With d_kl = a_k b_l - a_l b_k, p_ij is
+        d_kl for the complementary pair, signed as the permutation
+        (i, j, k, l): p = (d23, -d13, d12, d03, -d02, d01)."""
+        for form in forms:
+            if len(form) != 4:
+                raise InvalidInput(f"a form has width {len(form)}, need 4")
+        a, b = forms
+        d = [a[k] * b[l] - a[l] * b[k] for k, l in PLUCKER_PAIRS]
+        p = (d[5], -d[4], d[3], d[2], -d[1], d[0])
+        if not any(p):
+            raise InvalidLine("the two forms are dependent")
+        return cls.from_coords(p)
+
+    @staticmethod
+    def moved_by(g):
+        """The 6x6 matrix of the 2x2 minors of g on rows i, j and columns
+        k, l, both pairs over PLUCKER_PAIRS; det g by Laplace on rows 0, 1."""
+        m = tuple(tuple(g[i][k] * g[j][l] - g[i][l] * g[j][k]
+                        for k, l in PLUCKER_PAIRS) for i, j in PLUCKER_PAIRS)
+        r, s = m[0], m[5]
+        if not (r[0] * s[5] - r[1] * s[4] + r[2] * s[3]
+                + r[3] * s[2] - r[4] * s[1] + r[5] * s[0]):
+            raise InvalidInput("matrix is singular")
+        return m
 
     def spanning_points(self):
-        """Two independent points on the line (kernel of the form matrix)."""
-        M = Matrix.from_rows([list(r) for r in self.rows], self.field, cols=4)
-        return [tuple(v) for v in M.kernel_basis()]
+        """Columns k and l of the antisymmetric matrix P_ij = p_ij, for the
+        first p_kl != 0: column k is u v_k - v u_k, a point of the line."""
+        zero = self.field.zero()
+        P = [[zero] * 4 for _ in range(4)]
+        for (i, j), c in zip(PLUCKER_PAIRS, self.coords):
+            P[i][j], P[j][i] = c, -c
+        k, l = next(pair for pair, c in zip(PLUCKER_PAIRS, self.coords) if c)
+        return [tuple(row[k] for row in P), tuple(row[l] for row in P)]
 
 
 def fermat_cubic(field, names=SPACE_VARS) -> Polynomial:
@@ -86,7 +176,7 @@ def fermat_lines():
     for shape in shapes:
         for w1 in roots:
             for w2 in roots:
-                lines.append(Line3D.from_forms(shape(w1, w2), F))
+                lines.append(Line3D.from_forms(shape(w1, w2)))
     return lines
 
 
@@ -102,69 +192,9 @@ def line_on_surface(line: Line3D, F: Polynomial) -> bool:
     return not substitute(F, SpecializationMap(images))
 
 
-def matrix_inverse(rows, field):
-    """Inverse of a square matrix given as row tuples; exact."""
-    n = len(rows)
-    aug = [list(r) + [field.one() if i == j else field.zero()
-                      for j in range(n)] for i, r in enumerate(rows)]
-    R, pivots = Matrix.from_rows(aug, field, cols=2 * n).rref()
-    if list(pivots) != list(range(n)):
-        raise InvalidInput("matrix is singular")
-    return tuple(tuple(R.row(i)[n:]) for i in range(n))
-
-
-def _push_forms(line: Line3D, inv_matrix: Matrix) -> Line3D:
-    """Image of the line under g, given g^-1 as a Matrix.
-
-    A point P lies on g.L exactly when g^-1 P solves the old forms, so
-    the new coefficient rows are rows * g^-1.
-    """
-    M = Matrix.from_rows([list(r) for r in line.rows], line.field, cols=4)
-    return Line3D.from_forms((M * inv_matrix).row_lists(), line.field)
-
-
-def _normalize(v):
-    """v divided by its last nonzero coordinate."""
-    last = next((c for c in reversed(v) if c), None)
-    if last is None:
-        raise InvalidInput("the zero vector is no projective point")
-    inv = last.inverse()
-    return tuple(c * inv for c in v)
-
-
-def _plane_image(m, v, covector: bool = False):
-    """The normalised image m v of a plane point, or v m of a covector."""
-    rows = zip(*m) if covector else m    # v m is m^T v
-    return _normalize(tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
-                            for r in rows))
-
-
-@dataclass(frozen=True)
-class _PlaneObject:
-    """Exact projective coordinates, last nonzero coordinate 1."""
-
-    coords: tuple
-
-    @classmethod
-    def from_coords(cls, coords):
-        return cls(_normalize(tuple(coords)))
-
-    @property
-    def field(self):
-        return self.coords[0].field
-
-
-class PointP2(_PlaneObject):
-    """Projective plane point; moves to g v."""
-
-
-class LineP2(_PlaneObject):
-    """Projective plane line ax+by+cz = 0 as a covector; moves to v g^-1."""
-
-
 def embedded(v):
-    """Complex coordinates of an exact point or covector (_embed_root)."""
-    root = _embed_root(v[0].field)
+    """Complex coordinates of an exact coordinate vector (_embed_root)."""
+    root = _embed_root(_field_of(v[0]))
     return tuple(nf_embed_complex(c, root) for c in v)
 
 
@@ -180,30 +210,18 @@ def _embed_root(field) -> int:
 def induced_permutation(g, objects):
     """Index permutation sending each object to its image under g.
 
-    Objects are exact and matched exactly: a Line3D moves by its forms
-    times g^-1, a PointP2 to g v and a LineP2 to v g^-1.  Non-membership
-    raises NotInvariant, a double match raises CollisionAtTolerance.
+    The objects are of one kind and move by its moved_by(g); images are
+    matched exactly.  Non-membership raises NotInvariant, a double match
+    raises CollisionAtTolerance.
     """
     if not objects:
         return ()
-    field = objects[0].field
-    if isinstance(objects[0], Line3D):
-        inv = Matrix.from_rows(
-            [list(r) for r in matrix_inverse(g, field)], field)
-        keys = [line.rows for line in objects]
-        images = (_push_forms(line, inv).rows for line in objects)
-    elif isinstance(objects[0], LineP2):
-        inv = matrix_inverse(g, field)
-        keys = [line.coords for line in objects]
-        images = (_plane_image(inv, v, covector=True) for v in keys)
-    else:
-        keys = [point.coords for point in objects]
-        images = (_plane_image(g, v) for v in keys)
-    index = {key: i for i, key in enumerate(keys)}
+    m = type(objects[0]).moved_by(g)
+    index = {obj.coords: i for i, obj in enumerate(objects)}
     perm = [None] * len(objects)
     taken = [False] * len(objects)
-    for i, image in enumerate(images):
-        j = index.get(image)
+    for i, obj in enumerate(objects):
+        j = index.get(_image(m, obj.coords))
         if j is None:
             raise NotInvariant(f"image of object {i} is not in the set")
         if taken[j]:
@@ -250,13 +268,13 @@ def homomorphism_spot_check(action: GroupAction, rng, samples: int = 10):
     k = len(action.matrices)
     if k < 2:
         return True
-    field = action.objects[0].field
     for _ in range(samples):
         i = rng.randrange(k)
         j = rng.randrange(k)
-        gi, gj = (Matrix.from_rows([list(r) for r in action.matrices[m]],
-                                   field) for m in (i, j))
-        got = induced_permutation((gi * gj).row_lists(), action.objects)
+        gi, gj = action.matrices[i], action.matrices[j]
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gj)]
+                   for row in gi]
+        got = induced_permutation(product, action.objects)
         want = compose_permutations(action.permutations[i],
                                     action.permutations[j])
         if got != want:
@@ -268,23 +286,20 @@ def common_fixed_check(action: GroupAction) -> dict:
     """Per nontrivial element: moved-object count and least displacement.
 
     PASS means every nontrivial element moves at least one object.  The
-    displacement of a moved plane object is the chordal distance between
-    the complex embeddings of it and its image; lines in P^3 report none.
+    displacement of a moved object is the chordal distance between the
+    complex embeddings of its coordinates and its image's.
     """
-    objects = action.objects
-    emb = (None if not objects or isinstance(objects[0], Line3D)
-           else [embedded(obj.coords) for obj in objects])
+    emb = [embedded(obj.coords) for obj in action.objects]
     rows = []
     verdict = "PASS"
     for gi in range(1, len(action.matrices)):
         perm = action.permutations[gi]
         moved = [i for i in range(len(perm)) if perm[i] != i]
-        min_disp = None
-        if emb is not None and moved:
+        if moved:
             min_disp = min(chordal_distance(emb[perm[i]], emb[i])
                            for i in moved)
-        if not moved:
-            verdict = "FAIL"
+        else:
+            min_disp, verdict = None, "FAIL"
         rows.append({"element": gi, "moved": len(moved),
                      "min_displacement": min_disp})
     return {"rows": rows, "verdict": verdict,
@@ -312,13 +327,6 @@ def h_group_matrices(field):
     return [tuple(tuple(sign if i == j else zero for j in range(3))
                   for i, sign in enumerate((sx, sy, one)))
             for sy in (one, -one) for sx in (one, -one)]
-
-
-def _det3(rows):
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:

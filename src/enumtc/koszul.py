@@ -257,14 +257,7 @@ def quotient_hilbert(seq: GradedSequence, up_to: int = None) -> HilbertSeries:
     return HilbertSeries(coeffs)
 
 
-def free_ring_hilbert(table, up_to: int) -> HilbertSeries:
-    return HilbertSeries(
-        [len(monomials_of_weighted_degree(table, t))
-         for t in range(up_to + 1)])
-
-
-def em_poincare(seq: GradedSequence, exterior_count: int,
-                up_to: int = None) -> HilbertSeries:
+def em_poincare(seq: GradedSequence, exterior_count: int) -> HilbertSeries:
     """Quotient series convolved with (1+t)^m.
 
     The exterior factor enters only as the (1+t)^m Poincare factor; the
@@ -273,11 +266,6 @@ def em_poincare(seq: GradedSequence, exterior_count: int,
     """
     if exterior_count < 0:
         raise InvalidInput("exterior_count must be >= 0")
-    if len(seq.elements) == 0:
-        if up_to is None:
-            raise InvalidInput("up_to required for the empty sequence")
-        base = free_ring_hilbert(seq.table, up_to)
-        return base.convolve_binomial(exterior_count)
     cert = is_regular_maximal(seq)
     if cert.verdict != "Regular":
         raise CollapseHypothesisUnmet("sequence is not regular")

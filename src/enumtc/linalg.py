@@ -12,8 +12,8 @@ here is exact, so there is no conditioning to worry about.
   ``Matrix.rank`` sends every QQ matrix here, so QQ ranks do no
   Fraction arithmetic.
 - ``Matrix.rref`` is the generic reduced row echelon form on field
-  elements (QQ, F_p, Q(zeta_m)); kernels, inverses, line normal forms
-  and ranks over number fields use it.
+  elements (QQ, F_p, Q(zeta_m)); ``Matrix.kernel_basis`` and ranks over
+  number fields use it.  No claim of ``enumtc verify`` reaches it.
 
 All three update a row only from the pivot column onward, since the
 pivot row is zero left of it; ``rank_mod_p`` and ``rref`` also leave an

@@ -290,13 +290,12 @@ class SpecializationMap:
     """Variable images defining a ring homomorphism.
 
     images maps every source variable name to a Polynomial in the target
-    ring.  coeff_map converts source coefficients into the target field
-    (identity when None).  With check_grading set, each image must be zero
-    or homogeneous of the source variable's weight.
+    ring; source coefficients enter the target ring unchanged.  With
+    check_grading set, each image must be zero or homogeneous of the
+    source variable's weight.
     """
 
     images: dict
-    coeff_map: object = None
     check_grading: bool = False
     name: str = ""
 
@@ -316,11 +315,10 @@ def substitute(f: Polynomial, smap: SpecializationMap) -> Polynomial:
             if not img.is_homogeneous() or img.weighted_degree() != w:
                 raise GradingViolation(
                     f"image of {name} is not homogeneous of weight {w}")
-    coeff_map = smap.coeff_map or (lambda c: c)
     result = Polynomial.zero(ttable, tfield)
     powers = {}
     for e, c in f.terms.items():
-        term = Polynomial.constant(coeff_map(c), ttable, tfield)
+        term = Polynomial.constant(c, ttable, tfield)
         for name, ei in zip(f.table.names, e):
             if ei == 0:
                 continue

@@ -16,7 +16,7 @@ from itertools import permutations, product
 
 from .errors import CheckFailed, InvalidField, InvalidInput, NotInvariant
 from .fields import PrimeField, cyclotomic_field
-from .geometry import _normalize, _plane_image, compose_with_matrix
+from .geometry import LineP2, _image, _normalize, compose_with_matrix
 from .koszul import GradedSequence, is_regular_maximal
 from .poly import (
     Polynomial,
@@ -198,8 +198,8 @@ def exact_bitangents(F: Polynomial, seeds, group):
     """
     _require_ternary_quartic(F)
     _require_smooth(F)
-    lines = sorted({line for seed in seeds
-                    for line in _orbit(seed, group, covector=True)},
+    moves = [LineP2.moved_by(g) for g in group]
+    lines = sorted({line for seed in seeds for line in _orbit(seed, moves)},
                    key=_exact_key)
     if len(lines) != 28:
         raise CheckFailed(f"bitangent orbits: {len(lines)} distinct lines, "
@@ -261,14 +261,13 @@ def _exact_key(v):
     return [repr(c) for c in v]
 
 
-def _orbit(v, group, covector: bool = False):
-    """The distinct normalised images of v under the group, sorted.
+def _orbit(v, matrices):
+    """The distinct normalised images m v over the matrices m, sorted.
 
-    A point moves to g v.  A covector moves to v g^-1, and over a whole
-    group the set {v g^-1} is {v g}.
+    A point's orbit takes the group itself, a covector's the matrices
+    LineP2.moved_by(g).
     """
-    return sorted({_plane_image(g, v, covector) for g in group},
-                  key=_exact_key)
+    return sorted({_image(m, v) for m in matrices}, key=_exact_key)
 
 
 def _value(P: Polynomial, point):

@@ -177,7 +177,7 @@ def test_criterion_07_fermat_lines_and_witness():
     lines = fermat_lines()
     cubic = fermat_cubic(cyclotomic_field(3))
     exact = (len(lines) == 27
-             and len({ln.rows for ln in lines}) == 27
+             and len({ln.coords for ln in lines}) == 27
              and all(line_on_surface(ln, cubic) for ln in lines))
     action = make_group_action(k_group_matrices(), lines)
     ident = tuple(range(27))
@@ -187,8 +187,8 @@ def test_criterion_07_fermat_lines_and_witness():
     one, zero = F.one(), F.zero()
     from enumtc.geometry import Line3D
     witness = Line3D.from_forms(((one, one, zero, zero),
-                                 (zero, zero, one, one)), F)
-    wi = next(i for i, ln in enumerate(lines) if ln.rows == witness.rows)
+                                 (zero, zero, one, one)))
+    wi = next(i for i, ln in enumerate(lines) if ln.coords == witness.coords)
     moved_by = sum(1 for p in action.permutations[1:] if p[wi] != wi)
     dt = perf_counter() - t0
     ok = exact and kernel_trivial and moved_by == 26 and dt < 5

@@ -14,6 +14,7 @@ from enumtc.claims import (
 )
 from enumtc.errors import InconsistentEvidence, InvalidInput, UnknownClaim
 from enumtc.koszul import HilbertSeries
+from enumtc.linalg import Matrix
 
 
 def test_genus_bounds_windows():
@@ -144,7 +145,7 @@ LIBRARY_ERRORS = sorted(errors.EnumTCError.__subclasses__(),
                          ids=[cls.__name__ for cls in LIBRARY_ERRORS])
 def test_injected_error_fails_its_claim_and_blocks_dependents(
         error, monkeypatch, tmp_path, capsys):
-    def broken_stage(seq, exterior_count, up_to=None):
+    def broken_stage(seq, exterior_count):
         raise error("injected fault")
 
     monkeypatch.setattr(claims, "em_poincare", broken_stage)
@@ -313,3 +314,18 @@ def test_klein_bitangents_reuse_the_checked_group(monkeypatch):
     report = run_claims(["klein-bitangents"])
     assert report.claim("klein-bitangents").status == "verified"
     assert len(calls) == 1
+
+
+def test_group_actions_never_row_reduce(monkeypatch):
+    def refuse(self):
+        raise AssertionError("row reduction called")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    report = run_claims(["k-faithful", "h-free-on-flexes",
+                         "h-free-on-bitangents", "thm-sg-line"])
+    computed = {rec.id: rec.status for rec in report.records
+                if not rec.id.startswith("lit-")}
+    assert "fermat-lines" in computed and "thm-sg-line" in computed
+    assert all(status == "verified" for status in computed.values()), \
+        computed

@@ -400,18 +400,26 @@ def test_scaled_forms_give_the_same_line_key():
     from enumtc.geometry import Line3D, fermat_lines
 
     F = cyclotomic_field(3)
-    z = F.gen()
-    keys = {ln.rows: i for i, ln in enumerate(fermat_lines())}
+    z, zero, one = F.gen(), F.zero(), F.one()
+    lines = fermat_lines()
+    keys = {ln.coords: i for i, ln in enumerate(lines)}
     scales = [F.from_int(3) / 7, (1 + z) / 5, z * Fraction(-2, 9),
               F.element([Fraction(1, 6), Fraction(5, 4)])]
-    for i, line in enumerate(fermat_lines()):
-        r0, r1 = line.rows
+    # the defining forms of the three families, in fermat_lines order
+    shapes = (
+        lambda w1, w2: ((one, w1, zero, zero), (zero, zero, one, w2)),
+        lambda w1, w2: ((one, zero, w1, zero), (zero, one, zero, w2)),
+        lambda w1, w2: ((one, zero, zero, w1), (zero, one, w2, zero)),
+    )
+    roots = (one, z, z ** 2)
+    rows = [shape(w1, w2) for shape in shapes for w1 in roots
+            for w2 in roots]
+    for i, (r0, r1) in enumerate(rows):
         s, u = scales[i % 4], scales[(i + 1) % 4]
         forms = ([s * c for c in r0],
                  [u * c + s * d for c, d in zip(r1, r0)])
-        moved = Line3D.from_forms(forms, F)
-        assert moved.rows == line.rows
-        assert keys[moved.rows] == i
-        for row in moved.rows:
-            for c in row:
-                _assert_normal(c)
+        moved = Line3D.from_forms(forms)
+        assert moved.coords == lines[i].coords
+        assert keys[moved.coords] == i
+        for c in moved.coords:
+            _assert_normal(c)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,6 +12,7 @@ from enumtc.errors import (
 )
 from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.geometry import (
+    PLUCKER_PAIRS,
     Line3D,
     LineP2,
     PointP2,
@@ -25,7 +27,6 @@ from enumtc.geometry import (
     k_group_matrices,
     line_on_surface,
     make_group_action,
-    matrix_inverse,
     verify_projective_equivalence,
 )
 from enumtc.poly import Polynomial, make_table
@@ -45,26 +46,28 @@ def _plane_matrix(rows, field=F7CYC):
 def witness_line():
     one, zero = F3CYC.one(), F3CYC.zero()
     return Line3D.from_forms(((one, one, zero, zero),
-                              (zero, zero, one, one)), F3CYC)
+                              (zero, zero, one, one)))
 
 
 def test_fermat_lines_count_and_families():
     lines = fermat_lines()
     assert len(lines) == 27
-    assert len({ln.rows for ln in lines}) == 27
-    # family invariant: which coordinate pairs the two row forms couple
+    assert len({ln.coords for ln in lines}) == 27
+    # family invariant: which two Plucker coordinates vanish
     shapes = {}
     for ln in lines:
-        key = frozenset(frozenset(i for i, e in enumerate(row) if e)
-                        for row in ln.rows)
+        key = frozenset(pair for pair, c in zip(PLUCKER_PAIRS, ln.coords)
+                        if not c)
         shapes[key] = shapes.get(key, 0) + 1
-    assert sorted(shapes.values()) == [9, 9, 9]
+    assert shapes == {frozenset({(0, 1), (2, 3)}): 9,
+                      frozenset({(0, 2), (1, 3)}): 9,
+                      frozenset({(0, 3), (1, 2)}): 9}
 
 
 def test_witness_line_is_present_and_on_surface():
     lines = fermat_lines()
     w = witness_line()
-    assert any(ln.rows == w.rows for ln in lines)
+    assert any(ln.coords == w.coords for ln in lines)
     F = fermat_cubic(F3CYC)
     assert line_on_surface(w, F)
 
@@ -78,9 +81,9 @@ def test_non_line_and_non_cubic_rejected():
     one, zero = F3CYC.one(), F3CYC.zero()
     with pytest.raises(InvalidLine):
         Line3D.from_forms(((one, one, zero, zero),
-                           (one, one, zero, zero)), F3CYC)
+                           (one, one, zero, zero)))
     x_eq_y_eq_0 = Line3D.from_forms(((one, zero, zero, zero),
-                                     (zero, one, zero, zero)), F3CYC)
+                                     (zero, one, zero, zero)))
     F = fermat_cubic(F3CYC)
     assert not line_on_surface(x_eq_y_eq_0, F)
     t = make_table(("x", "y", "z", "w"))
@@ -92,28 +95,11 @@ def test_non_line_and_non_cubic_rejected():
 def test_line_forms_must_have_four_coordinates():
     one, zero = Fraction(1), Fraction(0)
     with pytest.raises(InvalidInput, match="width 3, need 4"):
-        Line3D.from_forms([[one, zero, zero], [zero, one, zero]], QQ)
+        Line3D.from_forms([[one, zero, zero], [zero, one, zero]])
     line = Line3D.from_forms([[one, zero, zero, zero],
-                              [zero, one, zero, zero]], QQ)
+                              [zero, one, zero, zero]])
+    assert line.field == QQ
     assert len(line.spanning_points()) == 2
-
-
-def test_matrix_inverse_round_trip_and_singular():
-    rng = random.Random(4451)
-    for _ in range(5):
-        rows = [[Fraction(rng.randrange(-4, 5)) for _ in range(4)]
-                for _ in range(4)]
-        try:
-            inv = matrix_inverse([tuple(r) for r in rows], QQ)
-        except InvalidInput:
-            continue
-        prod = [[sum(rows[i][k] * inv[k][j] for k in range(4))
-                 for j in range(4)] for i in range(4)]
-        assert all(prod[i][j] == (1 if i == j else 0)
-                   for i in range(4) for j in range(4))
-    zero, one = Fraction(0), Fraction(1)
-    with pytest.raises(InvalidInput):
-        matrix_inverse(((one, one), (one, one)), QQ)
 
 
 def test_identity_and_generator_permutations():
@@ -141,12 +127,61 @@ def test_witness_fixers_are_exactly_two():
     # so elements 12 (a=1) and 24 (a=2) fix it; the other 24 move it.
     lines = fermat_lines()
     w = witness_line()
-    i0 = next(i for i, ln in enumerate(lines) if ln.rows == w.rows)
+    i0 = next(i for i, ln in enumerate(lines) if ln.coords == w.coords)
     action = make_group_action(k_group_matrices(), lines)
     fixers = [g for g in range(1, 27) if action.permutations[g][i0] == i0]
     assert fixers == [12, 24]
     moved_by = 26 - len(fixers)
     assert moved_by == 24
+
+
+def test_coordinate_permutations_move_lines_like_their_forms():
+    # every coordinate permutation fixes x^3+y^3+z^3+w^3, and, unlike K,
+    # moves lines by matrices that are not diagonal
+    zero, one = F3CYC.zero(), F3CYC.one()
+    roots = (one, F3CYC.gen(), F3CYC.gen() ** 2)
+    shapes = (   # the three families of the fermat_lines docstring
+        lambda w1, w2: ((one, w1, zero, zero), (zero, zero, one, w2)),
+        lambda w1, w2: ((one, zero, w1, zero), (zero, one, zero, w2)),
+        lambda w1, w2: ((one, zero, zero, w1), (zero, one, w2, zero)),
+    )
+    forms = [shape(w1, w2) for shape in shapes for w1 in roots
+             for w2 in roots]
+    lines = fermat_lines()
+    assert [Line3D.from_forms(f) for f in forms] == lines
+    index = {ln.coords: i for i, ln in enumerate(lines)}
+    cubic = fermat_cubic(F3CYC)
+    mats = []
+    for sigma in permutations(range(4)):
+        # g e_j = e_sigma(j); a form a moves to a g^-1, whose entry
+        # sigma(j) is a_j
+        g = tuple(tuple(one if i == sigma[j] else zero for j in range(4))
+                  for i in range(4))
+        assert compose_with_matrix(cubic, g) == cubic
+        want = []
+        for pair in forms:
+            moved = [[None] * 4, [None] * 4]
+            for form, image in zip(pair, moved):
+                for j in range(4):
+                    image[sigma[j]] = form[j]
+            want.append(index[Line3D.from_forms(moved).coords])
+        assert induced_permutation(g, lines) == tuple(want)
+        mats.append(g)
+    action = make_group_action(mats, lines)
+    assert len(set(action.permutations)) == 24
+    assert homomorphism_spot_check(action, random.Random(5), samples=24)
+
+
+def test_spanning_points_solve_the_forms_and_give_the_line_back():
+    for rows in (((1, 2, 0, 0), (0, 0, 1, 3)), ((0, 1, 0, 0), (1, 0, 0, 5)),
+                 ((2, 0, 1, 1), (0, 1, 1, 0))):
+        forms = [[Fraction(e) for e in row] for row in rows]
+        line = Line3D.from_forms(forms)
+        u, v = line.spanning_points()
+        assert all(sum(a * x for a, x in zip(form, point)) == 0
+                   for form in forms for point in (u, v))
+        plucker = [u[i] * v[j] - u[j] * v[i] for i, j in PLUCKER_PAIRS]
+        assert Line3D.from_coords(plucker) == line
 
 
 def test_homomorphism_spot_check_on_k():
@@ -206,6 +241,24 @@ def test_line_objects_transform_by_inverse():
     singular = _plane_matrix(((1, 0, 0), (1, 0, 0), (0, 0, 1)), f3)
     with pytest.raises(InvalidInput):
         induced_permutation(singular, lines)
+
+
+def test_h_action_over_qq():
+    point = PointP2.from_coords((Fraction(2), Fraction(4), Fraction(2)))
+    assert point.coords == (1, 2, 1) and point.field == QQ
+    mats = h_group_matrices(QQ)
+    pts = [PointP2.from_coords((Fraction(sx), Fraction(2 * sy), Fraction(1)))
+           for sx in (1, -1) for sy in (1, -1)]
+    action = make_group_action(mats, pts)
+    check = common_fixed_check(action)
+    assert check["verdict"] == "PASS"
+    # one free orbit: every nontrivial element moves all four points
+    assert [r["moved"] for r in check["rows"]] == [4, 4, 4]
+    assert sorted(p[0] for p in action.permutations) == [0, 1, 2, 3]
+    covectors = [LineP2.from_coords((Fraction(a), Fraction(b), Fraction(1)))
+                 for a, b in ((1, 0), (-1, 0), (0, 3), (0, -3))]
+    assert [induced_permutation(g, covectors) for g in mats] == [
+        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
 
 
 def test_h_group_matrices_shape():

@@ -14,7 +14,6 @@ from enumtc.koszul import (
     KoszulComplex,
     _times_monomial,
     em_poincare,
-    free_ring_hilbert,
     is_regular_maximal,
     koszul_homology_dim,
     macaulay_rank,
@@ -221,12 +220,6 @@ def test_quotient_hilbert_k_triple():
     assert series.coeffs[0::2] == oracle
 
 
-def test_free_ring_hilbert():
-    t = make_table(("u", "v"))
-    free = free_ring_hilbert(t, 3)
-    assert free.coeffs == [1, 2, 3, 4]
-
-
 def test_em_poincare_h_case():
     series = em_poincare(h_pair(), 0)
     assert series.coeffs == [1, 2, 3, 4, 4, 4, 3, 2, 1]
@@ -251,15 +244,6 @@ def test_em_poincare_rejects_nonregular():
     y = Polynomial.variable("y", t, F3)
     with pytest.raises(CollapseHypothesisUnmet):
         em_poincare(GradedSequence((x, x * y)), 1)
-
-
-def test_em_poincare_empty_with_exterior():
-    t = make_table(("u",))
-    seq = GradedSequence(())
-    # no table on an empty sequence; use free_ring_hilbert directly
-    base = free_ring_hilbert(t, 2)
-    out = base.convolve_binomial(1)
-    assert out.coeffs == [1, 2, 2, 1]
 
 
 def test_tor_concentration_k_triple():

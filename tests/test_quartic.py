@@ -121,8 +121,8 @@ def test_every_signed_permutation_fixes_the_klein_quartic():
 def test_klein_orbit_sizes():
     group = klein_exact()[1]
     assert len(quartic._orbit(klein_flex_seed(), group)) == 24
-    orbits = [quartic._orbit(s, group, covector=True)
-              for s in klein_bitangent_seeds()]
+    moves = [LineP2.moved_by(g) for g in group]
+    orbits = [quartic._orbit(s, moves) for s in klein_bitangent_seeds()]
     assert [len(o) for o in orbits] == [4, 12, 12]
     assert len({v for o in orbits for v in o}) == 28
 
