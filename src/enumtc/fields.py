@@ -4,7 +4,8 @@ Prime fields F_p, rationals (stdlib Fraction) and number fields
 Q[t]/(m(t)) for a monic integer m, whose elements are int vectors over one
 denominator, with complex embeddings for the floats a report shows
 (displacements and deviations).  All values are immutable and all
-operations are pure.
+operations are pure; a NumberField memoises the inverses and the
+embedding tables it has computed.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class PrimeField:
 class _FieldElement:
     """Operators shared by FpElement and NumberFieldElement, built on
     their _coerce, _add (self + sign * other), *, inverse and field.one()."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -184,6 +187,10 @@ class RationalField:
 QQ = RationalField()
 
 
+# Fixed-point bits of an embedding table entry, above the 203 of 60 digits.
+_EMBED_BITS = 256
+
+
 class NumberField:
     """Q[t]/(m(t)) for a monic polynomial m with integer coefficients.
 
@@ -204,6 +211,8 @@ class NumberField:
         self.tag = "NF:" + ",".join(str(c) for c in self.minpoly)
         self._zeros = (0,) * (self.degree - 1)
         self._roots = None
+        self._inverses = {}
+        self._embeddings = {}
 
     def __repr__(self):
         return f"NumberField(deg {self.degree}, {self.name})"
@@ -246,8 +255,8 @@ class NumberField:
         for i in range(len(coeffs) - 1, n - 1, -1):
             c = coeffs[i]
             if c:
-                # subtract c * t^(i-n) * m; this also zeroes index i
-                for j, m in enumerate(self.minpoly, i - n):
+                # subtract c * t^(i-n) * m below index i; index i is cut
+                for j, m in enumerate(self.minpoly[:-1], i - n):
                     coeffs[j] -= c * m
         del coeffs[n:]
         return coeffs
@@ -266,6 +275,20 @@ class NumberField:
             self._roots = tuple(roots)
         return self._roots
 
+    def embedding_table(self, root_index: int):
+        """(re, im) of r^0, ..., r^(n-1) for the root r that root_index
+        selects, from 60 digits, as ints scaled by 2^_EMBED_BITS."""
+        if root_index not in self._embeddings:
+            roots = self.embedding_roots()
+            if not 0 <= root_index < len(roots):
+                raise InvalidIndex(f"root_index {root_index} out of range")
+            with mpmath.workdps(60):
+                powers = [roots[root_index] ** i for i in range(self.degree)]
+                self._embeddings[root_index] = tuple(
+                    (int(mpmath.ldexp(r.real, _EMBED_BITS)),
+                     int(mpmath.ldexp(r.imag, _EMBED_BITS))) for r in powers)
+        return self._embeddings[root_index]
+
 
 def _normal(field, num, den):
     """sum num[i] t^i / den for den > 0, with gcd(den, *num) divided out."""
@@ -277,7 +300,7 @@ def _normal(field, num, den):
     return NumberFieldElement(field, tuple(num), den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberFieldElement(_FieldElement):
     """(num[0] + num[1] t + ... + num[n-1] t^(n-1)) / den in a NumberField.
 
@@ -318,20 +341,22 @@ class NumberFieldElement(_FieldElement):
                                     for a, b in zip(self.num, o.num)], d * e)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        same = other.__class__ is NumberFieldElement and \
+            other.field is self.field
+        o = other if same else self._coerce(other)
         if o is None:
             return NotImplemented
-        x, y = (o, self) if self.is_rational() else (self, o)
-        if y.is_rational():
-            # most products in the exact geometry have a rational factor
-            c = y.num[0]
-            return _normal(self.field, [a * c for a in x.num], x.den * y.den)
-        prod = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(x.num):
+        field, x, y, den = self.field, self.num, o.num, self.den * o.den
+        # most products in the exact geometry have a rational factor
+        for r, v in ((x, y), (y, x)):
+            if not any(r[1:]):
+                return _normal(field, [a * r[0] for a in v], den)
+        prod = [0] * (2 * field.degree - 1)
+        for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(y.num, i):
+                for j, b in enumerate(y, i):
                     prod[j] += a * b
-        return _normal(self.field, self.field._reduce(prod), x.den * y.den)
+        return _normal(field, field._reduce(prod), den)
 
     __rmul__ = __mul__
 
@@ -340,6 +365,14 @@ class NumberFieldElement(_FieldElement):
                                   self.den)
 
     def inverse(self):
+        """1 / self, memoised per field, since the exact geometry inverts
+        the same few elements again and again; a failure is not kept."""
+        key, memo = (self.num, self.den), self.field._inverses
+        if key not in memo:
+            memo[key] = self._invert()
+        return memo[key]
+
+    def _invert(self):
         if not self:
             raise DivisionByZero("inverse of 0 in a number field")
         # Solve M x = e_0, where column j of M holds num * t^j, by
@@ -409,10 +442,12 @@ def cyclotomic_field(p: int, name: str = "z") -> NumberField:
 def nf_embed_complex(a, root_index: int = 0) -> complex:
     """Embed a field element into C as a double-precision complex.
 
-    For a NumberFieldElement the generator goes to the root of the minpoly
-    selected by root_index under the (re, im) lexicographic root order,
-    and the element is evaluated at 60 digits before rounding.  Rationals
-    and F_p elements do not need a root choice.
+    For a NumberFieldElement the generator goes to the root r of the
+    minpoly selected by root_index under the (re, im) lexicographic root
+    order.  The element sum num_i t^i / den becomes sum num_i r^i / den,
+    summed exactly over the field's embedding_table and rounded once, by
+    int division, to each double.  Rationals and F_p elements do not need
+    a root choice.
     """
     if isinstance(a, (int, Fraction)):
         return complex(float(a))
@@ -421,15 +456,10 @@ def nf_embed_complex(a, root_index: int = 0) -> complex:
     if isinstance(a, NumberFieldElement):
         if a.is_rational():
             return complex(float(a.coeffs[0]))
-        roots = a.field.embedding_roots()
-        if not 0 <= root_index < len(roots):
-            raise InvalidIndex(f"root_index {root_index} out of range")
-        with mpmath.workdps(60):
-            t = roots[root_index]
-            acc = mpmath.mpc(0)
-            for c in reversed(a.coeffs):
-                acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
-            return complex(float(acc.real), float(acc.imag))
+        table = a.field.embedding_table(root_index)
+        scale = a.den << _EMBED_BITS
+        return complex(sum(c * re for c, (re, _) in zip(a.num, table)) / scale,
+                       sum(c * im for c, (_, im) in zip(a.num, table)) / scale)
     raise InvalidInput(f"cannot embed {type(a).__name__}")
 
 

@@ -35,23 +35,38 @@ NUMERIC_TOL = 1e-8
 
 
 def _normalize(v):
-    """v divided by its last nonzero coordinate."""
+    """v divided by its last nonzero coordinate; only nonzero coordinates
+    are multiplied, and each zero, an int 0 from _dot too, becomes a
+    field zero."""
     last = next((c for c in reversed(v) if c), None)
     if last is None:
         raise InvalidInput("the zero vector is no projective point")
     inv = field_inverse(last)
-    return tuple(c * inv for c in v)
+    zero = _field_of(last).zero()
+    return tuple(c * inv if c else zero for c in v)
 
 
 def _field_of(c):
-    return QQ if isinstance(c, Fraction) else c.field
+    return QQ if isinstance(c, (int, Fraction)) else c.field
+
+
+def _dot(u, v):
+    """sum u_i v_i over the pairs with no zero factor, int 0 if none: every
+    group acting here is monomial, so most products are zero."""
+    products = [a * b for a, b in zip(u, v) if a and b]
+    return sum(products[1:], products[0]) if products else 0
+
+
+def _minor(a, b, c, d):
+    """a d - b c with zero products skipped; int 0 if both vanish."""
+    if b and c:
+        return a * d - b * c if a and d else -(b * c)
+    return a * d if a and d else 0
 
 
 def _image(m, v):
-    """The normalised image m v.  Zero products are skipped; a row left
-    with none sums to int 0, which normalising turns into a field zero."""
-    return _normalize(tuple(sum(a * b for a, b in zip(row, v) if a and b)
-                            for row in m))
+    """The normalised image m v."""
+    return _normalize(tuple(_dot(row, v) for row in m))
 
 
 @dataclass(frozen=True)
@@ -90,8 +105,8 @@ class LineP2(_Projective):
 
 
 def _cross(u, v):
-    return tuple(u[(k + 1) % 3] * v[(k + 2) % 3]
-                 - u[(k + 2) % 3] * v[(k + 1) % 3] for k in range(3))
+    return tuple(_minor(u[(k + 1) % 3], u[(k + 2) % 3],
+                        v[(k + 1) % 3], v[(k + 2) % 3]) for k in range(3))
 
 
 def _cofactors(m):
@@ -100,7 +115,7 @@ def _cofactors(m):
 
 
 def _det3(m):
-    return sum(a * c for a, c in zip(m[0], _cross(m[1], m[2])))
+    return _dot(m[0], _cross(m[1], m[2]))
 
 
 # Plucker coordinates are indexed by these pairs, in this order.
@@ -130,11 +145,10 @@ class Line3D(_Projective):
     def moved_by(g):
         """The 6x6 matrix of the 2x2 minors of g on rows i, j and columns
         k, l, both pairs over PLUCKER_PAIRS; det g by Laplace on rows 0, 1."""
-        m = tuple(tuple(g[i][k] * g[j][l] - g[i][l] * g[j][k]
+        m = tuple(tuple(_minor(g[i][k], g[i][l], g[j][k], g[j][l])
                         for k, l in PLUCKER_PAIRS) for i, j in PLUCKER_PAIRS)
         r, s = m[0], m[5]
-        if not (r[0] * s[5] - r[1] * s[4] + r[2] * s[3]
-                + r[3] * s[2] - r[4] * s[1] + r[5] * s[0]):
+        if not _dot(r, (s[5], -s[4], s[3], s[2], -s[1], s[0])):
             raise InvalidInput("matrix is singular")
         return m
 
@@ -272,8 +286,7 @@ def homomorphism_spot_check(action: GroupAction, rng, samples: int = 10):
         i = rng.randrange(k)
         j = rng.randrange(k)
         gi, gj = action.matrices[i], action.matrices[j]
-        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gj)]
-                   for row in gi]
+        product = [[_dot(row, col) for col in zip(*gj)] for row in gi]
         got = induced_permutation(product, action.objects)
         want = compose_permutations(action.permutations[i],
                                     action.permutations[j])

@@ -51,11 +51,17 @@ class GradedSequence:
 
     @property
     def table(self):
-        return self.elements[0].table
+        return self._first().table
 
     @property
     def field(self):
-        return self.elements[0].field
+        return self._first().field
+
+    def _first(self):
+        # the empty sequence is legal, but a KoszulComplex must name its ring
+        if not self.elements:
+            raise InvalidInput("an empty sequence has no ring")
+        return self.elements[0]
 
     def degrees(self):
         return tuple(f.weighted_degree() for f in self.elements)

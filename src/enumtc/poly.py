@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .errors import (
     DivisionByZero,
@@ -186,13 +187,9 @@ class Polynomial:
             terms = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     s = terms.get(e)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        terms.pop(e, None)
+                    terms[e] = c1 * c2 if s is None else s + c1 * c2
             return Polynomial(self.table, self.field, terms)
         c = self._coerce_scalar(other)
         return Polynomial(self.table, self.field,
@@ -315,19 +312,23 @@ def substitute(f: Polynomial, smap: SpecializationMap) -> Polynomial:
             if not img.is_homogeneous() or img.weighted_degree() != w:
                 raise GradingViolation(
                     f"image of {name} is not homogeneous of weight {w}")
-    result = Polynomial.zero(ttable, tfield)
-    powers = {}
+    # powers[i][k - 1] is images[i] ** k, each built once from the last
+    images = [smap.images[name] for name in f.table.names]
+    powers = [[img] for img in images]
+    one = Polynomial.one(ttable, tfield)
+    terms = {}
     for e, c in f.terms.items():
-        term = Polynomial.constant(c, ttable, tfield)
-        for name, ei in zip(f.table.names, e):
-            if ei == 0:
-                continue
-            key = (name, ei)
-            if key not in powers:
-                powers[key] = smap.images[name] ** ei
-            term = term * powers[key]
-        result = result + term
-    return result
+        prod = one
+        for i, k in enumerate(e):
+            if k:
+                ps = powers[i]
+                while len(ps) < k:
+                    ps.append(ps[-1] * images[i])
+                prod = ps[k - 1] if prod is one else prod * ps[k - 1]
+        for te, tc in prod.terms.items():
+            s = terms.get(te)
+            terms[te] = c * tc if s is None else s + c * tc
+    return Polynomial(ttable, tfield, terms)
 
 
 def elementary_symmetric(k: int, table: VariableTable, field) -> Polynomial:
@@ -410,18 +411,6 @@ def univariate_coeffs(f: Polynomial, var: str):
     return coeffs
 
 
-def from_univariate_coeffs(coeffs, var, table, field):
-    i = table.index(var)
-    acc = Polynomial.zero(table, field)
-    x = Polynomial.variable(var, table, field)
-    for d, c in enumerate(coeffs):
-        if isinstance(c, Polynomial):
-            acc = acc + c * x ** d
-        elif c:
-            acc = acc + Polynomial.constant(c, table, field) * x ** d
-    return acc
-
-
 def _ring_exact_div(a, b):
     if isinstance(a, Polynomial):
         return a.exact_div(b)
@@ -493,15 +482,15 @@ def resultant(f: Polynomial, g: Polynomial, var: str,
 
 
 def _field_univ_coeffs(f: Polynomial, var: str):
-    coeffs = univariate_coeffs(f, var)
-    out = []
-    for c in coeffs:
-        if not c.is_constant():
+    """Field coefficients of f in var, low to high; the last is nonzero."""
+    i = f.table.index(var)
+    coeffs = {}
+    for e, c in f.terms.items():
+        if sum(e) != e[i]:
             raise InvalidInput("polynomial involves other variables")
-        out.append(c.constant_value())
-    while out and not out[-1]:
-        out.pop()
-    return out
+        coeffs[e[i]] = c
+    zero = f.field.zero()
+    return [coeffs.get(d, zero) for d in range(max(coeffs, default=-1) + 1)]
 
 
 def univariate_gcd(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
@@ -526,8 +515,10 @@ def univariate_gcd(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             r.pop()
         a, b = b, r
     inv_lead = field_inverse(a[-1])
-    monic = [c * inv_lead for c in a]
-    return from_univariate_coeffs(monic, var, f.table, f.field)
+    i = f.table.index(var)
+    e = (0,) * len(f.table)
+    return Polynomial(f.table, f.field, {e[:i] + (d,) + e[i + 1:]: c * inv_lead
+                                         for d, c in enumerate(a)})
 
 
 # ----- JSON -----

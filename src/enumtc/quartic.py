@@ -271,13 +271,20 @@ def _orbit(v, matrices):
 
 
 def _value(P: Polynomial, point):
-    """P at an exact point."""
+    """P at an exact point.  Each coordinate's powers are built once, and
+    a term with a zero coordinate is skipped."""
+    powers = [[None, x] for x in point]  # powers[i][k] = point[i] ** k
     total = P.field.zero()
     for e, c in P.terms.items():
-        for x, k in zip(point, e):
+        for x, ps, k in zip(point, powers, e):
             if k:
-                c = c * x ** k
-        total = total + c
+                if not x:
+                    break
+                while len(ps) <= k:
+                    ps.append(ps[-1] * x)
+                c = c * ps[k]
+        else:
+            total = total + c
     return total
 
 

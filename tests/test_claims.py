@@ -13,6 +13,7 @@ from enumtc.claims import (
     tc_lower,
 )
 from enumtc.errors import InconsistentEvidence, InvalidInput, UnknownClaim
+from enumtc.fields import NumberFieldElement, cyclotomic_field
 from enumtc.koszul import HilbertSeries
 from enumtc.linalg import Matrix
 
@@ -329,3 +330,26 @@ def test_group_actions_never_row_reduce(monkeypatch):
     assert "fermat-lines" in computed and "thm-sg-line" in computed
     assert all(status == "verified" for status in computed.values()), \
         computed
+
+
+def test_each_number_field_inverse_is_eliminated_once(monkeypatch):
+    for p in (3, 7):
+        monkeypatch.setattr(cyclotomic_field(p), "_inverses", {})
+    asked, eliminated = [], []
+    inverse, invert = NumberFieldElement.inverse, NumberFieldElement._invert
+
+    def counted_inverse(self):
+        asked.append((self.field.tag, self.num, self.den))
+        return inverse(self)
+
+    def counted_invert(self):
+        eliminated.append((self.field.tag, self.num, self.den))
+        return invert(self)
+
+    monkeypatch.setattr(NumberFieldElement, "inverse", counted_inverse)
+    monkeypatch.setattr(NumberFieldElement, "_invert", counted_invert)
+    report = run_claims(["klein-flexes", "klein-bitangents", "k-faithful"])
+    assert all(rec.status == "verified" for rec in report.records
+               if not rec.id.startswith("lit-"))
+    assert sorted(eliminated) == sorted(set(asked))
+    assert len(asked) > 10 * len(eliminated)

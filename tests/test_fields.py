@@ -377,6 +377,41 @@ def test_number_field_strings_and_embeddings_unchanged(field):
     assert QF7.element_to_str(QF7.zero()) == "0,0"
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_embedding_table_matches_horner_bit_for_bit(p):
+    """nf_embed_complex against the 60-digit Horner evaluation it replaced
+    (_ref_embed), compared with ==, on dense random elements at every
+    root.  An element with an exactly vanishing part (a real element's
+    imaginary part) is left out: both ways leave different noise below
+    1e-60 there."""
+    field = cyclotomic_field(p)
+    rng = random.Random(1400 + p)
+    for _ in range(150):
+        coeffs = tuple(Fraction(rng.choice((-1, 1)) * rng.randrange(1, 60),
+                                rng.randrange(1, 40))
+                       for _ in range(field.degree))
+        a = field.element(coeffs)
+        for root in range(field.degree):
+            assert nf_embed_complex(a, root) == _ref_embed(coeffs, field,
+                                                           root)
+    assert field.embedding_table(0) is field.embedding_table(0)
+    with pytest.raises(InvalidIndex):
+        field.embedding_table(field.degree)
+
+
+def test_inverse_memo_keeps_no_failure():
+    field = NumberField([-1, 0, 1])  # t^2 - 1 = (t - 1)(t + 1)
+    zero_divisor = field.gen() - 1
+    for _ in range(3):
+        with pytest.raises(InvalidField):
+            zero_divisor.inverse()
+        with pytest.raises(DivisionByZero):
+            field.zero().inverse()
+    t = field.gen()  # t^2 = 1
+    assert t.inverse() == t
+    assert t.inverse() is t.inverse()
+
+
 def test_equal_values_from_different_denominators_are_equal():
     rng = random.Random(5)
     for field in (cyclotomic_field(3), cyclotomic_field(7), QF7):

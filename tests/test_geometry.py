@@ -10,12 +10,13 @@ from enumtc.errors import (
     InvalidLine,
     NotInvariant,
 )
-from enumtc.fields import QQ, PrimeField, cyclotomic_field
+from enumtc.fields import QQ, NumberFieldElement, PrimeField, cyclotomic_field
 from enumtc.geometry import (
     PLUCKER_PAIRS,
     Line3D,
     LineP2,
     PointP2,
+    _image,
     common_fixed_check,
     compose_permutations,
     compose_with_matrix,
@@ -30,6 +31,7 @@ from enumtc.geometry import (
     verify_projective_equivalence,
 )
 from enumtc.poly import Polynomial, make_table
+from enumtc.quartic import klein_quartic
 
 F3CYC = cyclotomic_field(3)
 F7CYC = cyclotomic_field(7)
@@ -315,3 +317,40 @@ def test_equivalence_with_shear_and_failure_report():
     singular = ((one, zero, zero), (one, zero, zero), (zero, zero, one))
     with pytest.raises(InvalidInput):
         verify_projective_equivalence(F, F, singular)
+
+
+def test_compose_with_identity_and_scalar_matrices():
+    F = klein_quartic()
+    one, zero, z = F7CYC.one(), F7CYC.zero(), F7CYC.gen()
+    c = 2 - z ** 3
+
+    def scalar(s):
+        return tuple(tuple(s if i == j else zero for j in range(3))
+                     for i in range(3))
+
+    assert compose_with_matrix(F, scalar(one)) == F
+    assert compose_with_matrix(F, scalar(c)) == F * c ** 4
+
+
+def test_image_matches_dense_product_and_keeps_field_zeros():
+    rng = random.Random(14)
+    z, zero = F7CYC.gen(), F7CYC.zero()
+    for trial in range(40):
+        if trial % 2:  # monomial: a signed permutation times powers of z
+            perm = rng.sample(range(3), 3)
+            m = tuple(tuple(rng.choice((1, -1)) * z ** rng.randrange(7)
+                            if j == perm[i] else zero for j in range(3))
+                      for i in range(3))
+        else:
+            m = tuple(tuple(rng.randrange(-2, 3) + rng.randrange(-2, 3) * z
+                            for _ in range(3)) for _ in range(3))
+        v = tuple(zero if rng.random() < 0.4
+                  else rng.randrange(1, 4) * z ** rng.randrange(7)
+                  for _ in range(3))
+        w = [sum((a * b for a, b in zip(row, v)), zero) for row in m]
+        if not any(v) or not any(w):
+            continue
+        last = next(c for c in reversed(w) if c)
+        got = _image(m, v)
+        assert got == tuple(c / last for c in w)
+        assert all(type(c) is NumberFieldElement for c in got)

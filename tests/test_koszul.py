@@ -4,6 +4,7 @@ import pytest
 
 from enumtc.errors import (
     CollapseHypothesisUnmet,
+    EnumTCError,
     InvalidInput,
     UnsupportedLength,
 )
@@ -141,6 +142,15 @@ def test_empty_sequence_homology():
     t = make_table(("x", "y"))
     K = KoszulComplex(GradedSequence(()), table=t, field=QQ)
     assert koszul_homology_dim(K, 3) == [4]
+
+
+def test_empty_sequence_has_no_ring():
+    empty = GradedSequence(())
+    for call in (lambda: em_poincare(empty, 1),
+                 lambda: is_regular_maximal(empty),
+                 lambda: KoszulComplex(empty)):
+        with pytest.raises(EnumTCError):
+            call()
 
 
 def test_regularity_k_triple():

@@ -12,7 +12,7 @@ from enumtc.errors import (
     InvalidIndex,
     InvalidInput,
 )
-from enumtc.fields import QQ, PrimeField
+from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.poly import (
     Polynomial,
     SpecializationMap,
@@ -516,3 +516,49 @@ def test_partial_derivative():
     f = x ** 3 * y + 2 * y
     assert f.partial("x") == 3 * x ** 2 * y
     assert f.partial("y") == x ** 3 + Polynomial.constant(Fraction(2), XYZ, QQ)
+
+
+def _naive_substitute(f, images):
+    """Every term expanded by repeated multiplication, then summed."""
+    sample = next(iter(images.values()))
+    acc = Polynomial.zero(sample.table, sample.field)
+    for e, c in f.terms.items():
+        term = Polynomial.constant(c, sample.table, sample.field)
+        for name, k in zip(f.table.names, e):
+            for _ in range(k):
+                term = term * images[name]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), cyclotomic_field(7)],
+                         ids=["QQ", "F5", "zeta7"])
+def test_substitute_matches_naive_expansion(field):
+    rng = random.Random(14 + len(repr(field)))
+    st = make_table(("s", "t"))
+
+    def coeff():
+        if field is QQ:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        if isinstance(field, PrimeField):
+            return field.from_int(rng.randrange(field.p))
+        return field.element([Fraction(rng.randrange(-5, 6),
+                                        rng.randrange(1, 4))
+                              for _ in range(field.degree)])
+
+    for _ in range(25):
+        # a constant term and x^2 in two terms, so a cached power is reused
+        terms = {(0, 0, 0): coeff(), (2, 1, 0): coeff(), (2, 0, 3): coeff()}
+        for _ in range(rng.randrange(0, 6)):
+            terms[tuple(rng.randrange(0, 5) for _ in range(3))] = coeff()
+        f = Polynomial(XYZ, field, terms)
+        images = {}
+        for name in XYZ.names:
+            if rng.random() < 0.2:
+                images[name] = Polynomial.zero(st, field)
+            else:
+                images[name] = Polynomial(st, field, {
+                    tuple(rng.randrange(0, 3) for _ in range(2)): coeff()
+                    for _ in range(rng.randrange(1, 4))})
+        got = substitute(f, SpecializationMap(images))
+        assert got == _naive_substitute(f, images)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from enumtc.errors import CheckFailed, InvalidInput, NotInvariant
@@ -344,3 +346,21 @@ def test_fermat_scan_needs_coordinate_change():
     for flex in ((zero, r, one), (r, zero, one)):
         with pytest.raises(CheckFailed, match="square of a linear factor"):
             exact_flex_tangents(F, [flex])
+
+
+def test_value_matches_term_by_term_evaluation():
+    F = klein_quartic()
+    field = F.field
+    z, zero = field.gen(), field.zero()
+    rng = random.Random(7)
+    for P in (F, hessian_det(F), F.partial("x")):
+        for _ in range(10):
+            point = tuple(zero if rng.random() < 0.3 else
+                          rng.randrange(-3, 4) + z ** rng.randrange(7)
+                          for _ in range(3))
+            want = zero
+            for e, c in P.terms.items():
+                for x, k in zip(point, e):
+                    c = c * x ** k
+                want = want + c
+            assert quartic._value(P, point) == want
