@@ -16,6 +16,14 @@ def prime(text: str) -> int:
     return p
 
 
+def degree(text: str) -> int:
+    """Argument type for --max-degree: an integer that is not negative."""
+    d = int(text)
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"{d} is negative")
+    return d
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enumtc",
@@ -31,8 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the known claim ids and exit")
     verify.add_argument("--prime", type=prime, default=7,
                         help="extra cross-check prime (default 7)")
-    verify.add_argument("--max-degree", type=int, default=12,
-                        help="degree window for generator and Tor checks")
+    verify.add_argument("--max-degree", type=degree, default=12,
+                        help="degree window for generator and Tor checks "
+                             "(>= 0, default 12)")
     verify.add_argument("--json", metavar="PATH",
                         help="write the canonical JSON report to PATH")
     return parser

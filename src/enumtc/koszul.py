@@ -161,13 +161,12 @@ class RegularityCertificate:
 
 
 def macaulay_rank(seq: GradedSequence, t: int):
-    """Rank of {monomial * f_i} -> degree-t monomials, plus the stratum dim."""
-    targets = monomials_of_weighted_degree(seq.table, t)
-    images = [_times_monomial(f, m).terms for f in seq.elements
-              for m in monomials_of_weighted_degree(
-                  seq.table, t - f.weighted_degree())]
-    return Matrix.from_columns(images, targets, seq.field).rank(), \
-        len(targets)
+    """Rank of {monomial * f_i} -> degree-t monomials, plus the stratum dim.
+
+    This is the first Koszul differential d_1: (K_1)_t -> (K_0)_t.
+    """
+    M, _, dst = KoszulComplex(seq).boundary_matrix(1, t)
+    return M.rank(), len(dst)
 
 
 def is_regular_maximal(seq: GradedSequence) -> RegularityCertificate:

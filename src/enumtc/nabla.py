@@ -11,11 +11,10 @@ by c_2..c_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GeneratorCheckFailure, InvalidInput
 from .fields import QQ
-from .linalg import Matrix
+from .linalg import Matrix, rank_int, rank_mod_p
 from .poly import Polynomial, make_table, monomials_of_weighted_degree
 
 CERTIFIED_DEGREE_BOUND = 12
@@ -26,10 +25,6 @@ class NablaContext:
     n: int
     field: object
     table: object
-
-    @property
-    def p(self):
-        return getattr(self.field, "p", None)
 
 
 def make_context(n: int, field) -> NablaContext:
@@ -85,7 +80,6 @@ def kernel_of_nabla(ctx: NablaContext, degree: int):
     return basis
 
 
-@lru_cache(maxsize=256)
 def integral_kernel_dim(n: int, degree: int) -> int:
     """Dimension of the degreewise kernel over Q: sources minus rank."""
     M, sources, _ = nabla_matrix(make_context(n, QQ), degree)
@@ -118,79 +112,79 @@ def stated_image_generators(n: int, field):
     return ctx, gens
 
 
-def generated_dim(ctx: NablaContext, gens, degree: int) -> int:
-    """Dimension of the span of degree-`degree` products of generators."""
+def generated_dim(ctx: NablaContext, gens, degree: int, primes):
+    """Span dimensions of the degree-`degree` products of integral generators.
+
+    The products are built once over Q and their coefficient rows read
+    as ints, so reducing them mod p gives the products over F_p.  Returns
+    the rank over Q, then the rank mod each prime of `primes` in order.
+    """
     degs = [g.weighted_degree() for g in gens]
     products = []
 
     def rec(i, remaining, current):
+        # skip gens[i] from here on, or take one more factor of it
         if remaining == 0:
             products.append(current)
-            return
-        if i == len(gens):
-            return
-        e = 0
-        acc = current
-        while e * degs[i] <= remaining:
-            if e > 0:
-                acc = acc * gens[i]
-            rec(i + 1, remaining - e * degs[i], acc)
-            e += 1
+        elif i < len(gens):
+            rec(i + 1, remaining, current)
+            if degs[i] <= remaining:
+                rec(i, remaining - degs[i], current * gens[i])
 
     rec(0, degree, Polynomial.one(ctx.table, ctx.field))
     monomials = monomials_of_weighted_degree(ctx.table, degree)
-    return Matrix.from_columns([p.terms for p in products], monomials,
-                               ctx.field).rank()
+    rows = [[f.terms.get(m, 0).numerator for m in monomials]
+            for f in products]
+    return [rank_int(rows)] + [rank_mod_p(rows, p) for p in primes]
 
 
-def verify_generators(ctx: NablaContext, gens, max_degree: int):
-    """Check a claimed generating set for the degreewise image.
+def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
+    """Check integral generators of the kernel over Q and modulo primes.
 
-    Per even degree k <= max_degree three facts are checked: every listed
-    generator is killed by the derivation in ctx's own field, products of
-    generators span a space of the right dimension, and that dimension
-    equals the count of monomials in c_2..c_n.
+    ctx is the Q context.  Integrality, p not dividing n, kernel
+    membership and homogeneity are checked once, over Q: both the
+    generators and the derivation are integral, so this holds mod p too.
+    Then per even degree k <= max_degree and per field, Q first and then
+    `primes` in order, the span of generator products must have the
+    integral kernel rank and the count of monomials in c_2..c_n.  The
+    kernel rank is always taken over Q: the derivation degenerates mod
+    small primes (2c_1 vanishes mod 2), so a mod-p kernel can be larger.
 
-    kernel_dim is always computed over Q.  The derivation degenerates
-    modulo small primes (2c_1 vanishes mod 2, 3c_1 mod 3), so the mod-p
-    kernel can be strictly larger than the reduction of the integral
-    kernel; the quantity the claims consume is the integral kernel rank
-    per degree, which the rational computation gives exactly.  It is
-    integral_kernel_dim(n, degree): the source count minus the rank of
-    the QQ nabla matrix, ranked on ints (linalg.rank_int) and cached per
-    (n, degree), so every field of a claim shares one rank per degree.
-    The span of generator products is taken over ctx's field, so for
-    F_p contexts the check is: mod-p span rank = integral kernel rank =
-    subring count.
-
-    Returns one report row per degree; any failure raises
-    GeneratorCheckFailure naming the degree and witness.
+    Returns one {"p", "rows"} table per field (p is None for Q).  The
+    first failing row, field by field, raises GeneratorCheckFailure
+    naming the field and the degree.
     """
-    p = ctx.p
-    if p is not None and ctx.n % p == 0:
-        raise InvalidInput(f"p={p} divides n={ctx.n}")
+    if ctx.field != QQ:
+        raise InvalidInput("generators are checked over QQ")
+    if max_degree < 0:
+        raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
+    for p in primes:
+        if ctx.n % p == 0:
+            raise InvalidInput(f"p={p} divides n={ctx.n}")
     for g in gens:
-        img = nabla(g, ctx)
-        if img:
+        if any(c.denominator != 1 for c in g.terms.values()):
+            raise InvalidInput(f"generator {g!r} is not integral")
+        if nabla(g, ctx):
             raise GeneratorCheckFailure(
                 f"claimed generator {g!r} is not in the kernel")
         if not g.is_homogeneous():
             raise GeneratorCheckFailure(f"generator {g!r} not homogeneous")
-    rows = []
-    for degree in range(0, max_degree + 1, 2):
-        kdim = integral_kernel_dim(ctx.n, degree)
-        bdim = bsu_monomial_count(ctx, degree)
-        gdim = generated_dim(ctx, gens, degree)
-        ok = kdim == bdim == gdim
-        status = "ok" if degree <= CERTIFIED_DEGREE_BOUND else \
-            "ok-beyond-certified-window"
-        if not ok:
-            status = "fail"
-        rows.append({"n": ctx.n, "p": p, "degree": degree,
-                     "kernel_dim": kdim, "bsu_dim": bdim,
-                     "generated_dim": gdim, "status": status})
-        if not ok:
-            raise GeneratorCheckFailure(
-                f"degree {degree}: kernel {kdim}, subring count {bdim}, "
-                f"generated {gdim}")
-    return rows
+    degrees = range(0, max_degree + 1, 2)
+    dims = [(integral_kernel_dim(ctx.n, d), bsu_monomial_count(ctx, d),
+             generated_dim(ctx, gens, d, primes)) for d in degrees]
+    tables = []
+    for i, p in enumerate([None, *primes]):
+        rows = []
+        for degree, (kdim, bdim, gdims) in zip(degrees, dims):
+            gdim = gdims[i]
+            if not kdim == bdim == gdim:
+                raise GeneratorCheckFailure(
+                    f"{'QQ' if p is None else f'p={p}'}, degree {degree}: "
+                    f"kernel {kdim}, subring count {bdim}, generated {gdim}")
+            status = "ok" if degree <= CERTIFIED_DEGREE_BOUND else \
+                "ok-beyond-certified-window"
+            rows.append({"n": ctx.n, "p": p, "degree": degree,
+                         "kernel_dim": kdim, "bsu_dim": bdim,
+                         "generated_dim": gdim, "status": status})
+        tables.append({"p": p, "rows": rows})
+    return tables

@@ -159,14 +159,14 @@ def test_criterion_06_nabla_generators():
     t0 = perf_counter()
     results = []
     for n, primes in ((3, (2, 5, 7)), (4, (3, 5, 7))):
-        _, gens_q = stated_image_generators(n, QQ)
+        ctx, gens = stated_image_generators(n, QQ)
         integral = all(c.denominator == 1
-                       for g in gens_q for c in g.terms.values())
+                       for g in gens for c in g.terms.values())
         results.append(integral)
-        for p in primes:
-            ctx, gens = stated_image_generators(n, PrimeField(p))
-            rows = verify_generators(ctx, gens, 12)
-            results.append(all(r["status"].startswith("ok") for r in rows))
+        tables = verify_generators(ctx, gens, 12, primes)
+        results.append([t["p"] for t in tables] == [None, *primes])
+        results.extend(all(r["status"].startswith("ok") for r in t["rows"])
+                       for t in tables)
     dt = perf_counter() - t0
     ok = all(results) and dt < 60
     _criterion(6, ok, f"{len(results)} field checks clean, {dt:.2f}s")

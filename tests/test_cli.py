@@ -74,6 +74,18 @@ def test_composite_prime_is_usage_error(monkeypatch, capsys):
     assert ran == []
 
 
+def test_negative_max_degree_is_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_claims", lambda *a: ran.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nabla-generators-n3", "--max-degree", "-2"])
+    assert exc.value.code == 2
+    assert "--max-degree: -2 is negative" in capsys.readouterr().err
+    assert ran == []
+    args = build_parser().parse_args(["verify", "--max-degree", "0"])
+    assert args.max_degree == 0
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["verify", "--all"])
     assert args.prime == 7 and args.max_degree == 12

@@ -22,7 +22,13 @@ from enumtc.koszul import (
     quotient_hilbert,
     tor_concentration_check,
 )
-from enumtc.poly import Polynomial, elementary_symmetric, make_table
+from enumtc.linalg import Matrix
+from enumtc.poly import (
+    Polynomial,
+    elementary_symmetric,
+    make_table,
+    monomials_of_weighted_degree,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -313,6 +319,21 @@ def test_macaulay_rank_basic():
     rank, dim = macaulay_rank(seq, 2)
     # degree-2 stratum {x^2, xy, y^2}; image of x * {x, y} has rank 2
     assert (rank, dim) == (2, 3)
+
+
+def test_macaulay_rank_matches_products_by_monomials():
+    # {monomial * f_i} built directly, against the d_1 matrix it now reads
+    for seq in (k_triple(), h_pair()):
+        table, field = seq.table, seq.field
+        for t in range(12):
+            targets = monomials_of_weighted_degree(table, t)
+            images = [(f * Polynomial.monomial(m, field.one(), table,
+                                               field)).terms
+                      for f in seq.elements
+                      for m in monomials_of_weighted_degree(
+                          table, t - f.weighted_degree())]
+            rank = Matrix.from_columns(images, targets, field).rank()
+            assert macaulay_rank(seq, t) == (rank, len(targets))
 
 
 def test_times_monomial_shifts_exponents():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from enumtc import nabla as nabla_module
+from enumtc.claims import Config, run_claims
 from enumtc.errors import GeneratorCheckFailure, InvalidInput
 from enumtc.fields import QQ, PrimeField
 from enumtc.linalg import Matrix
@@ -18,7 +19,7 @@ from enumtc.nabla import (
     stated_image_generators,
     verify_generators,
 )
-from enumtc.poly import Polynomial
+from enumtc.poly import Polynomial, monomials_of_weighted_degree
 
 
 def cvar(ctx, i):
@@ -135,18 +136,21 @@ def test_stated_generators_integer_kernel_membership():
 
 
 def test_verify_generators_n3_all_primes():
-    for p in (2, 5, 7):
-        F = PrimeField(p)
-        ctx, gens = stated_image_generators(3, F)
-        rows = verify_generators(ctx, gens, 12)
+    ctx, gens = stated_image_generators(3, QQ)
+    tables = verify_generators(ctx, gens, 12, (2, 5, 7))
+    assert [t["p"] for t in tables] == [None, 2, 5, 7]
+    for table in tables:
+        rows = table["rows"]
         assert len(rows) == 7
         assert all(r["status"] == "ok" for r in rows)
+        assert all(r["p"] == table["p"] for r in rows)
 
 
 def test_verify_generators_n4_p3():
-    F = PrimeField(3)
-    ctx, gens = stated_image_generators(4, F)
-    rows = verify_generators(ctx, gens, 12)
+    ctx, gens = stated_image_generators(4, QQ)
+    tables = verify_generators(ctx, gens, 12, (3,))
+    assert [t["p"] for t in tables] == [None, 3]
+    rows = tables[1]["rows"]
     assert all(r["status"] == "ok" for r in rows)
     by_degree = {r["degree"]: r for r in rows}
     assert by_degree[8]["kernel_dim"] == 2
@@ -155,31 +159,32 @@ def test_verify_generators_n4_p3():
 
 
 def test_verify_generators_rejects_p_dividing_n():
-    F = PrimeField(2)
-    ctx, gens = stated_image_generators(4, F)
-    with pytest.raises(InvalidInput):
-        verify_generators(ctx, gens, 8)
+    ctx, gens = stated_image_generators(4, QQ)
+    for primes in ((2,), (3, 5, 2)):
+        with pytest.raises(InvalidInput, match="p=2 divides n=4"):
+            verify_generators(ctx, gens, 8, primes)
 
 
 def test_verify_generators_catches_bad_generator():
     ctx, gens = stated_image_generators(3, QQ)
     bad = gens + [cvar(ctx, 2)]
     with pytest.raises(GeneratorCheckFailure):
-        verify_generators(ctx, bad, 8)
+        verify_generators(ctx, bad, 8, ())
 
 
 def test_verify_generators_catches_missing_generator():
     # dropping the degree-6 generator must break the span at degree 6
-    F = PrimeField(5)
-    ctx, gens = stated_image_generators(3, F)
+    ctx, gens = stated_image_generators(3, QQ)
     with pytest.raises(GeneratorCheckFailure) as exc:
-        verify_generators(ctx, gens[:1], 12)
+        verify_generators(ctx, gens[:1], 12, (5,))
     assert "degree 6" in str(exc.value)
+    assert str(exc.value).startswith("QQ, degree 6:")
 
 
 def test_generated_dim_degree0():
     ctx, gens = stated_image_generators(3, QQ)
-    assert generated_dim(ctx, gens, 0) == 1
+    assert generated_dim(ctx, gens, 0, ()) == [1]
+    assert generated_dim(ctx, gens, 0, (2, 5, 7)) == [1, 1, 1, 1]
 
 
 def test_rational_kernel_dim_matches_bsu_window():
@@ -227,12 +232,85 @@ def test_fields_of_a_claim_share_one_rank_per_degree(monkeypatch):
 
     monkeypatch.setattr(nabla_module, "nabla_matrix", spy_build)
     monkeypatch.setattr(Matrix, "rank", spy_rank)
-    integral_kernel_dim.cache_clear()
-    try:
-        for field in (QQ, PrimeField(3), PrimeField(5), PrimeField(7)):
-            ctx, gens = stated_image_generators(4, field)
-            rows = verify_generators(ctx, gens, 14)
-            assert [r["degree"] for r in rows] == list(range(0, 15, 2))
-    finally:
-        integral_kernel_dim.cache_clear()
+    ctx, gens = stated_image_generators(4, QQ)
+    tables = verify_generators(ctx, gens, 14, (3, 5, 7))
+    assert [t["p"] for t in tables] == [None, 3, 5, 7]
+    for table in tables:
+        assert [r["degree"] for r in table["rows"]] == list(range(0, 15, 2))
     assert sorted(ranked) == [d for d, _ in built] == list(range(0, 15, 2))
+
+
+def _per_field_generated_dim(gens, degree):
+    """Span rank of the degree-`degree` generator products in gens' field."""
+    table, field = gens[0].table, gens[0].field
+    products = [Polynomial.one(table, field)]
+    for g in gens:
+        # multiply in any power of g that still fits the degree
+        out = []
+        for f in products:
+            while f.weighted_degree() <= degree:
+                out.append(f)
+                f = f * g
+        products = out
+    products = [f for f in products if f.weighted_degree() == degree]
+    monomials = monomials_of_weighted_degree(table, degree)
+    return Matrix.from_columns([f.terms for f in products], monomials,
+                               field).rank()
+
+
+def test_extra_prime_table_matches_per_field_reference():
+    report = run_claims(["nabla-generators-n3"], Config(prime=11))
+    tables = report.claim("nabla-generators-n3").evidence["fields"]
+    assert [t["p"] for t in tables] == [None, 2, 5, 7, 11]
+    _, gens = stated_image_generators(3, PrimeField(11))
+    qctx = make_context(3, QQ)
+    reference = []
+    for degree in range(0, 13, 2):
+        kdim = len(kernel_of_nabla(qctx, degree))
+        reference.append({"n": 3, "p": 11, "degree": degree,
+                          "kernel_dim": kdim,
+                          "bsu_dim": bsu_monomial_count(qctx, degree),
+                          "generated_dim": _per_field_generated_dim(gens,
+                                                                    degree),
+                          "status": "ok"})
+    assert tables[-1]["rows"] == reference
+
+
+def test_generator_scaled_by_p_fails_only_modulo_p():
+    ctx, (g1, g2) = stated_image_generators(3, QQ)
+    gens = [g1, 5 * g2]
+    tables = verify_generators(ctx, gens, 12, ())
+    assert all(r["status"] == "ok" for r in tables[0]["rows"])
+    with pytest.raises(GeneratorCheckFailure) as exc:
+        verify_generators(ctx, gens, 12, (2, 5, 7))
+    assert str(exc.value).startswith("p=5, degree 6:")
+
+
+def test_verify_generators_rejects_bad_input_before_any_rank(monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(nabla_module, "integral_kernel_dim", no_rank)
+    monkeypatch.setattr(nabla_module, "generated_dim", no_rank)
+    ctx, (g1, g2) = stated_image_generators(3, QQ)
+    with pytest.raises(InvalidInput, match="not integral"):
+        verify_generators(ctx, [g1, g2 * Fraction(1, 2)], 12, (2,))
+    with pytest.raises(InvalidInput, match="max_degree"):
+        verify_generators(ctx, [g1, g2], -2, (2,))
+    fctx, fgens = stated_image_generators(3, PrimeField(5))
+    with pytest.raises(InvalidInput, match="over QQ"):
+        verify_generators(fctx, fgens, 12, ())
+
+
+def test_claim_builds_each_degrees_products_once(monkeypatch):
+    calls = []
+    build = nabla_module.generated_dim
+
+    def spy(ctx, gens, degree, *rest):
+        calls.append(degree)
+        return build(ctx, gens, degree, *rest)
+
+    monkeypatch.setattr(nabla_module, "generated_dim", spy)
+    report = run_claims(["nabla-generators-n4"], Config())
+    assert report.claim("nabla-generators-n4").status == "verified"
+    assert calls == list(range(0, 13, 2))
