@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import add
 
 from .errors import (
     CollapseHypothesisUnmet,
     InvalidInput,
     UnsupportedLength,
 )
-from .linalg import Matrix
+from .linalg import int_entry, rank_over
 from .poly import Polynomial, monomials_of_weighted_degree, polynomial_to_json
 
 
@@ -67,17 +68,13 @@ class GradedSequence:
         return tuple(f.weighted_degree() for f in self.elements)
 
 
-def _wedge_basis(k: int, i: int):
-    """Strictly increasing i-tuples from range(k)."""
-    return list(combinations(range(k), i))
-
-
 class KoszulComplex:
     """Exterior complex on a graded sequence, organized by internal degree.
 
     K_i has basis {monomial * e_J : |J| = i}; the boundary sends e_J to
     sum_k (-1)^(k+1) f_{j_k} e_{J minus j_k}.  Internal degree of e_J is
-    the sum of the element degrees over J.
+    the sum of the element degrees over J.  Each element's coefficients
+    are read once as int-row entries, so the field must be QQ or F_p.
     """
 
     def __init__(self, seq: GradedSequence, table=None, field=None):
@@ -87,15 +84,15 @@ class KoszulComplex:
         self.table = seq.table if len(seq) else table
         self.field = seq.field if len(seq) else field
         self.degrees = seq.degrees()
-
-    def wedge_degree(self, J) -> int:
-        return sum(self.degrees[j] for j in J)
+        self._terms = [[(e, int_entry(self.field, c))
+                        for e, c in f.terms.items()] for f in seq.elements]
 
     def module_basis(self, i: int, t: int):
-        """Basis of K_i in internal degree t: (monomial, J) pairs."""
+        """Basis of K_i in internal degree t: (monomial, J) pairs, J
+        strictly increasing."""
         out = []
-        for J in _wedge_basis(len(self.seq), i):
-            md = t - self.wedge_degree(J)
+        for J in combinations(range(len(self.seq)), i):
+            md = t - sum(self.degrees[j] for j in J)
             if md < 0:
                 continue
             for m in monomials_of_weighted_degree(self.table, md):
@@ -103,25 +100,28 @@ class KoszulComplex:
         return out
 
     def boundary_matrix(self, i: int, t: int):
-        """Matrix of d_i: (K_i)_t -> (K_{i-1})_t, rows index the target."""
+        """(rows, src, dst) for d_i: (K_i)_t -> (K_{i-1})_t.
+
+        Row r is the image of src[r] in the dst basis: the transpose of
+        d_i, of the same rank.  Entries are ``linalg.int_entry`` values,
+        an F_p residue possibly negated.
+        """
         if not 1 <= i <= len(self.seq):
             raise InvalidInput(f"homological index {i} out of range")
         src = self.module_basis(i, t)
         dst = self.module_basis(i - 1, t)
+        column = {key: c for c, key in enumerate(dst)}
+        rows = []
         # m e_J -> sum_k (-1)^k m f_{j_k} e_{J minus j_k}, k from 0
-        images = [{(e, J[:k] + J[k + 1:]): c if k % 2 == 0 else -c
-                   for k, j in enumerate(J)
-                   for e, c in _times_monomial(self.seq.elements[j],
-                                               m).terms.items()}
-                  for m, J in src]
-        return Matrix.from_columns(images, dst, self.field), src, dst
-
-
-def _times_monomial(f: Polynomial, m) -> Polynomial:
-    """f times the monomial with exponent tuple m: every exponent shifts."""
-    return Polynomial(f.table, f.field,
-                      {tuple(a + b for a, b in zip(e, m)): c
-                       for e, c in f.terms.items()})
+        for m, J in src:
+            row = [0] * len(dst)
+            for k, j in enumerate(J):
+                rest = J[:k] + J[k + 1:]
+                for e, c in self._terms[j]:
+                    row[column[tuple(map(add, e, m)), rest]] = \
+                        c if k % 2 == 0 else -c
+            rows.append(row)
+        return rows, src, dst
 
 
 def koszul_homology_dim(K: KoszulComplex, t: int):
@@ -131,7 +131,7 @@ def koszul_homology_dim(K: KoszulComplex, t: int):
     """
     k = len(K.seq)
     dims = [len(K.module_basis(i, t)) for i in range(k + 1)]
-    ranks = [0] + [K.boundary_matrix(i, t)[0].rank()
+    ranks = [0] + [rank_over(K.field, K.boundary_matrix(i, t)[0])
                    for i in range(1, k + 1)] + [0]
     return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
 
@@ -165,8 +165,8 @@ def macaulay_rank(seq: GradedSequence, t: int):
 
     This is the first Koszul differential d_1: (K_1)_t -> (K_0)_t.
     """
-    M, _, dst = KoszulComplex(seq).boundary_matrix(1, t)
-    return M.rank(), len(dst)
+    rows, _, dst = KoszulComplex(seq).boundary_matrix(1, t)
+    return rank_over(seq.field, rows), len(dst)
 
 
 def is_regular_maximal(seq: GradedSequence) -> RegularityCertificate:

@@ -1,30 +1,31 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Three elimination kernels, all with first-nonzero pivoting; every field
-here is exact, so there is no conditioning to worry about.
+Every rank a claim takes is of rows of plain Python ints, built straight
+from the claim's data, never of field element objects:
 
-- ``rank_mod_p`` ranks rows of plain Python ints over F_p by forward
-  elimination alone.  ``Matrix.rank`` sends every prime-field matrix
-  here, so Koszul and Macaulay ranks do no arithmetic on field element
-  objects.
-- ``rank_int`` ranks rows over Q by clearing each row's denominators
-  and running fraction-free (Bareiss) forward elimination on ints.
-  ``Matrix.rank`` sends every QQ matrix here, so QQ ranks do no
-  Fraction arithmetic.
-- ``Matrix.rref`` is the generic reduced row echelon form on field
-  elements (QQ, F_p, Q(zeta_m)); ``Matrix.kernel_basis`` and ranks over
-  number fields use it.  No claim of ``enumtc verify`` reaches it.
+- ``rank_mod_p`` ranks int rows over F_p by forward elimination alone.
+- ``rank_int`` ranks rows over Q by clearing each row's denominators and
+  running fraction-free (Bareiss) forward elimination on ints.
+- ``int_entry`` writes a coefficient of QQ or F_p as an int-row entry,
+  and ``rank_over`` sends int rows to the kernel of their field.  Both
+  raise InvalidField for any other field: no claim ranks over a number
+  field.
 
-All three update a row only from the pivot column onward, since the
-pivot row is zero left of it; ``rank_mod_p`` and ``rref`` also leave an
-entry alone where the pivot row is zero.
+``Matrix`` is the generic reduced row echelon form on field elements
+(QQ, F_p, Q(zeta_m)), with the kernel basis and the rank it gives.  No
+claim of ``enumtc verify`` reaches it; tests use it as the reference for
+the int-row kernels and the rows the claims build.
+
+All three eliminations update a row only from the pivot column onward,
+since the pivot row is zero left of it; ``rank_mod_p`` and ``rref`` also
+leave an entry alone where the pivot row is zero.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .errors import InvalidInput
+from .errors import InvalidField, InvalidInput
 from .fields import PrimeField, RationalField, field_inverse
 
 
@@ -90,8 +91,27 @@ def rank_int(rows) -> int:
     return rank
 
 
+def int_entry(field, c):
+    """c in F_p as its residue; c in Q as an int if integral, else as
+    the Fraction, which ``rank_int`` also reads."""
+    if isinstance(field, PrimeField):
+        return c.residue
+    if isinstance(field, RationalField):
+        return c.numerator if c.denominator == 1 else c
+    raise InvalidField(f"no int rows over {field!r}")
+
+
+def rank_over(field, rows) -> int:
+    """Rank of int rows over F_p (``rank_mod_p``) or Q (``rank_int``)."""
+    if isinstance(field, PrimeField):
+        return rank_mod_p(rows, field.p)
+    if isinstance(field, RationalField):
+        return rank_int(rows)
+    raise InvalidField(f"no int-row rank over {field!r}")
+
+
 class Matrix:
-    """Row-major exact matrix over one declared field."""
+    """Row-major exact matrix of elements of one declared field."""
 
     __slots__ = ("rows", "cols", "entries", "field")
 
@@ -118,20 +138,6 @@ class Matrix:
         flat = [e for r in row_lists for e in r]
         return cls(rows, width, flat, field)
 
-    @classmethod
-    def from_columns(cls, images, basis, field):
-        """Column j holds images[j], a {basis key: coefficient} map.
-
-        Rows follow basis; keys absent from an image are zero.
-        """
-        index = {key: r for r, key in enumerate(basis)}
-        cols = len(images)
-        entries = [field.zero()] * (len(basis) * cols)
-        for j, image in enumerate(images):
-            for key, c in image.items():
-                entries[index[key] * cols + j] = c
-        return cls(len(basis), cols, entries, field)
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -140,24 +146,6 @@ class Matrix:
 
     def row_lists(self):
         return [self.row(i) for i in range(self.rows)]
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise InvalidInput("dimension mismatch")
-        zero = self.field.zero()
-        right = other.row_lists()
-        ents = []
-        for i in range(self.rows):
-            acc = [zero] * other.cols
-            for a, brow in zip(self.row(i), right):
-                if a:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            ents.extend(acc)
-        return Matrix(self.rows, other.cols, ents, self.field)
 
     def rref(self):
         """Reduced row echelon form and the list of pivot columns."""
@@ -189,11 +177,6 @@ class Matrix:
         return Matrix(self.rows, self.cols, flat, self.field), pivots
 
     def rank(self) -> int:
-        if isinstance(self.field, PrimeField):
-            return rank_mod_p([[e.residue for e in self.row(i)]
-                               for i in range(self.rows)], self.field.p)
-        if isinstance(self.field, RationalField):
-            return rank_int([self.row(i) for i in range(self.rows)])
         return len(self.rref()[1])
 
     def kernel_basis(self):

@@ -2,10 +2,11 @@
 
 The ring is F[c_1..c_n] with |c_i| = 2i.  The derivation acts by
 nabla(c_k) = (n-k+1) c_{k-1} with c_0 = 1, extended by additivity and the
-Leibniz rule.  Degreewise kernels are computed by exact linear algebra,
-and a stated generating set can be checked against them: membership,
-span of products, and the dimension count against the subring generated
-by c_2..c_n.
+Leibniz rule.  One integer rule on monomials gives both ``nabla`` and the
+int rows of ``nabla_matrix``.  Degreewise kernel ranks are taken on those
+rows, and a stated generating set can be checked against them:
+membership, span of products, and the dimension count against the
+subring generated by c_2..c_n.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GeneratorCheckFailure, InvalidInput
 from .fields import QQ
-from .linalg import Matrix, rank_int, rank_mod_p
+from .linalg import rank_int, rank_mod_p
 from .poly import Polynomial, make_table, monomials_of_weighted_degree
 
 CERTIFIED_DEGREE_BOUND = 12
@@ -35,55 +36,56 @@ def make_context(n: int, field) -> NablaContext:
     return NablaContext(n, field, table)
 
 
+def _nabla_monomial(n: int, e):
+    """c^e -> sum_k e_k (n-k+1) c^(e - d_k + d_(k-1)), with c_0 = 1, as
+    distinct (exponent, int coefficient) pairs."""
+    out = []
+    for k, ek in enumerate(e):
+        # index k holds c_(k+1), whose image is (n-k) c_k
+        if ek:
+            image = list(e)
+            image[k] -= 1
+            if k:
+                image[k - 1] += 1
+            out.append((tuple(image), ek * (n - k)))
+    return out
+
+
 def nabla(f: Polynomial, ctx: NablaContext) -> Polynomial:
     """Leibniz extension of c_k -> (n-k+1) c_{k-1}; lowers degree by 2."""
     if f.table != ctx.table or f.field != ctx.field:
         raise InvalidInput("polynomial is not in the context ring")
-    result = Polynomial.zero(ctx.table, ctx.field)
-    for k in range(1, ctx.n + 1):
-        pf = f.partial(f"c{k}")
-        if not pf:
-            continue
-        scale = ctx.n - k + 1
-        if k > 1:
-            pf = pf * Polynomial.variable(f"c{k - 1}", ctx.table, ctx.field)
-        result = result + scale * pf
-    return result
+    terms = {}
+    for e, c in f.terms.items():
+        for image, a in _nabla_monomial(ctx.n, e):
+            terms[image] = terms.get(image, 0) + a * c
+    return Polynomial(ctx.table, ctx.field, terms)
 
 
 def nabla_matrix(ctx: NablaContext, degree: int):
-    """Matrix of the derivation from weighted degree `degree` to degree-2.
+    """(rows, sources, targets) for the derivation from weighted degree
+    `degree` to degree-2, on monomials.
 
-    Returns (matrix, source monomials, target monomials); rows index the
-    target basis.
+    Row r is the image of sources[r] in the targets basis: the transpose
+    of the derivation's matrix.  Entries are the monomial rule's ints,
+    whatever ctx.field is.
     """
     sources = monomials_of_weighted_degree(ctx.table, degree)
     targets = monomials_of_weighted_degree(ctx.table, degree - 2)
-    images = [nabla(Polynomial.monomial(e, ctx.field.one(), ctx.table,
-                                        ctx.field), ctx).terms
-              for e in sources]
-    return Matrix.from_columns(images, targets, ctx.field), sources, targets
-
-
-def kernel_of_nabla(ctx: NablaContext, degree: int):
-    """Basis of the degreewise kernel, as polynomials.
-
-    Odd or unrepresentable degrees give the zero space.  Degrees beyond
-    CERTIFIED_DEGREE_BOUND are computed the same way; callers decide how
-    to label them.
-    """
-    M, sources, _ = nabla_matrix(ctx, degree)
-    basis = []
-    for v in M.kernel_basis():
-        terms = {e: c for e, c in zip(sources, v) if c}
-        basis.append(Polynomial(ctx.table, ctx.field, terms))
-    return basis
+    column = {e: c for c, e in enumerate(targets)}
+    rows = []
+    for e in sources:
+        row = [0] * len(targets)
+        for image, a in _nabla_monomial(ctx.n, e):
+            row[column[image]] = a
+        rows.append(row)
+    return rows, sources, targets
 
 
 def integral_kernel_dim(n: int, degree: int) -> int:
     """Dimension of the degreewise kernel over Q: sources minus rank."""
-    M, sources, _ = nabla_matrix(make_context(n, QQ), degree)
-    return len(sources) - M.rank()
+    rows, sources, _ = nabla_matrix(make_context(n, QQ), degree)
+    return len(sources) - rank_int(rows)
 
 
 def bsu_monomial_count(ctx: NablaContext, degree: int) -> int:
@@ -141,9 +143,10 @@ def generated_dim(ctx: NablaContext, gens, degree: int, primes):
 def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
     """Check integral generators of the kernel over Q and modulo primes.
 
-    ctx is the Q context.  Integrality, p not dividing n, kernel
-    membership and homogeneity are checked once, over Q: both the
-    generators and the derivation are integral, so this holds mod p too.
+    ctx is the Q context.  Integrality, p not dividing n, nonconstant
+    generators, kernel membership and homogeneity are checked once, over
+    Q: both the generators and the derivation are integral, so this
+    holds mod p too.
     Then per even degree k <= max_degree and per field, Q first and then
     `primes` in order, the span of generator products must have the
     integral kernel rank and the count of monomials in c_2..c_n.  The
@@ -164,6 +167,8 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
     for g in gens:
         if any(c.denominator != 1 for c in g.terms.values()):
             raise InvalidInput(f"generator {g!r} is not integral")
+        if g.is_constant():
+            raise InvalidInput(f"generator {g!r} is zero or constant")
         if nabla(g, ctx):
             raise GeneratorCheckFailure(
                 f"claimed generator {g!r} is not in the kernel")

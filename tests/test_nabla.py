@@ -7,12 +7,11 @@ from enumtc import nabla as nabla_module
 from enumtc.claims import Config, run_claims
 from enumtc.errors import GeneratorCheckFailure, InvalidInput
 from enumtc.fields import QQ, PrimeField
-from enumtc.linalg import Matrix
+from enumtc.linalg import Matrix, rank_int
 from enumtc.nabla import (
     bsu_monomial_count,
     generated_dim,
     integral_kernel_dim,
-    kernel_of_nabla,
     make_context,
     nabla,
     nabla_matrix,
@@ -24,6 +23,20 @@ from enumtc.poly import Polynomial, monomials_of_weighted_degree
 
 def cvar(ctx, i):
     return Polynomial.variable(f"c{i}", ctx.table, ctx.field)
+
+
+def kernel_of_nabla(ctx, degree):
+    """Reference kernel basis, as polynomials: nabla of each source
+    monomial on field elements, then Matrix.kernel_basis."""
+    sources = monomials_of_weighted_degree(ctx.table, degree)
+    targets = monomials_of_weighted_degree(ctx.table, degree - 2)
+    zero, one = ctx.field.zero(), ctx.field.one()
+    images = [nabla(Polynomial.monomial(e, one, ctx.table, ctx.field),
+                    ctx).terms for e in sources]
+    M = Matrix.from_rows([[image.get(e, zero) for image in images]
+                          for e in targets], ctx.field, cols=len(sources))
+    return [Polynomial(ctx.table, ctx.field, dict(zip(sources, v)))
+            for v in M.kernel_basis()]
 
 
 def test_nabla_on_c2_n3():
@@ -81,17 +94,15 @@ def test_nabla_is_derivation_randomized():
 
 def test_degree8_matrix_n4():
     ctx = make_context(4, QQ)
-    M, sources, targets = nabla_matrix(ctx, 8)
-    assert len(sources) == 5
-    assert len(targets) == 3
-    assert M.rank() == 3
-    # column of each source monomial, in the (c1^3, c1c2, c3) target basis
-    cols = {}
-    t_index = {e: i for i, e in enumerate(targets)}
-    for j, e in enumerate(sources):
-        cols[e] = tuple(M.at(i, j) for i in range(3))
-    c14 = (4, 0, 0, 0)
-    assert cols[c14] == (Fraction(16), Fraction(0), Fraction(0))
+    rows, sources, targets = nabla_matrix(ctx, 8)
+    assert len(sources) == len(rows) == 5
+    assert targets == [(3, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
+    assert rank_int(rows) == 3
+    # one int row per source monomial, in the (c1^3, c1c2, c3) target basis
+    assert dict(zip(sources, map(tuple, rows))) == {
+        (4, 0, 0, 0): (16, 0, 0), (2, 1, 0, 0): (3, 8, 0),
+        (0, 2, 0, 0): (0, 6, 0), (1, 0, 1, 0): (0, 2, 4),
+        (0, 0, 0, 1): (0, 0, 1)}
 
 
 def test_kernel_dims_small_n3():
@@ -181,6 +192,14 @@ def test_verify_generators_catches_missing_generator():
     assert str(exc.value).startswith("QQ, degree 6:")
 
 
+def test_verify_generators_rejects_constant_and_zero_generators():
+    ctx, gens = stated_image_generators(4, QQ)
+    for g in (Polynomial.one(ctx.table, ctx.field),
+              Polynomial.zero(ctx.table, ctx.field)):
+        with pytest.raises(InvalidInput, match="zero or constant"):
+            verify_generators(ctx, gens + [g], 4, ())
+
+
 def test_generated_dim_degree0():
     ctx, gens = stated_image_generators(3, QQ)
     assert generated_dim(ctx, gens, 0, ()) == [1]
@@ -218,20 +237,19 @@ def test_integral_kernel_dim_matches_kernel_basis():
 
 def test_fields_of_a_claim_share_one_rank_per_degree(monkeypatch):
     built, ranked = [], []
-    build, rank = nabla_module.nabla_matrix, Matrix.rank
+    build, rank = nabla_module.nabla_matrix, nabla_module.rank_int
 
     def spy_build(ctx, degree):
         out = build(ctx, degree)
-        if ctx.field == QQ:
-            built.append((degree, out[0]))
+        built.append((degree, out[0]))
         return out
 
-    def spy_rank(self):
-        ranked.extend(d for d, M in built if M is self)
-        return rank(self)
+    def spy_rank(rows):
+        ranked.extend(d for d, b in built if b is rows)
+        return rank(rows)
 
     monkeypatch.setattr(nabla_module, "nabla_matrix", spy_build)
-    monkeypatch.setattr(Matrix, "rank", spy_rank)
+    monkeypatch.setattr(nabla_module, "rank_int", spy_rank)
     ctx, gens = stated_image_generators(4, QQ)
     tables = verify_generators(ctx, gens, 14, (3, 5, 7))
     assert [t["p"] for t in tables] == [None, 3, 5, 7]
@@ -254,8 +272,10 @@ def _per_field_generated_dim(gens, degree):
         products = out
     products = [f for f in products if f.weighted_degree() == degree]
     monomials = monomials_of_weighted_degree(table, degree)
-    return Matrix.from_columns([f.terms for f in products], monomials,
-                               field).rank()
+    zero = field.zero()
+    return Matrix.from_rows([[f.terms.get(m, zero) for m in monomials]
+                             for f in products], field,
+                            cols=len(monomials)).rank()
 
 
 def test_extra_prime_table_matches_per_field_reference():
