@@ -324,8 +324,7 @@ def _run_klein_equivalence():
             for direction, (src, dst) in (
                     ("quartic-to-classical", (quartic, classical)),
                     ("classical-to-quartic", (classical, quartic))):
-                out = verify_projective_equivalence(src, dst, m_rows,
-                                                    root_index=5)
+                out = verify_projective_equivalence(src, dst, m_rows)
                 row = {"quartic_alpha": _ALPHA_NAMES[alpha_q],
                        "matrix_alpha": _ALPHA_NAMES[alpha_m],
                        "direction": direction}
@@ -628,15 +627,16 @@ def _check_structure(records):
 def run_claims(ids, config: Config = None):
     """Run the requested claims plus dependencies; deterministic report.
 
-    Unknown ids raise UnknownClaim before anything executes.  Claims run
-    one at a time in dependency order, and each receives the values its
-    declared dependencies returned; the values live only for this run.
+    Each requested id counts once, in first-seen order.  Unknown ids
+    raise UnknownClaim before anything executes.  Claims run one at a
+    time in dependency order, and each receives the values its declared
+    dependencies returned; the values live only for this run.
     Failures propagate: a claim whose dependency did not end verified or
     assumed-from-literature is recorded as failed with the blockers
     listed, its own computation skipped.
     """
     config = config or Config()
-    requested = list(ids)
+    requested = list(dict.fromkeys(ids))
     for cid in requested:
         if cid not in _REGISTRY:
             raise UnknownClaim(f"unknown claim id {cid!r}")

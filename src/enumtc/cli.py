@@ -80,9 +80,13 @@ def main(argv=None) -> int:
           f"failed {summary['failed']} "
           f"(of {summary['total']} run, {summary['requested']} requested)")
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(report.canonical_json())
-            handle.write("\n")
+        try:
+            with open(args.json, "w") as handle:
+                handle.write(report.canonical_json())
+                handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write --json report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.ok() else 1
 
 

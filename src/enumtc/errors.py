@@ -31,7 +31,7 @@ class IncompleteMap(EnumTCError):
 
 
 class InvalidIndex(EnumTCError):
-    """An index (variable, root choice) is out of range."""
+    """An index is out of range."""
 
 
 class InvalidInput(EnumTCError):
@@ -45,10 +45,6 @@ class UnsupportedLength(EnumTCError):
 class CollapseHypothesisUnmet(EnumTCError):
     """A spectral-sequence style collapse hypothesis failed, so the
     requested series cannot be formed."""
-
-
-class NumericFailure(EnumTCError):
-    """A floating-point pipeline could not reach the required confidence."""
 
 
 class InvalidLine(EnumTCError):

@@ -2,10 +2,10 @@
 
 Prime fields F_p, rationals (stdlib Fraction) and number fields
 Q[t]/(m(t)) for a monic integer m, whose elements are int vectors over one
-denominator, with complex embeddings for the floats a report shows
-(displacements and deviations).  All values are immutable and all
-operations are pure; a NumberField memoises the inverses and the
-embedding tables it has computed.
+denominator.  Q(zeta_p) embeds into C at t = exp(2 pi i/p), for the floats
+a report shows (displacements and deviations); no other number field
+embeds.  All values are immutable and all operations are pure; a
+NumberField memoises the inverses it has computed.
 """
 
 from __future__ import annotations
@@ -13,16 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-import mpmath
-
-from .errors import (
-    DivisionByZero,
-    InvalidField,
-    InvalidIndex,
-    InvalidInput,
-    NumericFailure,
-)
+from .errors import DivisionByZero, InvalidField, InvalidInput
 
 
 def is_prime(p: int) -> bool:
@@ -187,10 +180,6 @@ class RationalField:
 QQ = RationalField()
 
 
-# Fixed-point bits of an embedding table entry, above the 203 of 60 digits.
-_EMBED_BITS = 256
-
-
 class NumberField:
     """Q[t]/(m(t)) for a monic polynomial m with integer coefficients.
 
@@ -210,9 +199,7 @@ class NumberField:
         self.name = name
         self.tag = "NF:" + ",".join(str(c) for c in self.minpoly)
         self._zeros = (0,) * (self.degree - 1)
-        self._roots = None
         self._inverses = {}
-        self._embeddings = {}
 
     def __repr__(self):
         return f"NumberField(deg {self.degree}, {self.name})"
@@ -260,34 +247,6 @@ class NumberField:
                     coeffs[j] -= c * m
         del coeffs[n:]
         return coeffs
-
-    def embedding_roots(self):
-        """Complex roots of the minpoly, sorted lexicographically by (re, im)."""
-        if self._roots is None:
-            with mpmath.workdps(60):
-                poly = [mpmath.mpf(c) for c in reversed(self.minpoly)]
-                try:
-                    roots = mpmath.polyroots(poly, maxsteps=200, extraprec=120)
-                except mpmath.libmp.NoConvergence as exc:
-                    raise NumericFailure(f"root finding failed: {exc}") from exc
-                roots = sorted((mpmath.mpc(r) for r in roots),
-                               key=lambda r: (r.real, r.imag))
-            self._roots = tuple(roots)
-        return self._roots
-
-    def embedding_table(self, root_index: int):
-        """(re, im) of r^0, ..., r^(n-1) for the root r that root_index
-        selects, from 60 digits, as ints scaled by 2^_EMBED_BITS."""
-        if root_index not in self._embeddings:
-            roots = self.embedding_roots()
-            if not 0 <= root_index < len(roots):
-                raise InvalidIndex(f"root_index {root_index} out of range")
-            with mpmath.workdps(60):
-                powers = [roots[root_index] ** i for i in range(self.degree)]
-                self._embeddings[root_index] = tuple(
-                    (int(mpmath.ldexp(r.real, _EMBED_BITS)),
-                     int(mpmath.ldexp(r.imag, _EMBED_BITS))) for r in powers)
-        return self._embeddings[root_index]
 
 
 def _normal(field, num, den):
@@ -429,7 +388,7 @@ def cyclotomic_field(p: int, name: str = "z") -> NumberField:
     """Q(zeta_p) for prime p, with minpoly 1 + t + ... + t^(p-1).
 
     One shared instance per (p, name): field checks on elements reduce to
-    an identity test, and the embedding roots are found once.
+    an identity test.
     """
     field = _CYCLOTOMIC.get((p, name))
     if field is None:
@@ -439,24 +398,61 @@ def cyclotomic_field(p: int, name: str = "z") -> NumberField:
     return field
 
 
-def nf_embed_complex(a, root_index: int = 0) -> complex:
+# Fixed-point bits of an embedding table entry, and the guard bits below
+# them that absorb the rounding of the series.
+_EMBED_BITS = 256
+_GUARD_BITS = 32
+
+
+@cache
+def _zeta_table(p: int):
+    """(cos, sin) of 2 pi i/p for i = 0, ..., p-2 as ints scaled by
+    2^_EMBED_BITS: pi by Machin's formula, then Taylor series, on ints.
+    Rounding to the nearest int makes the rational entries (1, 0, -1/2)
+    exact."""
+    one, half = 1 << (_EMBED_BITS + _GUARD_BITS), 1 << (_GUARD_BITS - 1)
+
+    def arctan_inv(x):
+        total, power, k = 0, one // x, 1
+        while power:
+            total += power // k if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+        return total
+
+    pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
+    table = []
+    for i in range(p - 1):
+        theta = 2 * pi * i // p
+        parts, term, n = [0, 0], one, 0
+        while term:
+            parts[n % 2] += -term if n % 4 > 1 else term
+            n += 1
+            term = term * theta // (n * one)
+        table.append(tuple((c + half) >> _GUARD_BITS for c in parts))
+    return tuple(table)
+
+
+def nf_embed_complex(a) -> complex:
     """Embed a field element into C as a double-precision complex.
 
-    For a NumberFieldElement the generator goes to the root r of the
-    minpoly selected by root_index under the (re, im) lexicographic root
-    order.  The element sum num_i t^i / den becomes sum num_i r^i / den,
-    summed exactly over the field's embedding_table and rounded once, by
-    int division, to each double.  Rationals and F_p elements do not need
-    a root choice.
+    An element sum num_i t^i / den of Q(zeta_p), p prime, goes to
+    sum num_i r^i / den at r = exp(2 pi i/p), summed exactly over
+    _zeta_table and rounded once, by int division, to each double.  Any
+    other number field raises InvalidField; rationals and F_p elements
+    embed as themselves.
     """
     if isinstance(a, (int, Fraction)):
         return complex(float(a))
     if isinstance(a, FpElement):
         return complex(float(a.residue))
     if isinstance(a, NumberFieldElement):
+        p = a.field.degree + 1
+        if a.field.minpoly != (1,) * p or not is_prime(p):
+            raise InvalidField(f"only Q(zeta_p) embeds, not {a.field.tag}")
         if a.is_rational():
             return complex(float(a.coeffs[0]))
-        table = a.field.embedding_table(root_index)
+        table = _zeta_table(p)
         scale = a.den << _EMBED_BITS
         return complex(sum(c * re for c, (re, _) in zip(a.num, table)) / scale,
                        sum(c * im for c, (_, im) in zip(a.num, table)) / scale)

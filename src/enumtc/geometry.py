@@ -207,18 +207,8 @@ def line_on_surface(line: Line3D, F: Polynomial) -> bool:
 
 
 def embedded(v):
-    """Complex coordinates of an exact coordinate vector (_embed_root)."""
-    root = _embed_root(_field_of(v[0]))
-    return tuple(nf_embed_complex(c, root) for c in v)
-
-
-def _embed_root(field) -> int:
-    """Deterministic embedding choice: the last root in (re, im) order.
-
-    For a cyclotomic field that is exp(2 pi i/n); rationals ignore it.
-    """
-    roots = getattr(field, "embedding_roots", None)
-    return len(roots()) - 1 if roots else 0
+    """Complex coordinates of an exact coordinate vector (nf_embed_complex)."""
+    return tuple(nf_embed_complex(c) for c in v)
 
 
 def induced_permutation(g, objects):
@@ -359,8 +349,7 @@ def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:
     return substitute(F, SpecializationMap(images))
 
 
-def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows,
-                                  root_index: int = 0):
+def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows):
     """Decide F(Mx) = lambda * G exactly; report numerically on failure.
 
     Returns the exact nonzero lambda on success.  Otherwise returns a
@@ -381,8 +370,8 @@ def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows,
                 return lam
     # numeric fallback: compare embedded coefficient vectors
     exps = sorted(set(FM.terms) | set(G.terms))
-    fv = [nf_embed_complex(FM.terms.get(e, 0), root_index) for e in exps]
-    gv = [nf_embed_complex(G.terms.get(e, 0), root_index) for e in exps]
+    fv = [nf_embed_complex(FM.terms.get(e, 0)) for e in exps]
+    gv = [nf_embed_complex(G.terms.get(e, 0)) for e in exps]
     f_max = max(abs(c) for c in fv)
     k = max(range(len(gv)), key=lambda i: abs(gv[i]))
     report = {"exact": False, "lambda": None,

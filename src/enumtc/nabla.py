@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GeneratorCheckFailure, InvalidInput
-from .fields import QQ
+from .fields import QQ, is_prime
 from .linalg import rank_int, rank_mod_p
 from .poly import Polynomial, make_table, monomials_of_weighted_degree
 
@@ -143,10 +143,10 @@ def generated_dim(ctx: NablaContext, gens, degree: int, primes):
 def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
     """Check integral generators of the kernel over Q and modulo primes.
 
-    ctx is the Q context.  Integrality, p not dividing n, nonconstant
-    generators, kernel membership and homogeneity are checked once, over
-    Q: both the generators and the derivation are integral, so this
-    holds mod p too.
+    ctx is the Q context.  Every p must be prime and must not divide n.
+    Integrality, nonconstant generators, kernel membership and
+    homogeneity are checked once, over Q: both the generators and the
+    derivation are integral, so this holds mod p too.
     Then per even degree k <= max_degree and per field, Q first and then
     `primes` in order, the span of generator products must have the
     integral kernel rank and the count of monomials in c_2..c_n.  The
@@ -162,6 +162,8 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
     if max_degree < 0:
         raise InvalidInput(f"max_degree must be >= 0, got {max_degree}")
     for p in primes:
+        if not is_prime(p):
+            raise InvalidInput(f"p={p} is not prime")
         if ctx.n % p == 0:
             raise InvalidInput(f"p={p} divides n={ctx.n}")
     for g in gens:

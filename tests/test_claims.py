@@ -81,6 +81,23 @@ def test_unknown_claim_rejected_before_running():
         run_claims(["no-such-claim"])
 
 
+def test_duplicate_ids_are_requested_once():
+    report = run_claims(["genus-pu3h", "regseq-pu3h", "genus-pu3h"])
+    assert report.requested == ["genus-pu3h", "regseq-pu3h"]
+    assert report.summary()["requested"] == 2
+    once = run_claims(["genus-pu3h", "regseq-pu3h"])
+    assert report.canonical_json() == once.canonical_json()
+
+
+def test_composite_cross_check_prime_fails_nabla_claim():
+    for p in (4, 9):
+        report = run_claims(["nabla-generators-n3"], Config(prime=p))
+        rec = next(r for r in report.records
+                   if r.id == "nabla-generators-n3")
+        assert rec.status == "failed"
+        assert rec.evidence == {"error": f"InvalidInput: p={p} is not prime"}
+
+
 def test_empty_run_is_empty_and_ok():
     report = run_claims([])
     assert report.records == []

@@ -52,6 +52,17 @@ def test_json_report_written_and_stable(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_json_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["verify", "fermat-lines", "--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "fermat-lines" in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write --json")
+    assert str(target) in err[0]
+    assert not target.exists()
+
+
 def test_library_error_is_reported_without_traceback(monkeypatch, capsys):
     def inconsistent(ids, config):
         raise InconsistentEvidence("klein-bitangents marked verified over "
@@ -110,15 +121,18 @@ def test_verify_does_not_import_scipy():
 
 
 def test_cli_and_claims_run_without_numpy():
+    """Neither numpy nor mpmath is loaded, even by the four claims that
+    embed Q(zeta_p) into C."""
     code = ("import sys, enumtc.cli, enumtc.claims; "
-            "loaded = 'numpy' in sys.modules; "
+            "mods = ('numpy', 'mpmath'); "
+            "loaded = [m in sys.modules for m in mods]; "
             "enumtc.claims.run_claims(['h-free-on-flexes', "
             "'h-free-on-bitangents', 'k-faithful', 'klein-equivalence']); "
-            "print(loaded, 'numpy' in sys.modules)")
+            "print(loaded, [m in sys.modules for m in mods])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[False, False] [False, False]"
 
 
 def test_console_entry_point_runs():

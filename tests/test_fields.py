@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from enumtc.errors import DivisionByZero, InvalidField, InvalidIndex
+from enumtc import fields
+from enumtc.errors import DivisionByZero, InvalidField
 from enumtc.fields import (
     QQ,
     NumberField,
@@ -106,21 +107,20 @@ def test_cyclotomic_field_order():
 
 
 def test_embed_sqrt_minus_seven():
-    # Root with positive imaginary part sorts last for t^2+7.
-    t = QF7.gen()
-    z = nf_embed_complex(t, root_index=1)
-    assert abs(z.real) <= 1e-15
-    assert abs(z.imag - 2.6457513110645906) <= 1e-15
+    # Only Q(zeta_p) embeds; a rational element of Q(sqrt(-7)) is refused too.
+    for a in (QF7.gen(), QF7.one()):
+        with pytest.raises(InvalidField):
+            nf_embed_complex(a)
 
 
 def test_embed_zeta3():
-    z = nf_embed_complex(cyclotomic_field(3).gen(), root_index=1)
+    z = nf_embed_complex(cyclotomic_field(3).gen())
     assert abs(z.real - (-0.5)) <= 1e-15
     assert abs(z.imag - 0.8660254037844386) <= 1e-15
 
 
-def test_embed_zeta7_index_five_is_first_primitive_root():
-    z = nf_embed_complex(cyclotomic_field(7).gen(), root_index=5)
+def test_embed_zeta7_is_first_primitive_root():
+    z = nf_embed_complex(cyclotomic_field(7).gen())
     assert abs(z.real - math.cos(2 * math.pi / 7)) <= 1e-15
     assert abs(z.imag - math.sin(2 * math.pi / 7)) <= 1e-15
 
@@ -135,9 +135,11 @@ def test_embed_rational_third_is_bounded():
     assert z.imag == 0.0
 
 
-def test_embed_root_index_out_of_range():
-    with pytest.raises(InvalidIndex):
-        nf_embed_complex(QF7.gen(), root_index=2)
+def test_embed_refuses_other_number_fields():
+    # t^4 + 1 is Q(zeta_8); 1 + t + t^2 + t^3 has composite p = 4.
+    for field in (NumberField([1, 0, 0, 0, 1]), NumberField([1, 1, 1, 1])):
+        with pytest.raises(InvalidField):
+            nf_embed_complex(field.gen())
 
 
 def test_field_axioms_randomized():
@@ -181,9 +183,9 @@ def test_embedding_is_ring_homomorphism_up_to_err():
     for _ in range(25):
         a = nf.element([rng.randrange(-5, 6) for _ in range(6)])
         b = nf.element([rng.randrange(-5, 6) for _ in range(6)])
-        ea = nf_embed_complex(a, 5)
-        eb = nf_embed_complex(b, 5)
-        eab = nf_embed_complex(a * b, 5)
+        ea = nf_embed_complex(a)
+        eb = nf_embed_complex(b)
+        eab = nf_embed_complex(a * b)
         assert abs(eab - ea * eb) <= 1e-13 * (1 + abs(ea) * abs(eb))
 
 
@@ -205,7 +207,6 @@ def test_cyclotomic_field_is_one_shared_instance():
     assert cyclotomic_field(7, name="z") is z7
     assert cyclotomic_field(7, "w") is not z7
     assert cyclotomic_field(7, "w") == z7
-    assert z7.embedding_roots() is cyclotomic_field(7).embedding_roots()
     with pytest.raises(InvalidField):
         cyclotomic_field(9)
 
@@ -291,13 +292,14 @@ def _ref_repr(coeffs, t):
     return " + ".join(parts) if parts else "0"
 
 
-def _ref_embed(coeffs, field, root_index):
+def _ref_embed(coeffs, p):
+    """sum coeffs[i] t^i at t = exp(2 pi i/p), by 60-digit Horner."""
     import mpmath
 
     if all(c == 0 for c in coeffs[1:]):
         return complex(float(coeffs[0]))
     with mpmath.workdps(60):
-        t = field.embedding_roots()[root_index]
+        t = mpmath.expjpi(mpmath.mpf(2) / p)
         acc = mpmath.mpc(0)
         for c in reversed(coeffs):
             acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
@@ -368,9 +370,11 @@ def test_number_field_strings_and_embeddings_unchanged(field):
         a = field.element(coeffs)
         assert field.element_to_str(a) == ",".join(str(c) for c in coeffs)
         assert repr(a) == _ref_repr(coeffs, field.name)
-        for root in range(field.degree):
-            assert nf_embed_complex(a, root) == _ref_embed(coeffs, field,
-                                                           root)
+        if field is QF7:
+            with pytest.raises(InvalidField):
+                nf_embed_complex(a)
+        else:
+            assert nf_embed_complex(a) == _ref_embed(coeffs, field.degree + 1)
     a = QF7.element([Fraction(1, 2), Fraction(-3)])
     assert repr(a) == "1/2 + -3*t"
     assert repr(QF7.zero()) == "0"
@@ -379,24 +383,20 @@ def test_number_field_strings_and_embeddings_unchanged(field):
 
 @pytest.mark.parametrize("p", [3, 7])
 def test_embedding_table_matches_horner_bit_for_bit(p):
-    """nf_embed_complex against the 60-digit Horner evaluation it replaced
-    (_ref_embed), compared with ==, on dense random elements at every
-    root.  An element with an exactly vanishing part (a real element's
+    """nf_embed_complex against a 60-digit Horner evaluation at
+    exp(2 pi i/p) (_ref_embed), compared with ==, on dense random
+    elements.  An element with an exactly vanishing part (a real element's
     imaginary part) is left out: both ways leave different noise below
     1e-60 there."""
     field = cyclotomic_field(p)
     rng = random.Random(1400 + p)
-    for _ in range(150):
+    for _ in range(600):
         coeffs = tuple(Fraction(rng.choice((-1, 1)) * rng.randrange(1, 60),
                                 rng.randrange(1, 40))
                        for _ in range(field.degree))
         a = field.element(coeffs)
-        for root in range(field.degree):
-            assert nf_embed_complex(a, root) == _ref_embed(coeffs, field,
-                                                           root)
-    assert field.embedding_table(0) is field.embedding_table(0)
-    with pytest.raises(InvalidIndex):
-        field.embedding_table(field.degree)
+        assert nf_embed_complex(a) == _ref_embed(coeffs, p)
+    assert fields._zeta_table(p) is fields._zeta_table(p)
 
 
 def test_inverse_memo_keeps_no_failure():

@@ -176,6 +176,14 @@ def test_verify_generators_rejects_p_dividing_n():
             verify_generators(ctx, gens, 8, primes)
 
 
+def test_verify_generators_rejects_composite_p():
+    # ranks in Z/4 or Z/9 are not ranks over a field
+    ctx, gens = stated_image_generators(3, QQ)
+    for primes in ((4,), (2, 9), (1,)):
+        with pytest.raises(InvalidInput, match="is not prime"):
+            verify_generators(ctx, gens, 8, primes)
+
+
 def test_verify_generators_catches_bad_generator():
     ctx, gens = stated_image_generators(3, QQ)
     bad = gens + [cvar(ctx, 2)]

@@ -70,8 +70,7 @@ def test_matrix_conjugation_fails_in_every_reading():
         for alt_m in (False, True):
             M = quartic_to_classical_matrix(alt_alpha=alt_m)
             for src, dst in ((F, C), (C, F)):
-                out = verify_projective_equivalence(src, dst, M,
-                                                    root_index=5)
+                out = verify_projective_equivalence(src, dst, M)
                 assert isinstance(out, dict)
                 assert out["exact"] is False
                 assert out["numeric_proportional"] is False
