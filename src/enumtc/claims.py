@@ -5,8 +5,8 @@ statement, a dependency list, and a compute function.  The compute
 function receives the run's Config and the values its declared
 dependencies returned, and returns a status, structured evidence, and a
 value for the claims that depend on it: the certified sequence, its
-Poincare series, the genus, the lines, the exact flexes (with the Klein
-quartic and its checked symmetry group) and the exact bitangents.
+Poincare series, the genus, the lines, the exact flexes (with the
+classical Klein quartic, its checked generators and P) and the bitangents.
 Literature nodes carry no computation: they record the cited facts the
 computational claims plug into, and they are never folded into
 "verified".
@@ -22,22 +22,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from .errors import InconsistentEvidence, InvalidInput, UnknownClaim
-from .fields import QQ, cyclotomic_field
+from .errors import (CheckFailed, InconsistentEvidence, InvalidInput,
+                     UnknownClaim)
+from .fields import QQ, cyclotomic_field, is_prime
 from .geometry import (NUMERIC_TOL, LineP2, PointP2, common_fixed_check,
                        fermat_cubic, fermat_lines, h_group_matrices,
-                       homomorphism_spot_check, k_group_matrices,
+                       homomorphism_spot_check, images, k_group_matrices,
                        line_on_surface, make_group_action,
                        verify_projective_equivalence)
 from .koszul import (GradedSequence, HilbertSeries, em_poincare,
                      is_regular_maximal, permuted_regularity,
                      tor_concentration_check)
 from .nabla import stated_image_generators, verify_generators
-from .quartic import (classical_klein_quartic, exact_bitangents,
-                      exact_flex_tangents, exact_flexes,
-                      klein_bitangent_seeds, klein_flex_seed, klein_quartic,
-                      quartic_to_classical_matrix,
-                      signed_permutation_symmetries)
+from .quartic import (KLEIN_BITANGENT, KLEIN_FLEX, classical_klein_quartic,
+                      exact_bitangents, exact_flex_tangents, exact_flexes,
+                      klein_model_matrix, klein_quartic, klein_symmetries,
+                      quartic_to_classical_matrix)
 from .restriction import (h_datum, k_datum, phi_star_generators,
                           verify_specialization_from_generators)
 
@@ -52,6 +52,10 @@ class Config:
 
     prime: int = 7
     max_degree: int = 12
+
+    def __post_init__(self):
+        if not isinstance(self.prime, int) or not is_prime(self.prime):
+            raise InvalidInput(f"Config.prime: {self.prime!r} is not prime")
 
     def to_json(self):
         return {"prime": self.prime, "max_degree": self.max_degree}
@@ -150,7 +154,7 @@ def tc_lower(genus_lower: int) -> int:
 
 def _cross_check_primes(n: int, config: Config):
     primes = [p for p in (2, 3, 5, 7) if n % p]
-    if config.prime and config.prime not in primes and n % config.prime:
+    if config.prime not in primes and n % config.prime:
         primes.append(config.prime)
     return primes
 
@@ -246,25 +250,31 @@ def _run_k_faithful(lines):
 
 
 def _run_klein_flexes():
-    """The quartic, its checked symmetry group and the exact flexes are
-    the value; any failed check raises CheckFailed."""
-    F = klein_quartic()
-    group = signed_permutation_symmetries(F)
-    flexes = exact_flexes(F, klein_flex_seed(), group)
+    """The classical model, its checked generators, P and the alpha model's
+    exact flexes are the value; a failed check raises."""
+    C = classical_klein_quartic()
+    generators = klein_symmetries(C)
+    P = klein_model_matrix()
+    # F(P y) = s C(y) with s != 0 and det P != 0, so P carries C's
+    # smoothness, flexes and lines to the alpha model F
+    if isinstance(verify_projective_equivalence(klein_quartic(), C, P), dict):
+        raise CheckFailed("model change: F(P y) is no multiple of C(y)")
+    flexes = images(P, exact_flexes(C, KLEIN_FLEX, generators))
     # 24 distinct points exhaust the Bezout number 24, so each is simple
     evidence = {"count": len(flexes), "multiplicities": [1],
                 "max_residual": 0.0}
-    return "verified", evidence, {"quartic": F, "group": group,
-                                  "flexes": flexes}
+    return "verified", evidence, {"classical": C, "generators": generators,
+                                  "matrix": P, "flexes": flexes}
 
 
 def _run_klein_bitangents(klein):
-    """The exact bitangents are the value; the flex tangents are checked
-    to have triple contact exactly at their flexes.  The symmetry group
-    comes checked from klein-flexes."""
-    F, flexes = klein["quartic"], klein["flexes"]
-    bits = exact_bitangents(F, klein_bitangent_seeds(), klein["group"])
-    tangents = exact_flex_tangents(F, flexes)
+    """The alpha model's exact bitangents are the value; the flex tangents
+    have triple contact at their flexes.  The generators and P come
+    checked from klein-flexes."""
+    C, generators = klein["classical"], klein["generators"]
+    bits = images(LineP2.moved_by(klein["matrix"]),
+                  exact_bitangents(C, KLEIN_BITANGENT, generators))
+    tangents = exact_flex_tangents(C, KLEIN_FLEX, generators)
     evidence = {"bitangents": len(bits), "flex_tangents": len(tangents),
                 "max_bitangent_residual": 0.0,
                 "tangencies_matching_flexes": len(tangents),
@@ -443,12 +453,13 @@ _REGISTRY = {
         ("fermat-lines",), lambda c, d: _run_k_faithful(d["fermat-lines"])),
     "klein-flexes": _Claim(
         "The Klein quartic is smooth and has 24 simple flexes, one orbit "
-        "of its signed permutation symmetries, exact over Q(zeta_7).",
+        "of its automorphism group of order 168, exact over Q(zeta_7) and "
+        "carried from the classical model by a checked matrix.",
         (), lambda c, d: _run_klein_flexes()),
     "klein-bitangents": _Claim(
-        "The Klein quartic has 28 bitangents, three orbits of its signed "
-        "permutation symmetries exact over Q(zeta_7), and its 24 flex "
-        "tangents have triple contact exactly at the flexes.",
+        "The Klein quartic has 28 bitangents, one orbit of its "
+        "automorphism group of order 168 exact over Q(zeta_7), and its 24 "
+        "flex tangents have triple contact exactly at the flexes.",
         ("klein-flexes",),
         lambda c, d: _run_klein_bitangents(d["klein-flexes"])),
     "klein-equivalence": _Claim(

@@ -439,13 +439,11 @@ def nf_embed_complex(a) -> complex:
     An element sum num_i t^i / den of Q(zeta_p), p prime, goes to
     sum num_i r^i / den at r = exp(2 pi i/p), summed exactly over
     _zeta_table and rounded once, by int division, to each double.  Any
-    other number field raises InvalidField; rationals and F_p elements
-    embed as themselves.
+    other number field raises InvalidField; rationals embed as themselves,
+    and anything else, an F_p element included, raises InvalidInput.
     """
     if isinstance(a, (int, Fraction)):
         return complex(float(a))
-    if isinstance(a, FpElement):
-        return complex(float(a.residue))
     if isinstance(a, NumberFieldElement):
         p = a.field.degree + 1
         if a.field.minpoly != (1,) * p or not is_prime(p):

@@ -3,7 +3,8 @@
 Plane points, plane lines (covectors) and lines in P^3 (Plucker vectors)
 are one kind of object, an exact coordinate vector scaled to last nonzero
 entry 1, and g moves each by one matrix built from its minors: a point by
-g, a covector by the cofactor matrix, a space line by the 2x2 minors.
+g, a covector by the cofactor matrix, a space line by the 2x2 minors,
+and orbits under a few generators close by breadth-first search.
 Induced index permutations of the 27 Fermat-cubic lines over Q(zeta_3)
 and of plane points and lines feed the faithfulness and freeness checks.
 Projective equivalence of two ternary quartics under an explicit matrix
@@ -51,8 +52,8 @@ def _field_of(c):
 
 
 def _dot(u, v):
-    """sum u_i v_i over the pairs with no zero factor, int 0 if none: every
-    group acting here is monomial, so most products are zero."""
+    """sum u_i v_i over the pairs with no zero factor, int 0 if none: most
+    matrices acting here are monomial, so most products are zero."""
     products = [a * b for a, b in zip(u, v) if a and b]
     return sum(products[1:], products[0]) if products else 0
 
@@ -67,6 +68,35 @@ def _minor(a, b, c, d):
 def _image(m, v):
     """The normalised image m v."""
     return _normalize(tuple(_dot(row, v) for row in m))
+
+
+def _exact_key(v):
+    return [repr(c) for c in v]
+
+
+def images(m, vectors):
+    """The normalised images m v of the vectors, sorted."""
+    return sorted((_image(m, v) for v in vectors), key=_exact_key)
+
+
+def orbit(objects, generators, limit: int):
+    """The orbit of a tuple of projective objects under the group the
+    generators generate, sorted coordinate tuples.
+
+    Breadth first, each object moved by its class's moved_by(g): every
+    tuple found is moved by every generator until nothing new appears
+    (no group element is listed) or more than limit tuples are found.
+    """
+    moves = [[type(obj).moved_by(g) for obj in objects] for g in generators]
+    found = [tuple(obj.coords for obj in objects)]
+    for item in found:
+        if len(found) > limit:
+            break
+        for ms in moves:
+            image = tuple(_image(m, v) for m, v in zip(ms, item))
+            if image not in found:
+                found.append(image)
+    return sorted(found, key=lambda item: [_exact_key(v) for v in item])
 
 
 @dataclass(frozen=True)

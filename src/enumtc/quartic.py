@@ -1,22 +1,23 @@
 """Flexes and bitangents of smooth plane quartics.
 
-The Klein quartic's flexes and bitangents are exact over Q(zeta_7).  Each
-set is the orbit of a seed under the 48 signed permutation matrices,
-which are checked to fix the curve, and every property is checked in the
-field: smoothness by a full Macaulay rank of the partials modulo a split
-prime, F = Hess F = 0 at each flex, and gcd(q, q') of the quartic q that
-F restricts to on each line.  The classical counts for a smooth quartic,
-24 flexes (Bezout) and 28 bitangents (Plucker), make the orbits complete.
-No check uses a tolerance.
+The Klein quartic's flexes and bitangents are exact over Q(zeta_7), found
+on the classical model C = x^3 y + y^3 z + z^3 x from three generators of
+its automorphism group, each checked to fix C, and one checked seed per
+set: the flex (1:0:0) with C = Hess C = 0, the bitangent x + y + z = 0
+and the flex tangent y = 0 by gcd(q, q') of C restricted to the line.
+The generators close each orbit, and the counts for a smooth quartic (a
+full Macaulay rank mod a prime), 24 flexes (Bezout) and 28 bitangents
+(Plucker), make it complete.  A matrix P with F(P y) = s C(y) carries it
+all to the alpha model F.  No check uses a tolerance.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from fractions import Fraction
 
 from .errors import CheckFailed, InvalidField, InvalidInput, NotInvariant
-from .fields import PrimeField, cyclotomic_field
-from .geometry import LineP2, _image, _normalize, compose_with_matrix
+from .fields import NumberFieldElement, PrimeField, cyclotomic_field
+from .geometry import LineP2, PointP2, compose_with_matrix, orbit
 from .koszul import GradedSequence, is_regular_maximal
 from .poly import (
     Polynomial,
@@ -31,7 +32,8 @@ PLANE_VARS = ("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
-# the two models of the Klein quartic and the candidate conjugating matrix
+# the two models of the Klein quartic, the matrices between them and the
+# classical model's symmetries
 
 def klein_quartic(alt_alpha: bool = False) -> Polynomial:
     """x^4+y^4+z^4 + 3a(x^2y^2+y^2z^2+z^2x^2) over Q(zeta_7).
@@ -75,86 +77,76 @@ def quartic_to_classical_matrix(alt_alpha: bool = False):
     return ((one, p, q), (p, q, one), (q, one, p))
 
 
-# ---------------------------------------------------------------------------
-# exact Klein geometry over Q(zeta_7)
-#
-# The seeds were recognised once with mpmath.pslq from double-precision
-# flexes and bitangents of a numeric solver that is no longer part of the
-# package.  No verdict depends on where they came from: every orbit point
-# is checked exactly.
+def klein_model_matrix():
+    """P with klein_quartic()(P y) = s * classical_klein_quartic()(y) for
+    s = -96 + 64 z^2 - 16 z^3 - 16 z^4 + 64 z^5, checked where it is used
+    (verify_projective_equivalence), not assumed here."""
+    field = cyclotomic_field(7)
+    z, one = field.gen(), field.one()
+    return ((z ** 5, z ** 2 + z ** 3, z + z ** 2 + z ** 4 + z ** 5),
+            (one + z, one + z + z ** 3 + z ** 4, z),
+            (-one - z ** 3 - z ** 4, one, z ** 3 + z ** 4))
 
-# p = 29 is 1 mod 7, so Q(zeta_7) has degree-one primes above it
+
+def klein_symmetries(F: Polynomial):
+    """S, T and R, each checked to fix F exactly; NotInvariant names the
+    first generator g with F(g x) != F.
+
+    They generate the classical model's automorphism group, of order 168
+    (Elkies, "The Klein quartic in number theory", 1999): S = diag(z^4,
+    z^2, z), T permutes the coordinates cyclically, and R = -M / g for the
+    symmetric circulant M with first row (a, b, c) = (z - z^6, z^2 - z^5,
+    z^4 - z^3) and the Gauss sum g = a + b + c, whose square is -7.
+    """
+    field = cyclotomic_field(7)
+    z, one, zero = field.gen(), field.one(), field.zero()
+    a, b, c = z - z ** 6, z ** 2 - z ** 5, z ** 4 - z ** 3
+    r = -(a + b + c).inverse()
+    generators = (
+        ((z ** 4, zero, zero), (zero, z ** 2, zero), (zero, zero, z)),
+        ((zero, one, zero), (zero, zero, one), (one, zero, zero)),
+        tuple(tuple(r * e for e in row)
+              for row in ((a, b, c), (b, c, a), (c, a, b))))
+    for name, g in zip("STR", generators):
+        if compose_with_matrix(F, g) != F:
+            raise NotInvariant(f"symmetry check: F(g x) != F for the "
+                               f"generator {name}")
+    return generators
+
+
+# ---------------------------------------------------------------------------
+# exact flexes and lines as orbits of one checked seed
+
+# on the classical model: the flex (1:0:0), tangent y = 0 there, and the
+# bitangent x + y + z = 0
+KLEIN_FLEX = (1, 0, 0)
+KLEIN_BITANGENT = (1, 1, 1)
+
+# any prime but 2 (the Euler relation divides by the degree) and 7 (the
+# classical model's bad reduction) certifies the classical model
 SMOOTHNESS_PRIME = 29
 
 _LINE_TABLE = make_table(("t",))
 
 
-def klein_flex_seed():
-    """(-z-z^5 : 1+z^2+z^4+z^5 : 1), a flex of klein_quartic()."""
-    field = cyclotomic_field(7)
-    z, one = field.gen(), field.one()
-    return (-z - z ** 5, one + z ** 2 + z ** 4 + z ** 5, one)
-
-
-def klein_bitangent_seeds():
-    """One covector per bitangent orbit of klein_quartic(); a = z+z^2+z^4."""
-    field = cyclotomic_field(7)
-    z, one, zero = field.gen(), field.one(), field.zero()
-    a = z + z ** 2 + z ** 4
-    return ((one, -one, -one),
-            (-(a + 2) / 4, -(a + 2) / 4, one),
-            (-(a + 1) / 2, zero, one))
-
-
-def signed_permutation_symmetries(F: Polynomial):
-    """The 48 signed permutation matrices, each checked to fix F exactly.
-
-    They form a group; modulo -1 they act as 24 projective maps.
-    NotInvariant names the first matrix g with F(g x) != F.
-    """
-    field = F.field
-    group = []
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            g = tuple(tuple(field.from_int(sign) if j == k else field.zero()
-                            for j in range(3))
-                      for k, sign in zip(perm, signs))
-            if compose_with_matrix(F, g) != F:
-                raise NotInvariant(f"symmetry check: F(g x) != F for the "
-                                   f"permutation {perm} with signs {signs}")
-            group.append(g)
-    return group
-
-
 def smoothness_certificate(F: Polynomial):
-    """Macaulay certificate, modulo a prime above 29, that F is smooth.
+    """Macaulay certificate, modulo SMOOTHNESS_PRIME, that F is smooth.
 
-    F's coefficients lie in a number field.  Its generator goes to the
-    least root r of the minpoly mod p = SMOOTHNESS_PRIME, which is
-    reduction modulo the degree-one prime (p, t - r): (29, zeta - 7) for
-    Q(zeta_7).  The reduced partials of F are certified by
-    is_regular_maximal over F_p.  A full Macaulay rank mod that prime is
-    a nonzero minor, so the rank is full over the number field too: the
+    F's coefficients must be rational, in whatever field (InvalidField
+    otherwise).  is_regular_maximal certifies its partials mod p; a full
+    Macaulay rank mod p is a nonzero minor, so it is full over Q: the
     partials have no common zero, and F = sum x_i F_i / deg F is smooth,
-    hence irreducible.  A "NotRegular" verdict means F is singular or p
-    is unlucky.
+    hence irreducible.  "NotRegular" means F is singular or p unlucky.
     """
-    p, minpoly = SMOOTHNESS_PRIME, getattr(F.field, "minpoly", None)
-    if minpoly is None:
-        raise InvalidField("smoothness_certificate needs a number field")
-    r = next((x for x in range(p)
-              if sum(m * x ** i for i, m in enumerate(minpoly)) % p == 0),
-             None)
-    if r is None:
-        raise InvalidField(f"the minpoly has no root mod {p}")
-    fp = PrimeField(p)
+    p, fp = SMOOTHNESS_PRIME, PrimeField(SMOOTHNESS_PRIME)
 
     def residue(c):
-        if c.den % p == 0:
-            raise InvalidField(f"a coefficient denominator is divisible "
-                               f"by {p}")
-        return fp.from_int(sum(a * r ** i for i, a in enumerate(c.num))
-                           * pow(c.den, -1, p))
+        if isinstance(c, NumberFieldElement) and c.is_rational():
+            c = c.coeffs[0]
+        if not isinstance(c, (int, Fraction)) or c.denominator % p == 0:
+            raise InvalidField(f"smoothness mod {p}: {c!r} is not a "
+                               f"rational with denominator prime to {p}")
+        return fp.from_int(c.numerator * pow(c.denominator, -1, p))
 
     return is_regular_maximal(GradedSequence(tuple(
         Polynomial(F.table, fp, {e: residue(c) for e, c in
@@ -162,93 +154,74 @@ def smoothness_certificate(F: Polynomial):
         for name in F.table.names)))
 
 
-def exact_flexes(F: Polynomial, seed, group):
-    """The 24 flexes of a smooth quartic F as the group orbit of seed.
+def exact_flexes(F: Polynomial, seed, generators):
+    """The 24 flexes of a smooth quartic F, the orbit of the seed under
+    generators that fix F; CheckFailed names the first check that fails.
 
-    Checked exactly: F is smooth, the orbit has 24 distinct points, and
-    F = Hess F = 0 at each.  A smooth F is irreducible and not a line, so
-    Hess F does not vanish on all of it (characteristic 0), and the two
-    curves meet in 4 * 6 = 24 points counted with multiplicity (Bezout):
-    24 distinct ones are all the flexes, each simple.  Returns the
-    normalised points; CheckFailed names the first check that fails.
+    Checked exactly: F is smooth, F = Hess F = 0 at the seed, and the
+    orbit has 24 points, all flexes as Hess F(g x) = det(g)^2 Hess F(x).
+    A smooth F is irreducible and not a line, so Hess F meets it in
+    4 * 6 = 24 points with multiplicity (Bezout): these are all the
+    flexes, each simple.
     """
-    _require_ternary_quartic(F)
-    _require_smooth(F)
-    points = _orbit(seed, group)
-    if len(points) != 24:
-        raise CheckFailed(f"flex orbit: {len(points)} distinct points, "
-                          f"need 24")
-    H = hessian_det(F)
-    off = sum(1 for pt in points if _value(F, pt) or _value(H, pt))
-    if off:
-        raise CheckFailed(f"flex equations: F = Hess F = 0 fails at {off} "
-                          f"of the 24 orbit points")
-    return points
+    _require_smooth_quartic(F)
+    seed = PointP2.from_coords(F.field.one() * c for c in seed)
+    if _value(F, seed.coords) or _value(hessian_det(F), seed.coords):
+        raise CheckFailed("flex equations: F = Hess F = 0 fails at the seed")
+    return [pt for pt, in _orbit_of((seed,), generators, 24, "flex")]
 
 
-def exact_bitangents(F: Polynomial, seeds, group):
-    """The 28 bitangents of a smooth quartic F as group orbits of seeds.
+def exact_bitangents(F: Polynomial, seed, generators):
+    """The 28 bitangents of a smooth quartic F, the orbit of the seed
+    covector under generators that fix F; CheckFailed names the first
+    check that fails.
 
-    Checked exactly: F is smooth, the seed orbits are 28 distinct lines,
-    and on each line F restricts to a quartic f whose gcd(f, f') has
-    degree 2 and is squarefree, so f has two distinct double roots.  A
-    smooth quartic has 28 bitangents, hyperflex lines counted (Plucker),
-    so these are all of them.  Returns the normalised covectors;
-    CheckFailed names the first check that fails.
+    Checked exactly: F is smooth, F restricts on the seed line to a
+    quartic f with gcd(f, f') of degree 2 and squarefree (two distinct
+    double roots), and the orbit has 28 lines.  A smooth quartic has 28
+    bitangents, hyperflex lines counted (Plucker), so these are all.
     """
-    _require_ternary_quartic(F)
-    _require_smooth(F)
-    moves = [LineP2.moved_by(g) for g in group]
-    lines = sorted({line for seed in seeds for line in _orbit(seed, moves)},
-                   key=_exact_key)
-    if len(lines) != 28:
-        raise CheckFailed(f"bitangent orbits: {len(lines)} distinct lines, "
-                          f"need 28")
-    for line in lines:
-        g, _, _ = _contact_gcd(F, line, "bitangent contact")
-        if (g.degree_in("t") != 2
-                or univariate_gcd(g, g.partial("t"), "t").degree_in("t")):
-            raise CheckFailed(f"bitangent contact: gcd(f, f') = {g!r}, "
-                              f"need two distinct roots")
-    return lines
+    _require_smooth_quartic(F)
+    seed = LineP2.from_coords(F.field.one() * c for c in seed)
+    g, _, _ = _contact_gcd(F, seed.coords, "bitangent contact")
+    if (g.degree_in("t") != 2
+            or univariate_gcd(g, g.partial("t"), "t").degree_in("t")):
+        raise CheckFailed(f"bitangent contact: gcd(f, f') = {g!r}, "
+                          f"need two distinct roots")
+    return [v for v, in _orbit_of((seed,), generators, 28, "bitangent")]
 
 
-def exact_flex_tangents(F: Polynomial, flexes):
-    """The tangent line at each flex, checked to have triple contact there.
+def exact_flex_tangents(F: Polynomial, flex, generators):
+    """The 24 (flex, tangent) pairs of a smooth quartic F, the orbit of one
+    flex and the gradient of F there under generators that fix F, sorted
+    by flex; CheckFailed names the first check that fails.
 
-    The tangent at a point is the gradient of F there.  On it gcd(f, f')
-    must be (t - r)^2, and the contact point p + r q must be the flex.
-    A quartic meets a line in 4 points, so no line has triple contact at
-    two flexes and the tangents are distinct.  Returns the normalised
-    covectors in flex order; CheckFailed names the first check that fails.
+    On the tangent gcd(f, f') must be (t - r)^2, with contact point
+    p + r q the flex: a triple contact, which g carries to the image
+    pair.  A quartic meets a line in 4 points, so no line has triple
+    contact at two flexes and the tangents are distinct.
     """
-    _require_ternary_quartic(F)
-    grad = [F.partial(name) for name in F.table.names]
-    tangents = []
-    for flex in flexes:
-        line = _normalize(tuple(_value(P, flex) for P in grad))
-        g, p, q = _contact_gcd(F, line, "flex tangent contact")
-        c0, c1 = (g.terms.get((e,), F.field.zero()) for e in (0, 1))
-        if g.degree_in("t") != 2 or c1 * c1 != 4 * c0:
-            raise CheckFailed(f"flex tangent contact: gcd(f, f') = {g!r}, "
-                              f"need the square of a linear factor")
-        r = -c1 / 2
-        if _normalize(tuple(a + r * b for a, b in zip(p, q))) != \
-                _normalize(flex):
-            raise CheckFailed("flex tangent contact: the triple contact "
-                              "point is not the flex")
-        tangents.append(line)
-    return tangents
+    _require_smooth_quartic(F)
+    flex = PointP2.from_coords(F.field.one() * c for c in flex)
+    line = LineP2.from_coords(_value(F.partial(name), flex.coords)
+                              for name in F.table.names)
+    g, p, q = _contact_gcd(F, line.coords, "flex tangent contact")
+    c0, c1 = (g.terms.get((e,), F.field.zero()) for e in (0, 1))
+    if g.degree_in("t") != 2 or c1 * c1 != 4 * c0:
+        raise CheckFailed(f"flex tangent contact: gcd(f, f') = {g!r}, "
+                          f"need the square of a linear factor")
+    r = -c1 / 2
+    if PointP2.from_coords(a + r * b for a, b in zip(p, q)) != flex:
+        raise CheckFailed("flex tangent contact: the triple contact "
+                          "point is not the flex")
+    return _orbit_of((flex, line), generators, 24, "flex tangent")
 
 
-def _require_ternary_quartic(F: Polynomial):
+def _require_smooth_quartic(F: Polynomial):
     if len(F.table) != 3:
         raise InvalidInput("expected a polynomial in three variables")
     if not F.is_homogeneous() or F.weighted_degree() != 4:
         raise InvalidInput("expected a homogeneous quartic")
-
-
-def _require_smooth(F: Polynomial):
     cert = smoothness_certificate(F)
     if cert.verdict != "Regular":
         ranks = ", ".join(f"{r['rank']}/{r['stratum_dim']} at degree "
@@ -257,34 +230,21 @@ def _require_smooth(F: Polynomial):
                           f"{SMOOTHNESS_PRIME}")
 
 
-def _exact_key(v):
-    return [repr(c) for c in v]
-
-
-def _orbit(v, matrices):
-    """The distinct normalised images m v over the matrices m, sorted.
-
-    A point's orbit takes the group itself, a covector's the matrices
-    LineP2.moved_by(g).
-    """
-    return sorted({_image(m, v) for m in matrices}, key=_exact_key)
+def _orbit_of(objects, generators, count: int, check: str):
+    found = orbit(objects, generators, count)
+    if len(found) != count:
+        raise CheckFailed(f"{check} orbit: {len(found)} found, need {count}")
+    return found
 
 
 def _value(P: Polynomial, point):
-    """P at an exact point.  Each coordinate's powers are built once, and
-    a term with a zero coordinate is skipped."""
-    powers = [[None, x] for x in point]  # powers[i][k] = point[i] ** k
+    """P at an exact point, term by term."""
     total = P.field.zero()
     for e, c in P.terms.items():
-        for x, ps, k in zip(point, powers, e):
+        for x, k in zip(point, e):
             if k:
-                if not x:
-                    break
-                while len(ps) <= k:
-                    ps.append(ps[-1] * x)
-                c = c * ps[k]
-        else:
-            total = total + c
+                c = c * x ** k
+        total = total + c
     return total
 
 

@@ -13,14 +13,17 @@ from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.geometry import (
     LineP2,
     PointP2,
+    _image,
     common_fixed_check,
     embedded,
     fermat_cubic,
     fermat_lines,
     h_group_matrices,
+    images,
     k_group_matrices,
     line_on_surface,
     make_group_action,
+    verify_projective_equivalence,
 )
 from enumtc.claims import genus_bounds, run_claims, tc_lower
 from enumtc.koszul import (
@@ -44,13 +47,15 @@ from enumtc.poly import (
     univariate_gcd,
 )
 from enumtc.quartic import (
+    KLEIN_BITANGENT,
+    KLEIN_FLEX,
+    classical_klein_quartic,
     exact_bitangents,
     exact_flex_tangents,
     exact_flexes,
-    klein_bitangent_seeds,
-    klein_flex_seed,
+    klein_model_matrix,
     klein_quartic,
-    signed_permutation_symmetries,
+    klein_symmetries,
 )
 from enumtc.restriction import h_datum, k_datum, phi_star_generators
 
@@ -80,11 +85,15 @@ def seq_h():
 
 
 def klein_flexes():
-    """The Klein quartic, its checked sign symmetries, its exact flexes."""
+    """The alpha-model Klein quartic F, the classical model C with its
+    checked generators and the checked matrix P with F(P y) = s C(y), and
+    F's exact flexes."""
     def build():
-        F = klein_quartic()
-        group = signed_permutation_symmetries(F)
-        return F, group, exact_flexes(F, klein_flex_seed(), group)
+        C, F, P = classical_klein_quartic(), klein_quartic(), \
+            klein_model_matrix()
+        group = klein_symmetries(C)
+        assert not isinstance(verify_projective_equivalence(F, C, P), dict)
+        return F, (C, group, P), images(P, exact_flexes(C, KLEIN_FLEX, group))
     return _get("flexes", build)
 
 
@@ -220,10 +229,13 @@ def test_criterion_08_klein_flexes():
 
 
 def test_criterion_09_klein_bitangents():
-    F, group, flexes = klein_flexes()
+    F, (C, group, P), flexes = klein_flexes()
     t0 = perf_counter()
-    bits = exact_bitangents(F, klein_bitangent_seeds(), group)
-    tangents = exact_flex_tangents(F, flexes)
+    cof = LineP2.moved_by(P)
+    bits = images(cof, exact_bitangents(C, KLEIN_BITANGENT, group))
+    tangent_at = {_image(P, p): _image(cof, t) for p, t in
+                  exact_flex_tangents(C, KLEIN_FLEX, group)}
+    tangents = [tangent_at[p] for p in flexes]
     dt = perf_counter() - t0
     lines = [LineP2.from_coords(v) for v in bits]
     emb = [embedded(v.coords) for v in lines]

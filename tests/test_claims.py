@@ -90,12 +90,13 @@ def test_duplicate_ids_are_requested_once():
 
 
 def test_composite_cross_check_prime_fails_nabla_claim():
-    for p in (4, 9):
-        report = run_claims(["nabla-generators-n3"], Config(prime=p))
-        rec = next(r for r in report.records
-                   if r.id == "nabla-generators-n3")
-        assert rec.status == "failed"
-        assert rec.evidence == {"error": f"InvalidInput: p={p} is not prime"}
+    # the Config refuses a p that is not prime before any claim runs; for
+    # n = 4 a p dividing 4 was once dropped and the claim reported verified
+    for p in (4, 9, 1, 0):
+        for claim_id in ("nabla-generators-n3", "nabla-generators-n4"):
+            with pytest.raises(InvalidInput,
+                               match=f"Config.prime: {p} is not prime"):
+                run_claims([claim_id], Config(prime=p))
 
 
 def test_empty_run_is_empty_and_ok():
@@ -292,13 +293,8 @@ def test_klein_claims_keep_their_evidence_schema():
 
 def test_moved_klein_seed_fails_its_claim_with_the_check_named(
         monkeypatch, tmp_path, capsys):
-    field = claims.klein_quartic().field
-
-    def off_curve():
-        x, y, z = quartic.klein_flex_seed()
-        return (x + field.one(), y, z)
-
-    monkeypatch.setattr(claims, "klein_flex_seed", off_curve)
+    # (1 : 1 : 0) is off the classical model: C(1, 1, 0) = 1
+    monkeypatch.setattr(claims, "KLEIN_FLEX", (1, 1, 0))
     target = tmp_path / "report.json"
     assert cli.main(["verify", "h-free-on-bitangents", "--json",
                      str(target)]) == 1
@@ -306,32 +302,50 @@ def test_moved_klein_seed_fails_its_claim_with_the_check_named(
     records = {rec["id"]: rec for rec in
                json.loads(target.read_text())["claims"]}
     assert records["klein-flexes"]["status"] == "failed"
-    assert records["klein-flexes"]["evidence"]["error"].startswith(
-        "CheckFailed: flex equations: F = Hess F = 0 fails at 24 of")
+    assert records["klein-flexes"]["evidence"] == {
+        "error": "CheckFailed: flex equations: F = Hess F = 0 fails at the "
+                 "seed"}
     assert records["klein-bitangents"]["evidence"] == {
         "blocked_by": ["klein-flexes"]}
 
 
-def test_dropped_bitangent_seed_fails_the_orbit_check(monkeypatch):
-    monkeypatch.setattr(claims, "klein_bitangent_seeds",
-                        lambda: quartic.klein_bitangent_seeds()[:2])
+def test_dropped_generator_fails_the_bitangent_orbit_check(monkeypatch):
+    # S and T alone generate a group of order 21, under which the line
+    # x + y + z = 0 has 7 images
+    run_flexes = claims._run_klein_flexes
+
+    def without_r():
+        status, evidence, value = run_flexes()
+        return status, evidence, dict(value,
+                                      generators=value["generators"][:2])
+
+    monkeypatch.setattr(claims, "_run_klein_flexes", without_r)
     rec = run_claims(["klein-bitangents"]).claim("klein-bitangents")
     assert rec.status == "failed"
-    assert rec.evidence == {"error": "CheckFailed: bitangent orbits: 16 "
-                                     "distinct lines, need 28"}
+    assert rec.evidence == {"error": "CheckFailed: bitangent orbit: 7 "
+                                     "found, need 28"}
 
 
 def test_klein_bitangents_reuse_the_checked_group(monkeypatch):
-    calls = []
+    # the generators are checked once, in klein-flexes, and the only
+    # contact gcds are those of the bitangent and flex tangent seeds
+    checks, contacts = [], []
+    symmetries, contact_gcd = claims.klein_symmetries, quartic._contact_gcd
 
-    def counted(F):
-        calls.append(F)
-        return quartic.signed_permutation_symmetries(F)
+    def counted_symmetries(F):
+        checks.append(F)
+        return symmetries(F)
 
-    monkeypatch.setattr(claims, "signed_permutation_symmetries", counted)
+    def counted_contact_gcd(*args):
+        contacts.append(args[2])
+        return contact_gcd(*args)
+
+    monkeypatch.setattr(claims, "klein_symmetries", counted_symmetries)
+    monkeypatch.setattr(quartic, "_contact_gcd", counted_contact_gcd)
     report = run_claims(["klein-bitangents"])
     assert report.claim("klein-bitangents").status == "verified"
-    assert len(calls) == 1
+    assert len(checks) == 1
+    assert contacts == ["bitangent contact", "flex tangent contact"]
 
 
 def test_group_actions_never_row_reduce(monkeypatch):

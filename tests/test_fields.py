@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from enumtc import fields
-from enumtc.errors import DivisionByZero, InvalidField
+from enumtc.errors import DivisionByZero, InvalidField, InvalidInput
 from enumtc.fields import (
     QQ,
     NumberField,
@@ -140,6 +140,14 @@ def test_embed_refuses_other_number_fields():
     for field in (NumberField([1, 0, 0, 0, 1]), NumberField([1, 1, 1, 1])):
         with pytest.raises(InvalidField):
             nf_embed_complex(field.gen())
+
+
+def test_embed_refuses_prime_field_elements():
+    # F_p has no embedding into C, not even its residues 0 and 1.
+    for a in (PrimeField(5).from_int(2), PrimeField(7).zero(),
+              PrimeField(2).one()):
+        with pytest.raises(InvalidInput, match="cannot embed FpElement"):
+            nf_embed_complex(a)
 
 
 def test_field_axioms_randomized():

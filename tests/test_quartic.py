@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from enumtc.errors import CheckFailed, InvalidInput, NotInvariant
+from enumtc.errors import CheckFailed, InvalidField, InvalidInput, NotInvariant
 from enumtc.fields import NumberField, cyclotomic_field
 from enumtc.geometry import (
     LineP2,
     PointP2,
+    _image,
+    _normalize,
     compose_with_matrix,
     embedded,
     h_group_matrices,
+    images,
     induced_permutation,
+    orbit,
     verify_projective_equivalence,
 )
 from enumtc.numroots import chordal_distance
@@ -23,16 +27,17 @@ from enumtc.poly import (
     substitute,
 )
 from enumtc.quartic import (
+    KLEIN_BITANGENT,
+    KLEIN_FLEX,
     PLANE_VARS,
     classical_klein_quartic,
     exact_bitangents,
     exact_flex_tangents,
     exact_flexes,
-    klein_bitangent_seeds,
-    klein_flex_seed,
+    klein_model_matrix,
     klein_quartic,
+    klein_symmetries,
     quartic_to_classical_matrix,
-    signed_permutation_symmetries,
     smoothness_certificate,
 )
 
@@ -84,48 +89,83 @@ def test_matrix_conjugation_fails_in_every_reading():
 # exact Klein geometry over Q(zeta_7)
 
 def klein_exact():
+    """The alpha model F, the classical model's checked generators, and
+    F's flexes, bitangents and flex tangents (in flex order), carried
+    from the classical model by the matrix P."""
     if "exact" not in _MEMO:
-        F = klein_quartic()
-        group = signed_permutation_symmetries(F)
-        flexes = exact_flexes(F, klein_flex_seed(), group)
+        C, F, P = classical_klein_quartic(), klein_quartic(), \
+            klein_model_matrix()
+        group = klein_symmetries(C)
+        assert not isinstance(verify_projective_equivalence(F, C, P), dict)
+        cof = LineP2.moved_by(P)
+        flexes = images(P, exact_flexes(C, KLEIN_FLEX, group))
+        tangent_at = {_image(P, p): _image(cof, t) for p, t in
+                      exact_flex_tangents(C, KLEIN_FLEX, group)}
         _MEMO["exact"] = (F, group, flexes,
-                          exact_bitangents(F, klein_bitangent_seeds(), group),
-                          exact_flex_tangents(F, flexes))
+                          images(cof, exact_bitangents(C, KLEIN_BITANGENT,
+                                                       group)),
+                          [tangent_at[p] for p in flexes])
     return _MEMO["exact"]
 
 
-def nodal_quartic(shift: int = 0):
-    """x^4 + y^4 - x^2 z^2 at x - zeta^shift z, over Q(zeta_7).
-
-    The node sits at (0 : 0 : 1) for shift 0, else at (zeta^shift : 0 : 1).
-    """
+def nodal_quartic():
+    """x^4 + y^4 - x^2 z^2 over Q(zeta_7), with a node at (0 : 0 : 1)."""
     field = cyclotomic_field(7)
     x, y, z = (Polynomial.variable(n, make_table(PLANE_VARS), field)
                for n in PLANE_VARS)
-    if shift:
-        x = x - z * field.gen() ** shift
     return x ** 4 + y ** 4 - x ** 2 * z ** 2
 
 
-def test_every_signed_permutation_fixes_the_klein_quartic():
-    F, group = klein_quartic(), klein_exact()[1]
-    assert len(group) == len(set(group)) == 48
-    assert all(compose_with_matrix(F, g) == F for g in group)
-    # g and -g are one projective map
-    assert len({frozenset((g, tuple(tuple(-c for c in r) for r in g)))
-                for g in group}) == 24
-    # the classical model has no sign symmetry
-    with pytest.raises(NotInvariant):
-        signed_permutation_symmetries(classical_klein_quartic())
+def _product(g, h):
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), 0 * row[0])
+                       for col in zip(*h)) for row in g)
+
+
+def test_klein_generators_fix_the_classical_quartic():
+    C = classical_klein_quartic()
+    S, T, R = klein_symmetries(C)
+    assert all(compose_with_matrix(C, g) == C for g in (S, T, R))
+    # orders 7, 3 and 2 as exact matrices: S^7 = T^3 = R^2 = 1
+    field = C.field
+    one = tuple(tuple(field.from_int(int(i == j)) for j in range(3))
+                for i in range(3))
+    for g, order in ((S, 7), (T, 3), (R, 2)):
+        power = g
+        for _ in range(order - 1):
+            assert power != one
+            power = _product(power, g)
+        assert power == one
+    # P carries the classical model to the alpha model with the stated s
+    z = field.gen()
+    s = verify_projective_equivalence(klein_quartic(), C,
+                                      klein_model_matrix())
+    assert s == -96 + 64 * z ** 2 - 16 * z ** 3 - 16 * z ** 4 + 64 * z ** 5
+    # the alpha model is not fixed by S
+    with pytest.raises(NotInvariant, match="generator S"):
+        klein_symmetries(klein_quartic())
 
 
 def test_klein_orbit_sizes():
-    group = klein_exact()[1]
-    assert len(quartic._orbit(klein_flex_seed(), group)) == 24
-    moves = [LineP2.moved_by(g) for g in group]
-    orbits = [quartic._orbit(s, moves) for s in klein_bitangent_seeds()]
-    assert [len(o) for o in orbits] == [4, 12, 12]
-    assert len({v for o in orbits for v in o}) == 28
+    C = classical_klein_quartic()
+    group = klein_symmetries(C)
+    one = C.field.one()
+    flex = PointP2.from_coords(one * c for c in KLEIN_FLEX)
+    bitangent = LineP2.from_coords(one * c for c in KLEIN_BITANGENT)
+    tangent = LineP2.from_coords(one * c for c in (0, 1, 0))
+    assert len(orbit((flex,), group, 100)) == 24
+    assert len(orbit((bitangent,), group, 100)) == 28
+    pairs = orbit((flex, tangent), group, 100)
+    assert len(pairs) == len({t for _, t in pairs}) == 24
+    # S and T alone generate a group of order 21; a limit stops the search
+    assert len(orbit((flex,), group[:2], 100)) == 3
+    assert len(orbit((bitangent,), group[:2], 100)) == 7
+    assert 5 < len(orbit((bitangent,), group, 5)) < 28
+    # P maps the classical sets onto the alpha model's
+    _, _, flexes, bits, _ = klein_exact()
+    P = klein_model_matrix()
+    assert images(P, [p for p, in orbit((flex,), group, 24)]) == flexes
+    assert images(LineP2.moved_by(P),
+                  [v for v, in orbit((bitangent,), group, 28)]) == bits
 
 
 def test_exact_flexes_lie_on_the_curve_and_its_hessian():
@@ -149,7 +189,7 @@ def test_contact_gcds_of_bitangents_and_flex_tangents():
         c0, c1 = (g.terms.get((e,), F.field.zero()) for e in (0, 1))
         assert g.degree_in("t") == 2 and c1 * c1 == 4 * c0
         r = -c1 / 2
-        assert quartic._normalize([a + r * b for a, b in zip(p, q)]) == flex
+        assert _normalize([a + r * b for a, b in zip(p, q)]) == flex
     # bitangents and flex tangents are different lines
     assert not set(bits) & set(tangents)
 
@@ -159,16 +199,16 @@ def test_non_quartic_inputs_rejected():
     x, y, z = (Polynomial.variable(n, make_table(PLANE_VARS), field)
                for n in PLANE_VARS)
     s = Polynomial.variable("s", make_table(("s", "t")), field)
-    _, group, flexes, _, _ = klein_exact()
+    group = klein_exact()[1]
     for G, reason in ((x ** 3 + y ** 3 + z ** 3, "homogeneous quartic"),
                       (x ** 4 + y ** 3, "homogeneous quartic"),
                       (s ** 4, "three variables")):
         with pytest.raises(InvalidInput, match=reason):
-            exact_flexes(G, klein_flex_seed(), group)
+            exact_flexes(G, KLEIN_FLEX, group)
         with pytest.raises(InvalidInput, match=reason):
-            exact_bitangents(G, klein_bitangent_seeds(), group)
+            exact_bitangents(G, KLEIN_BITANGENT, group)
         with pytest.raises(InvalidInput, match=reason):
-            exact_flex_tangents(G, flexes)
+            exact_flex_tangents(G, KLEIN_FLEX, group)
 
 
 def test_klein_flexes_simple_and_separated():
@@ -205,31 +245,29 @@ def test_sign_group_permutes_flexes_and_bitangents():
         signs = [h[i][i] for i in range(3)]
         for objs, got in ((flexes, perm), (bits, lperm)):
             for i, j in enumerate(got):
-                assert quartic._normalize(
+                assert _normalize(
                     tuple(s * c for s, c in zip(signs, objs[i]))) == objs[j]
 
 
 def test_klein_smoothness_certificate_mod_29():
-    for F in (klein_quartic(), classical_klein_quartic()):
-        cert = smoothness_certificate(F)
-        assert cert.verdict == "Regular"
-        assert cert.checked_degrees == [7]
-        assert cert.ranks == [{"degree": 7, "rank": 36, "stratum_dim": 36}]
-        assert cert.elements[0].field.p == 29
+    cert = smoothness_certificate(classical_klein_quartic())
+    assert cert.verdict == "Regular"
+    assert cert.checked_degrees == [7]
+    assert cert.ranks == [{"degree": 7, "rank": 36, "stratum_dim": 36}]
+    assert cert.elements[0].field.p == 29
+    # the alpha model's coefficient 3a is not rational; P carries the
+    # classical model's smoothness to it instead
+    with pytest.raises(InvalidField, match="is not a rational"):
+        smoothness_certificate(klein_quartic())
 
 
 def test_nodal_quartic_fails_the_smoothness_check():
     F = nodal_quartic()
     assert smoothness_certificate(F).verdict == "NotRegular"
-    # a node at a point with zeta coordinates survives only a reduction
-    # that sends zeta to a root of its minpoly mod 29
-    for shift in (1, 3):
-        assert smoothness_certificate(nodal_quartic(shift)).verdict == \
-            "NotRegular"
     with pytest.raises(CheckFailed, match="smoothness"):
-        exact_flexes(F, klein_flex_seed(), klein_exact()[1])
+        exact_flexes(F, KLEIN_FLEX, klein_exact()[1])
     with pytest.raises(CheckFailed, match="smoothness"):
-        exact_bitangents(F, klein_bitangent_seeds(), klein_exact()[1])
+        exact_bitangents(F, KLEIN_BITANGENT, klein_exact()[1])
     # x = 0 meets F only at (0 : 0 : 1), where F(0, y, z) = y^4 vanishes:
     # the chart moves off that point and reads the quadruple contact there
     one, zero = F.field.one(), F.field.zero()
@@ -240,7 +278,7 @@ def test_nodal_quartic_fails_the_smoothness_check():
     assert g == Polynomial(g.table, F.field,
                            {(3,): one, (2,): -3 * r, (1,): 3 * r * r,
                             (0,): -r ** 3})
-    assert quartic._normalize([a + r * b for a, b in zip(p, q)]) == \
+    assert _normalize([a + r * b for a, b in zip(p, q)]) == \
         (zero, zero, one)
     # a quartic containing the line has no contact points on it
     x = Polynomial.variable("x", F.table, F.field)
@@ -249,21 +287,21 @@ def test_nodal_quartic_fails_the_smoothness_check():
 
 
 def test_moved_seeds_fail_their_named_check():
-    F, group, flexes, bits, tangents = klein_exact()
-    one = F.field.one()
-    seed = klein_flex_seed()
-    with pytest.raises(CheckFailed, match="flex equations"):
-        exact_flexes(F, (seed[0] + one, seed[1], seed[2]), group)
-    with pytest.raises(CheckFailed, match="flex orbit"):
-        exact_flexes(F, (one, one, one), group)
-    s0, s1, s2 = klein_bitangent_seeds()
-    with pytest.raises(CheckFailed, match="bitangent orbits"):
-        exact_bitangents(F, (s0, s1), group)
-    # 28 distinct lines, one of them a flex tangent (group[0] is 1)
+    C, group = classical_klein_quartic(), klein_exact()[1]
+    # (1 : 1 : 0) is off the curve; S and T alone leave orbits too small
+    with pytest.raises(CheckFailed, match="F = Hess F = 0 fails at the seed"):
+        exact_flexes(C, (1, 1, 0), group)
+    with pytest.raises(CheckFailed, match="flex orbit: 3 found, need 24"):
+        exact_flexes(C, KLEIN_FLEX, group[:2])
+    with pytest.raises(CheckFailed, match="bitangent orbit: 7 found"):
+        exact_bitangents(C, KLEIN_BITANGENT, group[:2])
+    with pytest.raises(CheckFailed, match="flex tangent orbit: 3 found"):
+        exact_flex_tangents(C, KLEIN_FLEX, group[:2])
+    # y = 0, the flex tangent at (1 : 0 : 0), is no bitangent
     with pytest.raises(CheckFailed, match="bitangent contact"):
-        exact_bitangents(F, bits[:27] + tangents[:1], group[:1])
+        exact_bitangents(C, (0, 1, 0), group)
     with pytest.raises(CheckFailed, match="flex tangent contact"):
-        exact_flex_tangents(F, [(seed[0] + one, seed[1], seed[2])])
+        exact_flex_tangents(C, (1, 1, 0), group)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +323,7 @@ def fermat_flexes(field):
 
 
 def _gradient_line(F, p):
-    return quartic._normalize(tuple(quartic._value(F.partial(n), p)
+    return _normalize(tuple(quartic._value(F.partial(n), p)
                                     for n in PLANE_VARS))
 
 
@@ -297,7 +335,7 @@ def test_fermat_flexes_are_twelve_hyperflexes():
     # lines, where F = 0 leaves r^4 = -1: 3 * 4 points
     assert H == 1728 * (x * y * z) ** 2
     flexes = fermat_flexes(F.field)
-    assert len({quartic._normalize(p) for p in flexes}) == 12
+    assert len({_normalize(p) for p in flexes}) == 12
     line_table = make_table(("t",))
     total = 0
     for p in flexes:
@@ -337,14 +375,14 @@ def test_fermat_scan_needs_coordinate_change():
         # gcd(f, f') = (t - r)^3: contact of order 4 at the flex
         assert g.degree_in("t") == 3
         r = -g.terms.get((2,), F.field.zero()) / 3
-        assert quartic._normalize([a + r * b for a, b in zip(p0, q)]) == \
-            quartic._normalize(p)
+        assert _normalize([a + r * b for a, b in zip(p0, q)]) == \
+            _normalize(p)
     assert outside == 4
     # the flex-tangent check wants triple contact at a simple flex
     zero, one, r = F.field.zero(), F.field.one(), F.field.gen()
     for flex in ((zero, r, one), (r, zero, one)):
         with pytest.raises(CheckFailed, match="square of a linear factor"):
-            exact_flex_tangents(F, [flex])
+            exact_flex_tangents(F, flex, ())
 
 
 def test_value_matches_term_by_term_evaluation():
