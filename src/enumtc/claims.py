@@ -4,9 +4,10 @@ Every independently checkable statement gets a stable id, a prose
 statement, a dependency list, and a compute function.  The compute
 function receives the run's Config and the values its declared
 dependencies returned, and returns a status, structured evidence, and a
-value for the claims that depend on it: the certified sequence, its
-Poincare series, the genus, the lines, the exact flexes (with the
-classical Klein quartic, its checked generators and P) and the bitangents.
+value for the claims that depend on it: the subgroup datum with its
+certified sequence, the Poincare series, the genus, the lines, the
+exact flexes (with the classical Klein quartic, its checked generators
+and P) and the bitangents.
 Literature nodes carry no computation: they record the cited facts the
 computational claims plug into, and they are never folded into
 "verified".
@@ -26,9 +27,8 @@ from .errors import (CheckFailed, InconsistentEvidence, InvalidInput,
                      UnknownClaim)
 from .fields import QQ, cyclotomic_field, is_prime
 from .geometry import (NUMERIC_TOL, LineP2, PointP2, common_fixed_check,
-                       fermat_cubic, fermat_lines, h_group_matrices,
-                       homomorphism_spot_check, images, k_group_matrices,
-                       line_on_surface, make_group_action,
+                       fermat_cubic, fermat_lines, homomorphism_spot_check,
+                       images, line_on_surface, make_group_action,
                        verify_projective_equivalence)
 from .koszul import (GradedSequence, HilbertSeries, em_poincare,
                      is_regular_maximal, permuted_regularity,
@@ -56,6 +56,9 @@ class Config:
     def __post_init__(self):
         if not isinstance(self.prime, int) or not is_prime(self.prime):
             raise InvalidInput(f"Config.prime: {self.prime!r} is not prime")
+        if type(self.max_degree) is not int or self.max_degree < 0:
+            raise InvalidInput(f"Config.max_degree: {self.max_degree!r} is "
+                               f"not a nonnegative int")
 
     def to_json(self):
         return {"prime": self.prime, "max_degree": self.max_degree}
@@ -170,7 +173,8 @@ def _run_nabla_generators(n: int, config: Config):
 
 
 def _run_regseq(datum_fn):
-    """Certify the restricted sequence; the sequence is the value."""
+    """Certify the restricted sequence; the value is (datum, sequence),
+    so the Poincare series reads the datum's exterior count."""
     datum = datum_fn()
     verify_specialization_from_generators(datum)
     seq = GradedSequence(tuple(phi_star_generators(datum)))
@@ -179,7 +183,7 @@ def _run_regseq(datum_fn):
                 "tau_map_consistent": True,
                 "certificate": cert.to_json()}
     return ("verified" if cert.verdict == "Regular" else "failed"), \
-        evidence, seq
+        evidence, (datum, seq)
 
 
 def _run_regseq_permutations(seq_k, seq_h):
@@ -190,24 +194,24 @@ def _run_regseq_permutations(seq_k, seq_h):
     return ("verified" if ok else "failed"), evidence, None
 
 
-def _run_em_poincare_pu4k(seq):
-    series = em_poincare(seq, 3)
+def _run_em_poincare_pu4k(datum, seq):
+    series = em_poincare(seq, datum.exterior_count)
     ok = series.top_degree() == 15 and series.total() == 192
     evidence = {"coefficients": series.coeffs,
                 "top_degree": series.top_degree(),
                 "total": series.total(),
                 "palindromic": series.is_palindromic(),
-                "exterior_count": 3}
+                "exterior_count": datum.exterior_count}
     return ("verified" if ok else "failed"), evidence, series
 
 
-def _run_em_poincare_pu3h(seq):
-    series = em_poincare(seq, 0)
+def _run_em_poincare_pu3h(datum, seq):
+    series = em_poincare(seq, datum.exterior_count)
     expected = [1, 2, 3, 4, 4, 4, 3, 2, 1]
     ok = series.coeffs == expected
     evidence = {"coefficients": series.coeffs, "expected": expected,
-                "top_degree": series.top_degree(),
-                "total": series.total(), "exterior_count": 0}
+                "top_degree": series.top_degree(), "total": series.total(),
+                "exterior_count": datum.exterior_count}
     return ("verified" if ok else "failed"), evidence, series
 
 
@@ -224,8 +228,7 @@ def _run_fermat_lines():
     lines = fermat_lines()
     cubic = fermat_cubic(cyclotomic_field(3))
     on_surface = all(line_on_surface(ln, cubic) for ln in lines)
-    distinct = sum(1 for i, a in enumerate(lines)
-                   for b in lines[i + 1:] if a.coords == b.coords) == 0
+    distinct = len({ln.coords for ln in lines}) == len(lines)
     ok = len(lines) == 27 and on_surface and distinct
     evidence = {"count": len(lines), "all_on_surface": on_surface,
                 "pairwise_distinct": distinct, "exact": True}
@@ -233,7 +236,7 @@ def _run_fermat_lines():
 
 
 def _run_k_faithful(lines):
-    action = make_group_action(k_group_matrices(), lines)
+    action = make_group_action(k_datum().matrices(), lines)
     hom_ok = homomorphism_spot_check(action, random.Random(SPOT_CHECK_SEED),
                                      samples=20)
     check = common_fixed_check(action)
@@ -300,13 +303,14 @@ def _free_orbit_report(action):
 
 
 def _run_h_free(objects, count):
-    action = make_group_action(h_group_matrices(objects[0].field), objects)
+    # H's sign matrices are rational; they act on the Q(zeta_7) objects
+    action = make_group_action(h_datum().matrices(), objects)
     check = common_fixed_check(action)
     orbits = _free_orbit_report(action)
     ok = (check["verdict"] == "PASS" and orbits["has_free_orbit"]
           and len(objects) == count)
-    evidence = {"objects": len(objects), "group_order": 4,
-                "verdict": check["verdict"], "rows": check["rows"]}
+    evidence = {"objects": len(objects), "verdict": check["verdict"],
+                "group_order": len(action.matrices), "rows": check["rows"]}
     evidence.update(orbits)
     return ("verified" if ok else "failed"), evidence, None
 
@@ -404,14 +408,14 @@ _REGISTRY = {
     "nabla-generators-n3": _Claim(
         "The kernel of the transgression derivation for n = 3 is generated "
         "by the two stated integer polynomials; kernel rank, subring count, "
-        "and generated dimension agree in every even degree over Q and "
-        "modulo 2, 5, 7.",
+        "and generated dimension agree in every even degree through the "
+        "--max-degree window over Q and modulo 2, 5, 7.",
         (), lambda c, d: _run_nabla_generators(3, c)),
     "nabla-generators-n4": _Claim(
         "The kernel of the transgression derivation for n = 4 is generated "
         "by the three stated integer polynomials; kernel rank, subring "
-        "count, and generated dimension agree in every even degree over Q "
-        "and modulo 3, 5, 7.",
+        "count, and generated dimension agree in every even degree through "
+        "the --max-degree window over Q and modulo 3, 5, 7.",
         (), lambda c, d: _run_nabla_generators(4, c)),
     "regseq-pu4k": _Claim(
         "The three restricted generator images over F_3 form a regular "
@@ -425,24 +429,24 @@ _REGISTRY = {
     "regseq-permutations": _Claim(
         "Every ordering of each restricted sequence re-certifies regular.",
         ("regseq-pu4k", "regseq-pu3h"),
-        lambda c, d: _run_regseq_permutations(d["regseq-pu4k"],
-                                              d["regseq-pu3h"])),
+        lambda c, d: _run_regseq_permutations(d["regseq-pu4k"][1],
+                                              d["regseq-pu3h"][1])),
     "em-poincare-pu4k": _Claim(
         "The quotient Poincare series for the rank-3 diagonal restriction, "
         "times (1+t)^3, has top degree 15 and total dimension 192.",
         ("regseq-pu4k",),
-        lambda c, d: _run_em_poincare_pu4k(d["regseq-pu4k"])),
+        lambda c, d: _run_em_poincare_pu4k(*d["regseq-pu4k"])),
     "em-poincare-pu3h": _Claim(
         "The quotient Poincare series for the rank-2 diagonal restriction "
         "is (1, 2, 3, 4, 4, 4, 3, 2, 1).",
         ("regseq-pu3h",),
-        lambda c, d: _run_em_poincare_pu3h(d["regseq-pu3h"])),
+        lambda c, d: _run_em_poincare_pu3h(*d["regseq-pu3h"])),
     "tor-concentration": _Claim(
         "Higher Koszul homology of both restricted sequences vanishes in "
         "all internal degrees through the checked window.",
         ("regseq-pu4k", "regseq-pu3h"),
-        lambda c, d: _run_tor_concentration(d["regseq-pu4k"],
-                                            d["regseq-pu3h"], c)),
+        lambda c, d: _run_tor_concentration(d["regseq-pu4k"][1],
+                                            d["regseq-pu3h"][1], c)),
     "fermat-lines": _Claim(
         "Exactly 27 pairwise distinct lines lie on the Fermat cubic "
         "surface, exact over Q(zeta_3).",

@@ -6,7 +6,9 @@ entry 1, and g moves each by one matrix built from its minors: a point by
 g, a covector by the cofactor matrix, a space line by the 2x2 minors,
 and orbits under a few generators close by breadth-first search.
 Induced index permutations of the 27 Fermat-cubic lines over Q(zeta_3)
-and of plane points and lines feed the faithfulness and freeness checks.
+and of plane points and lines, under the group elements a
+restriction.SubgroupDatum lists, feed the faithfulness and freeness
+checks.
 Projective equivalence of two ternary quartics under an explicit matrix
 is decided exactly; when the exact comparison fails, a report of the
 complex-embedded coefficients says by how much.
@@ -28,7 +30,6 @@ from .numroots import chordal_distance
 from .poly import Polynomial, SpecializationMap, make_table, substitute
 
 SPACE_VARS = ("x", "y", "z", "w")
-PLANE_VARS = ("x", "y", "z")
 
 # verify_projective_equivalence calls embedded coefficient vectors
 # proportional when they deviate by at most this, relative to their size.
@@ -337,29 +338,6 @@ def common_fixed_check(action: GroupAction) -> dict:
                      "min_displacement": min_disp})
     return {"rows": rows, "verdict": verdict,
             "elements": len(action.matrices) - 1}
-
-
-def k_group_matrices():
-    """All 27 exact diagonal elements diag(z^a, z^b, z^c, 1), identity first."""
-    F = cyclotomic_field(3)
-    zero = F.zero()
-    out = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                diag = (F.gen() ** a, F.gen() ** b, F.gen() ** c, F.one())
-                rows = tuple(tuple(diag[i] if i == j else zero
-                                   for j in range(4)) for i in range(4))
-                out.append(rows)
-    return out
-
-
-def h_group_matrices(field):
-    """The four sign diagonals diag(+-1, +-1, 1) over field, identity first."""
-    one, zero = field.one(), field.zero()
-    return [tuple(tuple(sign if i == j else zero for j in range(3))
-                  for i, sign in enumerate((sx, sy, one)))
-            for sy in (one, -one) for sx in (one, -one)]
 
 
 def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:

@@ -294,7 +294,6 @@ class SpecializationMap:
 
     images: dict
     check_grading: bool = False
-    name: str = ""
 
 
 def substitute(f: Polynomial, smap: SpecializationMap) -> Polynomial:

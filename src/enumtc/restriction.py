@@ -1,15 +1,17 @@
 """Restriction of Chern-class generators to diagonal abelian subgroups.
 
-A subgroup of PU_n generated by commuting diagonal matrices of prime
-order q is recorded as exact root-of-unity diagonals.  Each diagonal
-slot j carries a character of the subgroup, read off from the entry
-exponents; on degree-2 classes the restriction sends tau_j to the
-corresponding linear form xi in the q odd case and to the square of a
-degree-1 linear form when q = 2.  Composing c_i -> sigma_i(tau) with
-that specialization, mod p, produces the restricted images of the
-polynomial generators in degree order.
+A subgroup (Z/p)^r of PU_n generated by commuting diagonal matrices of
+prime order p is recorded as exact root-of-unity diagonals.  Each
+diagonal slot j carries a character of the subgroup, read off from the
+entry exponents; on degree-2 classes the restriction sends tau_j to the
+corresponding linear form xi for odd p and to the square of a degree-1
+linear form when p = 2.  Composing c_i -> sigma_i(tau) with that
+specialization, mod p, produces the restricted images of the polynomial
+generators in degree order.
 
-Only the q = p branch is implemented; non-diagonal or higher prime
+K and H are defined here and only here: the same datum gives the
+restricted cohomology and, through matrices(), the group elements that
+act on the lines, flexes and bitangents.  Non-diagonal or higher prime
 power subgroups are out of scope.  Diagonal generators commute by
 construction, so commutativity is structural rather than checked.
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .errors import InconsistentEvidence, InvalidField, InvalidInput
 from .fields import PrimeField, QQ, cyclotomic_field, is_prime
@@ -42,50 +46,49 @@ def chern_to_tau_map(n: int, p: int) -> SpecializationMap:
     tau = tau_table(n)
     images = {f"c{i}": elementary_symmetric(i, tau, Fp)
               for i in range(1, n + 1)}
-    return SpecializationMap(images, check_grading=True,
-                             name="chern-to-diagonal")
+    return SpecializationMap(images, check_grading=True)
 
 
-def _canonical_root(field, q: int):
-    """The fixed primitive q-th root all entries are compared against."""
-    if q == 2:
+def _canonical_root(field, p: int):
+    """The fixed primitive p-th root all entries are compared against."""
+    if p == 2:
         return field.from_int(-1)
     root = field.gen()
-    if root ** q != field.one() or root == field.one():
-        raise InvalidField(f"field generator is not a primitive {q}-th root")
+    if root ** p != field.one() or root == field.one():
+        raise InvalidField(f"field generator is not a primitive {p}-th root")
     return root
 
 
-def _entry_exponent(entry, root, q: int, field, where: str) -> int:
+def _entry_exponent(entry, root, p: int, field, where: str) -> int:
     power = field.one()
-    for e in range(q):
+    for e in range(p):
         if entry == power:
             return e
         power = power * root
     raise InvalidInput(f"{where}: entry is not a power of the canonical root")
 
 
-def exponent_grid(generators, q: int, field):
+def exponent_grid(generators, p: int, field):
     """grid[i][j] = e with generator i acting on slot j by root**e."""
-    root = _canonical_root(field, q)
+    root = _canonical_root(field, p)
     grid = []
     for i, diag in enumerate(generators):
-        row = [_entry_exponent(entry, root, q, field,
+        row = [_entry_exponent(entry, root, p, field,
                                f"generator {i + 1}, slot {j + 1}")
                for j, entry in enumerate(diag)]
         grid.append(row)
     return grid
 
 
-def _slot_marker(q: int, i: int, width: int):
+def _slot_marker(p: int, i: int, width: int):
     # Exponent tuple of the monomial generator i contributes to a tau image:
-    # xi_i for q odd, u_i^2 for q = 2 (squaring is additive in char 2).
+    # xi_i for p odd, u_i^2 for p = 2 (squaring is additive in char 2).
     e = [0] * width
-    e[i] = 2 if q == 2 else 1
+    e[i] = 2 if p == 2 else 1
     return tuple(e)
 
 
-def _tau_images(grid, n: int, q: int, p: int, target) -> dict:
+def _tau_images(grid, n: int, p: int, target) -> dict:
     Fp = PrimeField(p)
     images = {}
     for j in range(n):
@@ -97,7 +100,7 @@ def _tau_images(grid, n: int, q: int, p: int, target) -> dict:
             e[i] = 1
             acc = acc + Polynomial.monomial(tuple(e), Fp.from_int(row[j]),
                                             target, Fp)
-        if q == 2:
+        if p == 2:
             acc = acc * acc
         images[f"tau{j + 1}"] = acc
     return images
@@ -108,18 +111,16 @@ class SubgroupDatum:
     """Diagonal elementary abelian subgroup with its stored tau images.
 
     generators holds one diagonal tuple per generator; entries are exact
-    field elements of multiplicative order dividing q.  tau_map is data,
+    field elements of multiplicative order dividing p.  tau_map is data,
     not derived here: verify_specialization_from_generators recomputes
     the images from the entry exponents and confirms agreement.
     """
 
     n: int
     p: int
-    q: int
     field: object
     generators: tuple
     tau_map: SpecializationMap
-    exterior_count: int
     name: str = ""
 
     def __post_init__(self):
@@ -127,10 +128,6 @@ class SubgroupDatum:
             raise InvalidInput("ambient rank must be at least 2")
         if not is_prime(self.p):
             raise InvalidInput(f"p={self.p} is not prime")
-        if self.q != self.p:
-            raise InvalidInput("only the q = p branch is supported")
-        if self.exterior_count < 0:
-            raise InvalidInput("exterior_count must be nonnegative")
         one = self.field.one()
         for i, diag in enumerate(self.generators):
             if len(diag) != self.n:
@@ -138,32 +135,51 @@ class SubgroupDatum:
             if all(entry == one for entry in diag):
                 raise InvalidInput(f"generator {i + 1} is the identity")
             for j, entry in enumerate(diag):
-                if entry ** self.q != one:
+                if entry ** self.p != one:
                     raise InvalidInput(
                         f"generator {i + 1}, slot {j + 1}: "
-                        f"entry order does not divide {self.q}")
+                        f"entry order does not divide {self.p}")
         expected_names = {f"tau{j}" for j in range(1, self.n + 1)}
         if set(self.tau_map.images) != expected_names:
             raise InvalidInput("tau_map must cover exactly tau_1..tau_n")
 
+    @property
+    def exterior_count(self) -> int:
+        """Exterior generators of H*(B(Z/p)^r; F_p): r for odd p, none for
+        p = 2, where the degree-1 classes are polynomial."""
+        return 0 if self.p == 2 else len(self.generators)
 
-def make_subgroup_datum(n, p, q, field, generators, target_names=None,
-                        exterior_count=0, name="") -> SubgroupDatum:
+    def matrices(self):
+        """Every group element as an n x n diagonal matrix over field: the
+        product of the g_i^e_i for e in itertools.product(range(p),
+        repeat=r) order, so the identity comes first and generator i
+        sits at the i-th unit vector."""
+        zero, one, n = self.field.zero(), self.field.one(), self.n
+        out = []
+        for e in product(range(self.p), repeat=len(self.generators)):
+            diag = [prod((g[j] ** k for g, k in zip(self.generators, e)),
+                         start=one) for j in range(n)]
+            out.append(tuple(tuple(diag[i] if i == j else zero
+                                   for j in range(n)) for i in range(n)))
+        return out
+
+
+def make_subgroup_datum(n, p, field, generators, target_names=None,
+                        name="") -> SubgroupDatum:
     """Build a datum with the tau images derived from the generators."""
     generators = tuple(tuple(d) for d in generators)
     r = len(generators)
     if target_names is None:
-        stem = "u" if q == 2 else "xi"
+        stem = "u" if p == 2 else "xi"
         target_names = tuple(f"{stem}{i}" for i in range(1, r + 1))
     if len(target_names) != r:
         raise InvalidInput("one target variable per generator")
-    weight = 1 if q == 2 else 2
+    weight = 1 if p == 2 else 2
     target = make_table(tuple(target_names), (weight,) * r)
-    grid = exponent_grid(generators, q, field)
-    images = _tau_images(grid, n, q, p, target)
-    tau_map = SpecializationMap(images, check_grading=True, name=name)
-    return SubgroupDatum(n, p, q, field, generators, tau_map,
-                         exterior_count, name)
+    grid = exponent_grid(generators, p, field)
+    images = _tau_images(grid, n, p, target)
+    tau_map = SpecializationMap(images, check_grading=True)
+    return SubgroupDatum(n, p, field, generators, tau_map, name)
 
 
 def k_datum() -> SubgroupDatum:
@@ -181,8 +197,8 @@ def k_datum() -> SubgroupDatum:
         "tau3": Polynomial.variable("xi3", target, F3),
         "tau4": Polynomial.zero(target, F3),
     }
-    tau_map = SpecializationMap(images, check_grading=True, name="K")
-    return SubgroupDatum(4, 3, 3, F, gens, tau_map, 3, "K")
+    tau_map = SpecializationMap(images, check_grading=True)
+    return SubgroupDatum(4, 3, F, gens, tau_map, "K")
 
 
 def h_datum() -> SubgroupDatum:
@@ -199,8 +215,8 @@ def h_datum() -> SubgroupDatum:
         "tau2": v * v,
         "tau3": Polynomial.zero(target, F2),
     }
-    tau_map = SpecializationMap(images, check_grading=True, name="H")
-    return SubgroupDatum(3, 2, 2, QQ, gens, tau_map, 0, "H")
+    tau_map = SpecializationMap(images, check_grading=True)
+    return SubgroupDatum(3, 2, QQ, gens, tau_map, "H")
 
 
 def phi_star_generators(datum: SubgroupDatum):
@@ -230,10 +246,10 @@ def verify_specialization_from_generators(datum: SubgroupDatum) -> bool:
     """
     sample = next(iter(datum.tau_map.images.values()))
     target = sample.table
-    grid = exponent_grid(datum.generators, datum.q, datum.field)
+    grid = exponent_grid(datum.generators, datum.p, datum.field)
     if grid and len(target) != len(grid):
         raise InvalidInput("target table size differs from generator count")
-    expected = _tau_images(grid, datum.n, datum.q, datum.p, target)
+    expected = _tau_images(grid, datum.n, datum.p, target)
     Fp = PrimeField(datum.p)
     for j in range(1, datum.n + 1):
         name = f"tau{j}"
@@ -242,7 +258,7 @@ def verify_specialization_from_generators(datum: SubgroupDatum) -> bool:
         if stored == want:
             continue
         for i, row in enumerate(grid):
-            marker = _slot_marker(datum.q, i, len(target))
+            marker = _slot_marker(datum.p, i, len(target))
             got = stored.terms.get(marker, Fp.zero())
             if got != Fp.from_int(row[j - 1]):
                 raise InconsistentEvidence(

@@ -18,9 +18,7 @@ from enumtc.geometry import (
     embedded,
     fermat_cubic,
     fermat_lines,
-    h_group_matrices,
     images,
-    k_group_matrices,
     line_on_surface,
     make_group_action,
     verify_projective_equivalence,
@@ -188,7 +186,7 @@ def test_criterion_07_fermat_lines_and_witness():
     exact = (len(lines) == 27
              and len({ln.coords for ln in lines}) == 27
              and all(line_on_surface(ln, cubic) for ln in lines))
-    action = make_group_action(k_group_matrices(), lines)
+    action = make_group_action(k_datum().matrices(), lines)
     ident = tuple(range(27))
     kernel_trivial = [i for i, p in enumerate(action.permutations)
                       if p == ident] == [0]
@@ -218,7 +216,7 @@ def test_criterion_08_klein_flexes():
     emb = [embedded(p.coords) for p in pts]
     distinct = all(chordal_distance(emb[i], q) > 1e-6
                    for i in range(len(emb)) for q in emb[i + 1:])
-    action = make_group_action(h_group_matrices(F.field), pts)
+    action = make_group_action(h_datum().matrices(), pts)
     check = common_fixed_check(action)
     moves = all(r["moved"] >= 1 and r["min_displacement"] > 1e-3
                 for r in check["rows"])
@@ -244,7 +242,7 @@ def test_criterion_09_klein_bitangents():
     zero = F.field.zero()
     meets = all(t[0] * p[0] + t[1] * p[1] + t[2] * p[2] == zero
                 for t, p in zip(tangents, flexes))
-    action = make_group_action(h_group_matrices(F.field), lines)
+    action = make_group_action(h_datum().matrices(), lines)
     check = common_fixed_check(action)
     moves = all(r["moved"] >= 1 for r in check["rows"])
     ok = (len(bits) == 28 and distinct and len(tangents) == 24 and meets

@@ -99,6 +99,16 @@ def test_composite_cross_check_prime_fails_nabla_claim():
                 run_claims([claim_id], Config(prime=p))
 
 
+@pytest.mark.parametrize("degree", [-2, -1, 2.5, 12.0, True, False, "12",
+                                    None])
+def test_config_refuses_a_max_degree_that_is_no_nonnegative_int(degree):
+    # once ran: -2 failed both nabla claims and blocked regseq and tor, and
+    # 2.5 failed them with a TypeError
+    with pytest.raises(InvalidInput, match="Config.max_degree"):
+        Config(max_degree=degree)
+    assert Config(max_degree=0).max_degree == 0
+
+
 def test_empty_run_is_empty_and_ok():
     report = run_claims([])
     assert report.records == []

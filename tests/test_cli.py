@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +143,26 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "klein-bitangents" in proc.stdout
+
+
+def test_verify_all_report_does_not_depend_on_hash_seed(tmp_path):
+    """Two interpreters with different string hashing write the same
+    bytes; one process building the report twice cannot see set order."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        target = tmp_path / f"seed{seed}.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "enumtc.cli", "verify", "--all",
+             "--json", str(target)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        runs.append((proc, target))
+    for proc, _ in runs:
+        _, err = proc.communicate(timeout=300)
+        # klein-equivalence fails by design, so the run exits 1
+        assert proc.returncode == 1, err
+    first, second = (target.read_bytes() for _, target in runs)
+    assert first and first == second

@@ -22,16 +22,15 @@ from enumtc.geometry import (
     compose_with_matrix,
     fermat_cubic,
     fermat_lines,
-    h_group_matrices,
     homomorphism_spot_check,
     induced_permutation,
-    k_group_matrices,
     line_on_surface,
     make_group_action,
     verify_projective_equivalence,
 )
 from enumtc.poly import Polynomial, make_table
 from enumtc.quartic import klein_quartic
+from enumtc.restriction import h_datum, k_datum
 
 F3CYC = cyclotomic_field(3)
 F7CYC = cyclotomic_field(7)
@@ -106,7 +105,7 @@ def test_line_forms_must_have_four_coordinates():
 
 def test_identity_and_generator_permutations():
     lines = fermat_lines()
-    mats = k_group_matrices()
+    mats = k_datum().matrices()
     ident = induced_permutation(mats[0], lines)
     assert ident == tuple(range(27))
     # diag(z,1,1,1) is element (a,b,c)=(1,0,0), index 9
@@ -118,7 +117,7 @@ def test_identity_and_generator_permutations():
 
 def test_k_action_is_faithful():
     lines = fermat_lines()
-    action = make_group_action(k_group_matrices(), lines)
+    action = make_group_action(k_datum().matrices(), lines)
     ident = tuple(range(27))
     trivial = [i for i, p in enumerate(action.permutations) if p == ident]
     assert trivial == [0]
@@ -130,7 +129,7 @@ def test_witness_fixers_are_exactly_two():
     lines = fermat_lines()
     w = witness_line()
     i0 = next(i for i, ln in enumerate(lines) if ln.coords == w.coords)
-    action = make_group_action(k_group_matrices(), lines)
+    action = make_group_action(k_datum().matrices(), lines)
     fixers = [g for g in range(1, 27) if action.permutations[g][i0] == i0]
     assert fixers == [12, 24]
     moved_by = 26 - len(fixers)
@@ -188,18 +187,18 @@ def test_spanning_points_solve_the_forms_and_give_the_line_back():
 
 def test_homomorphism_spot_check_on_k():
     lines = fermat_lines()
-    action = make_group_action(k_group_matrices(), lines)
+    action = make_group_action(k_datum().matrices(), lines)
     assert homomorphism_spot_check(action, random.Random(99), samples=8)
 
 
 def test_common_fixed_check_exact_and_trivial():
     lines = fermat_lines()
-    action = make_group_action(k_group_matrices(), lines)
+    action = make_group_action(k_datum().matrices(), lines)
     report = common_fixed_check(action)
     assert report["verdict"] == "PASS"
     assert report["elements"] == 26
     assert all(row["moved"] >= 1 for row in report["rows"])
-    only_identity = make_group_action(k_group_matrices()[:1], lines)
+    only_identity = make_group_action(k_datum().matrices()[:1], lines)
     vacuous = common_fixed_check(only_identity)
     assert vacuous["verdict"] == "PASS" and vacuous["rows"] == []
 
@@ -248,7 +247,7 @@ def test_line_objects_transform_by_inverse():
 def test_h_action_over_qq():
     point = PointP2.from_coords((Fraction(2), Fraction(4), Fraction(2)))
     assert point.coords == (1, 2, 1) and point.field == QQ
-    mats = h_group_matrices(QQ)
+    mats = h_datum().matrices()
     pts = [PointP2.from_coords((Fraction(sx), Fraction(2 * sy), Fraction(1)))
            for sx in (1, -1) for sy in (1, -1)]
     action = make_group_action(mats, pts)
@@ -259,25 +258,9 @@ def test_h_action_over_qq():
     assert sorted(p[0] for p in action.permutations) == [0, 1, 2, 3]
     covectors = [LineP2.from_coords((Fraction(a), Fraction(b), Fraction(1)))
                  for a, b in ((1, 0), (-1, 0), (0, 3), (0, -3))]
+    # the sign changes come y first: diag(1, -1, 1), then diag(-1, 1, 1)
     assert [induced_permutation(g, covectors) for g in mats] == [
-        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
-
-
-def test_h_group_matrices_shape():
-    for field in (F3CYC, F7CYC):
-        mats = h_group_matrices(field)
-        one, zero = field.one(), field.zero()
-        assert len(mats) == len(set(mats)) == 4
-        assert mats[0] == _plane_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                                        field)
-        for m in mats:
-            square = tuple(tuple(sum((m[i][k] * m[k][j] for k in range(3)),
-                                     zero) for j in range(3))
-                           for i in range(3))
-            assert square == mats[0]
-            assert m[2][2] == one
-            assert all(not m[i][j] for i in range(3) for j in range(3)
-                       if i != j)
+        (0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
 
 
 def test_equivalence_identity_and_scaling():

@@ -11,7 +11,6 @@ from enumtc.geometry import (
     _normalize,
     compose_with_matrix,
     embedded,
-    h_group_matrices,
     images,
     induced_permutation,
     orbit,
@@ -40,6 +39,7 @@ from enumtc.quartic import (
     quartic_to_classical_matrix,
     smoothness_certificate,
 )
+from enumtc.restriction import h_datum
 
 _MEMO = {}
 
@@ -234,7 +234,7 @@ def test_sign_group_permutes_flexes_and_bitangents():
     lines = [LineP2.from_coords(v) for v in bits]
     assert [p.coords for p in pts] == flexes
     assert [v.coords for v in lines] == bits
-    for h in h_group_matrices(pts[0].field)[1:]:
+    for h in h_datum().matrices()[1:]:
         perm = induced_permutation(h, pts)
         assert sorted(perm) == list(range(24))
         assert any(perm[i] != i for i in range(24))

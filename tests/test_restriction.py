@@ -80,14 +80,14 @@ def test_identity_specialization_gives_symmetric_images():
 def test_k_tau4_is_zero():
     d = k_datum()
     assert not d.tau_map.images["tau4"]
-    assert exponent_grid(d.generators, d.q, d.field) == [
+    assert exponent_grid(d.generators, d.p, d.field) == [
         [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
 
 
 def test_h_tau3_is_zero():
     d = h_datum()
     assert not d.tau_map.images["tau3"]
-    assert exponent_grid(d.generators, d.q, d.field) == [
+    assert exponent_grid(d.generators, d.p, d.field) == [
         [1, 0, 0], [0, 1, 0]]
 
 
@@ -98,18 +98,18 @@ def test_verify_stored_maps():
 
 def test_derived_map_matches_stored_literals():
     k = k_datum()
-    derived = make_subgroup_datum(4, 3, 3, k.field, k.generators,
+    derived = make_subgroup_datum(4, 3, k.field, k.generators,
                                   target_names=("xi1", "xi2", "xi3"),
-                                  exterior_count=3, name="K")
+                                  name="K")
     assert derived.tau_map.images == k.tau_map.images
     h = h_datum()
-    derived = make_subgroup_datum(3, 2, 2, QQ, h.generators,
+    derived = make_subgroup_datum(3, 2, QQ, h.generators,
                                   target_names=("u", "v"), name="H")
     assert derived.tau_map.images == h.tau_map.images
 
 
 def test_trivial_subgroup_kills_everything():
-    d = make_subgroup_datum(3, 2, 2, QQ, ())
+    d = make_subgroup_datum(3, 2, QQ, ())
     assert all(not img for img in d.tau_map.images.values())
     assert verify_specialization_from_generators(d)
     assert all(not f for f in phi_star_generators(d))
@@ -144,7 +144,7 @@ def test_grading_violation_propagates():
 
 def test_p_dividing_n_is_rejected():
     F = cyclotomic_field(3)
-    d = make_subgroup_datum(3, 3, 3, F, ((F.gen(), F.one(), F.one()),))
+    d = make_subgroup_datum(3, 3, F, ((F.gen(), F.one(), F.one()),))
     with pytest.raises(InvalidInput):
         phi_star_generators(d)
 
@@ -153,16 +153,54 @@ def test_datum_validation():
     one = Fraction(1)
     good = h_datum()
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, 2, QQ, ((one, one, one),), good.tau_map, 0)
+        SubgroupDatum(3, 2, QQ, ((one, one, one),), good.tau_map)
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, 2, QQ, ((Fraction(3), one, one),), good.tau_map, 0)
+        SubgroupDatum(3, 2, QQ, ((Fraction(3), one, one),), good.tau_map)
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, 3, QQ, good.generators, good.tau_map, 0)
+        SubgroupDatum(3, 4, QQ, good.generators, good.tau_map)
     with pytest.raises(InvalidInput):
-        SubgroupDatum(4, 2, 2, QQ, good.generators, good.tau_map, 0)
+        SubgroupDatum(4, 2, QQ, good.generators, good.tau_map)
     bad_keys = SpecializationMap({"tau1": good.tau_map.images["tau1"]})
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, 2, QQ, good.generators, bad_keys, 0)
+        SubgroupDatum(3, 2, QQ, good.generators, bad_keys)
+
+
+def _matmul(a, b, zero):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _diagonal(diag, zero):
+    return tuple(tuple(d if i == j else zero for j in range(len(diag)))
+                 for i, d in enumerate(diag))
+
+
+def test_datum_matrices_list_the_group():
+    for datum, exterior in ((k_datum(), 3), (h_datum(), 0)):
+        p, r, n = datum.p, len(datum.generators), datum.n
+        zero, one = datum.field.zero(), datum.field.one()
+        mats = datum.matrices()
+        assert len(mats) == len(set(mats)) == p ** r
+        ident = _diagonal((one,) * n, zero)
+        assert mats[0] == ident
+        for m in mats:
+            assert all(not m[i][j] for i in range(n) for j in range(n)
+                       if i != j)
+            power = ident
+            for _ in range(p):
+                power = _matmul(power, m, zero)
+            assert power == ident
+            assert all(_matmul(m, g, zero) in mats for g in mats)
+        # generator i sits at the exponent vector e_i, index p^(r-1-i)
+        for i, gen in enumerate(datum.generators):
+            assert mats[p ** (r - 1 - i)] == _diagonal(gen, zero)
+        assert datum.exterior_count == exterior
+    F = cyclotomic_field(3)
+    z = F.gen()
+    roots = (F.one(), z, z * z)
+    written = [_diagonal((roots[a], roots[b], roots[c], F.one()), F.zero())
+               for a in range(3) for b in range(3) for c in range(3)]
+    assert k_datum().matrices() == written
 
 
 def test_entry_outside_root_powers():
@@ -191,7 +229,8 @@ def test_random_derived_data_verify():
             grid_row = [rng.randrange(3) for _ in range(4)]
             if any(grid_row):
                 gens.append(tuple(powers[e] for e in grid_row))
-        d = make_subgroup_datum(4, 3, 3, F, gens, exterior_count=r)
+        d = make_subgroup_datum(4, 3, F, gens)
+        assert d.exterior_count == r
         assert verify_specialization_from_generators(d)
         grid = exponent_grid(d.generators, 3, F)
         for j in range(4):
