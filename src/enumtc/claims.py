@@ -409,13 +409,15 @@ _REGISTRY = {
         "The kernel of the transgression derivation for n = 3 is generated "
         "by the two stated integer polynomials; kernel rank, subring count, "
         "and generated dimension agree in every even degree through the "
-        "--max-degree window over Q and modulo 2, 5, 7.",
+        "--max-degree window over Q and modulo 2, 5, 7 and --prime "
+        "(unless --prime is 3).",
         (), lambda c, d: _run_nabla_generators(3, c)),
     "nabla-generators-n4": _Claim(
         "The kernel of the transgression derivation for n = 4 is generated "
         "by the three stated integer polynomials; kernel rank, subring "
         "count, and generated dimension agree in every even degree through "
-        "the --max-degree window over Q and modulo 3, 5, 7.",
+        "the --max-degree window over Q and modulo 3, 5, 7 and --prime "
+        "(unless --prime is 2).",
         (), lambda c, d: _run_nabla_generators(4, c)),
     "regseq-pu4k": _Claim(
         "The three restricted generator images over F_3 form a regular "

@@ -74,7 +74,8 @@ class KoszulComplex:
     K_i has basis {monomial * e_J : |J| = i}; the boundary sends e_J to
     sum_k (-1)^(k+1) f_{j_k} e_{J minus j_k}.  Internal degree of e_J is
     the sum of the element degrees over J.  Each element's coefficients
-    are read once as int-row entries, so the field must be QQ or F_p.
+    are read once as int-row entries, so the field must be QQ or F_p, and
+    each basis is built once.
     """
 
     def __init__(self, seq: GradedSequence, table=None, field=None):
@@ -86,18 +87,18 @@ class KoszulComplex:
         self.degrees = seq.degrees()
         self._terms = [[(e, int_entry(self.field, c))
                         for e, c in f.terms.items()] for f in seq.elements]
+        self._bases = {}
 
     def module_basis(self, i: int, t: int):
-        """Basis of K_i in internal degree t: (monomial, J) pairs, J
-        strictly increasing."""
-        out = []
-        for J in combinations(range(len(self.seq)), i):
-            md = t - sum(self.degrees[j] for j in J)
-            if md < 0:
-                continue
-            for m in monomials_of_weighted_degree(self.table, md):
-                out.append((m, J))
-        return out
+        """Basis of K_i in internal degree t: a tuple of (monomial, J)
+        pairs, J strictly increasing."""
+        basis = self._bases.get((i, t))
+        if basis is None:
+            basis = self._bases[i, t] = tuple(
+                (m, J) for J in combinations(range(len(self.seq)), i)
+                for m in monomials_of_weighted_degree(
+                    self.table, t - sum(self.degrees[j] for j in J)))
+        return basis
 
     def boundary_matrix(self, i: int, t: int):
         """(rows, src, dst) for d_i: (K_i)_t -> (K_{i-1})_t.
@@ -160,13 +161,13 @@ class RegularityCertificate:
         }
 
 
-def macaulay_rank(seq: GradedSequence, t: int):
+def macaulay_rank(K: KoszulComplex, t: int):
     """Rank of {monomial * f_i} -> degree-t monomials, plus the stratum dim.
 
     This is the first Koszul differential d_1: (K_1)_t -> (K_0)_t.
     """
-    rows, _, dst = KoszulComplex(seq).boundary_matrix(1, t)
-    return rank_over(seq.field, rows), len(dst)
+    rows, _, dst = K.boundary_matrix(1, t)
+    return rank_over(K.field, rows), len(dst)
 
 
 def is_regular_maximal(seq: GradedSequence) -> RegularityCertificate:
@@ -185,9 +186,10 @@ def is_regular_maximal(seq: GradedSequence) -> RegularityCertificate:
     weights = table.weights
     s = sum(degs) - sum(weights)
     top = s + max(weights)
+    K = KoszulComplex(seq)
     checked, ranks, full = [], [], True
     for t in range(s + 1, top + 1):
-        rank, dim = macaulay_rank(seq, t)
+        rank, dim = macaulay_rank(K, t)
         checked.append(t)
         ranks.append({"degree": t, "rank": rank, "stratum_dim": dim})
         if rank < dim:
@@ -255,11 +257,9 @@ def quotient_hilbert(seq: GradedSequence, up_to: int = None) -> HilbertSeries:
             up_to = sum(seq.degrees()) - sum(seq.table.weights)
         else:
             raise InvalidInput("up_to required for non-maximal sequences")
-    coeffs = []
-    for t in range(up_to + 1):
-        rank, dim = macaulay_rank(seq, t)
-        coeffs.append(dim - rank)
-    return HilbertSeries(coeffs)
+    K = KoszulComplex(seq)
+    return HilbertSeries([dim - rank for rank, dim in
+                          (macaulay_rank(K, t) for t in range(up_to + 1))])
 
 
 def em_poincare(seq: GradedSequence, exterior_count: int) -> HilbertSeries:

@@ -3,7 +3,8 @@
 Every rank a claim takes is of rows of plain Python ints, built straight
 from the claim's data, never of field element objects:
 
-- ``rank_mod_p`` ranks int rows over F_p by forward elimination alone.
+- ``rank_mod_p`` ranks int rows over F_p, a prime checked once per p,
+  by forward elimination on packed rows (below).
 - ``rank_int`` ranks rows over Q by clearing each row's denominators and
   running fraction-free (Bareiss) forward elimination on ints.
 - ``int_entry`` writes a coefficient of QQ or F_p as an int-row entry,
@@ -11,51 +12,73 @@ from the claim's data, never of field element objects:
   raise InvalidField for any other field: no claim ranks over a number
   field.
 
+``rank_mod_p`` packs each row into one int, column j in the w-bit slot
+at bit j*w.  With b = p.bit_length(), w is 4b rounded up to whole bytes
+and s = w - b, so p^3 < 2^s.  An update x + (p - f) * pivot, pivot
+scaled to a leading 1, leaves every slot below p^2, and
+x - p * ((x * m >> s) & qmask), m = ceil(2^s / p), qmask the low b bits
+of each slot, reduces all slots mod p at once: each v * m < 2^w, and
+floor(v * m / 2^s) = floor(v / p) for v < p^2 as p^3 < 2^s.  A matrix
+with more rows than columns is ranked as its transpose.
+
 ``Matrix`` is the generic reduced row echelon form on field elements
 (QQ, F_p, Q(zeta_m)), with the kernel basis and the rank it gives.  No
 claim of ``enumtc verify`` reaches it; tests use it as the reference for
 the int-row kernels and the rows the claims build.
 
-All three eliminations update a row only from the pivot column onward,
-since the pivot row is zero left of it; ``rank_mod_p`` and ``rref`` also
-leave an entry alone where the pivot row is zero.
+``rank_int`` and ``rref`` update a row only from the pivot column
+onward, since the pivot row is zero left of it; ``rref`` also leaves an
+entry alone where the pivot row is zero.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 
 from .errors import InvalidField, InvalidInput
-from .fields import PrimeField, RationalField, field_inverse
+from .fields import PrimeField, RationalField, field_inverse, is_prime
+
+
+@cache
+def _slots(p: int):
+    """(bytes per slot, slot bits w, shift s, multiplier m, b-bit mask)
+    for packed rows mod p; refuses a p that is not prime."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise InvalidInput(f"rank modulo {p!r}: the modulus is not prime")
+    b = p.bit_length()
+    k = (4 * b + 7) // 8
+    s = 8 * k - b
+    return k, 8 * k, s, -(-(1 << s) // p), (1 << b) - 1
 
 
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p of a matrix given as rows of ints.
 
-    Entries may be any ints; they are reduced mod p into a copy, so the
+    Entries may be any ints; they are packed mod p into new ints, so the
     caller's rows are left as they were.
     """
-    rows = [[e % p for e in row] for row in rows]
+    k, w, s, m, low = _slots(p)
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
     width = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(width):
-        for i, row in enumerate(rows):
-            if row[c]:
+    qmask = int.from_bytes(low.to_bytes(k, "little") * width, "little")
+    top = (1 << w) - 1
+    zero, pivots = bytes(k), {}
+    for row in rows:
+        x = int.from_bytes(b"".join([(e % p).to_bytes(k, "little") if e
+                                     else zero for e in row]), "little")
+        while x:
+            c = ((x & -x).bit_length() - 1) // w
+            f = (x >> c * w) & top
+            pivot = pivots.get(c)
+            if pivot is None:
+                x *= pow(f, -1, p)
+                pivots[c] = x - p * ((x * m >> s) & qmask)
                 break
-        else:
-            continue
-        pivot = rows.pop(i)
-        rank += 1
-        if not rows:
-            break
-        inv = pow(pivot[c], -1, p)
-        tail = pivot[c + 1:]
-        for row in rows:
-            if row[c]:
-                f = row[c] * inv % p
-                row[c + 1:] = [(a - f * b) % p if b else a
-                               for a, b in zip(row[c + 1:], tail)]
-    return rank
+            x += (p - f) * pivot
+            x -= p * ((x * m >> s) & qmask)
+    return len(pivots)
 
 
 def rank_int(rows) -> int:

@@ -266,6 +266,21 @@ def test_config_snapshot_lands_in_report():
     assert all(r["degree"] <= 10 for t in rows for r in t["rows"])
 
 
+@pytest.mark.parametrize("n, listed, left_out", [(3, [2, 5, 7], 3),
+                                                  (4, [3, 5, 7], 2)])
+def test_nabla_statement_names_every_prime_checked(n, listed, left_out):
+    """The statement lists the fixed primes and --prime unless it divides
+    n; the tables checked are exactly those."""
+    claim_id = f"nabla-generators-n{n}"
+    for prime, primes in ((11, [*listed, 11]), (left_out, listed),
+                          (listed[-1], listed)):
+        record = run_claims([claim_id], Config(prime=prime, max_degree=4)) \
+            .claim(claim_id)
+        assert [t["p"] for t in record.evidence["fields"]] == [None, *primes]
+        assert f"modulo {', '.join(map(str, listed))} and --prime (unless " \
+            f"--prime is {left_out})" in record.statement
+
+
 def test_summary_counts_match_statuses():
     report = run_claims(["thm-sg-flex"])
     summary = report.summary()

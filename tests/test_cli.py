@@ -145,9 +145,9 @@ def test_console_entry_point_runs():
     assert "klein-bitangents" in proc.stdout
 
 
-def test_verify_all_report_does_not_depend_on_hash_seed(tmp_path):
-    """Two interpreters with different string hashing write the same
-    bytes; one process building the report twice cannot see set order."""
+def _reports_under_two_hash_seeds(argv, tmp_path):
+    """The --json bytes of `enumtc <argv>` from two interpreters with
+    different string hashing, run side by side."""
     src = str(Path(cli.__file__).resolve().parents[1])
     runs = []
     for seed in ("1", "2"):
@@ -156,13 +156,34 @@ def test_verify_all_report_does_not_depend_on_hash_seed(tmp_path):
                        filter(None, (src, os.environ.get("PYTHONPATH")))))
         target = tmp_path / f"seed{seed}.json"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "enumtc.cli", "verify", "--all",
-             "--json", str(target)],
+            [sys.executable, "-m", "enumtc.cli", *argv, "--json",
+             str(target)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         runs.append((proc, target))
     for proc, _ in runs:
         _, err = proc.communicate(timeout=300)
         # klein-equivalence fails by design, so the run exits 1
         assert proc.returncode == 1, err
-    first, second = (target.read_bytes() for _, target in runs)
+    return [target.read_bytes() for _, target in runs]
+
+
+def test_verify_all_report_does_not_depend_on_hash_seed(tmp_path):
+    """Two interpreters with different string hashing write the same
+    bytes; one process building the report twice cannot see set order."""
+    first, second = _reports_under_two_hash_seeds(["verify", "--all"],
+                                                  tmp_path)
+    assert first and first == second
+
+
+def test_exact_wide_report_does_not_depend_on_hash_seed(tmp_path):
+    """The benchmark's exact-wide command line, read from
+    perfbench/workloads.py (only read): 14 claims at --max-degree 28, the
+    widest Koszul and Macaulay ranks of the two benchmark commands."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / \
+        "workloads.py"
+    namespace = {"__file__": str(workloads)}
+    exec(compile(workloads.read_text(), str(workloads), "exec"), namespace)
+    argv = namespace["VERIFY_ARGV"]["exact-wide"]
+    assert argv[:3] == ["verify", "--max-degree", "28"] and len(argv) == 17
+    first, second = _reports_under_two_hash_seeds(argv, tmp_path)
     assert first and first == second

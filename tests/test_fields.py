@@ -27,6 +27,20 @@ def test_prime_field_requires_prime():
     PrimeField(7919)
 
 
+def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
+    def by_trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 20000) if fields.is_prime(n)] == \
+        [n for n in range(-3, 20000) if by_trial(n)]
+    assert fields.is_prime(2**31 - 1) and fields.is_prime(2**61 - 1)
+    # strong pseudoprimes to the primes up to 7, 23 and 37 in turn
+    # (Jaeschke 1993; Sorenson and Webster 2017), then Cole's 2^67 - 1
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              2**67 - 1, 2**61 + 1):
+        assert not fields.is_prime(n)
+
+
 def test_fp_basic_arithmetic():
     F3 = PrimeField(3)
     two = F3.from_int(2)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from enumtc.errors import (
     InvalidInput,
     UnsupportedLength,
 )
+from enumtc import koszul
 from enumtc.fields import QQ, PrimeField, cyclotomic_field
 from enumtc.koszul import (
     GradedSequence,
@@ -30,6 +32,7 @@ from enumtc.poly import (
     make_table,
     monomials_of_weighted_degree,
 )
+from enumtc.restriction import h_datum, k_datum, phi_star_generators
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -343,6 +346,57 @@ def test_tor_concentration_ranks_each_differential_once(monkeypatch):
     assert sorted(calls) == sorted(set(calls))
 
 
+def test_module_basis_is_built_once_and_cannot_be_edited(monkeypatch):
+    K = KoszulComplex(k_triple())
+    basis = K.module_basis(2, 12)
+    built = []
+    enumerate_monomials = koszul.monomials_of_weighted_degree
+    monkeypatch.setattr(koszul, "monomials_of_weighted_degree",
+                        lambda *a: built.append(a) or enumerate_monomials(*a))
+    _, src, dst = K.boundary_matrix(2, 12)
+    # only K_1 in degree 12 is new: one monomial list per element
+    assert len(built) == 3
+    assert src == K.module_basis(2, 12) == basis
+    assert dst == K.module_basis(1, 12) and len(built) == 3
+    with pytest.raises(TypeError):
+        basis[0] = basis[1]
+    with pytest.raises(AttributeError):
+        basis.append(basis[0])
+    assert K.module_basis(2, 12) == KoszulComplex(k_triple()).module_basis(
+        2, 12)
+
+
+def test_regularity_and_quotient_series_build_one_complex_each(monkeypatch):
+    built = []
+    original = KoszulComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KoszulComplex, "__init__", counted)
+    seq = k_triple()
+    cert = is_regular_maximal(seq)
+    assert cert.verdict == "Regular" and len(cert.checked_degrees) == 2
+    assert len(built) == 1
+    assert quotient_hilbert(seq).total() == 24
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("datum", [k_datum, h_datum], ids=["K", "H"])
+def test_restricted_sequence_homology_matches_matrix_ranks(datum):
+    seq = GradedSequence(tuple(phi_star_generators(datum())))
+    K, reference, n = KoszulComplex(seq), KoszulComplex(seq), len(seq)
+    for t in range(21):
+        dims = [sum(len(monomials_of_weighted_degree(
+            seq.table, t - sum(seq.degrees()[j] for j in J)))
+            for J in combinations(range(n), i)) for i in range(n + 1)]
+        ranks = [0] + [reference_boundary(reference, i, t).rank()
+                       for i in range(1, n + 1)] + [0]
+        assert koszul_homology_dim(K, t) == \
+            [dims[i] - ranks[i] - ranks[i + 1] for i in range(n + 1)]
+
+
 def test_hilbert_series_helpers():
     s = HilbertSeries([1, 2, 1, 0, 0])
     assert s.top_degree() == 2
@@ -355,7 +409,7 @@ def test_macaulay_rank_basic():
     t = make_table(("x", "y"))
     x = Polynomial.variable("x", t, F3)
     seq = GradedSequence((x,))
-    rank, dim = macaulay_rank(seq, 2)
+    rank, dim = macaulay_rank(KoszulComplex(seq), 2)
     # degree-2 stratum {x^2, xy, y^2}; image of x * {x, y} has rank 2
     assert (rank, dim) == (2, 3)
 
@@ -376,7 +430,8 @@ def test_macaulay_rank_matches_products_by_monomials():
             M = Matrix.from_rows([[im.get(e, zero) for e in targets]
                                   for im in images], field,
                                  cols=len(targets))
-            assert macaulay_rank(seq, t) == (len(M.rref()[1]), len(targets))
+            assert macaulay_rank(KoszulComplex(seq), t) == \
+                (len(M.rref()[1]), len(targets))
 
 
 def test_seeded_koszul_ranks_match_the_field_element_reference():
@@ -413,6 +468,6 @@ def test_koszul_rank_over_a_number_field_is_refused():
     y = Polynomial.variable("y", t, Q3)
     seq = GradedSequence((x + Q3.gen() * y, x * y))
     with pytest.raises(InvalidField):
-        macaulay_rank(seq, 2)
+        macaulay_rank(KoszulComplex(seq), 2)
     with pytest.raises(InvalidField):
         koszul_homology_dim(KoszulComplex(seq), 2)

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,103 @@ def test_rank_mod_p_reduces_any_int():
     # the caller's rows are left as they were
     rows = [[4, 8], [2, 4]]
     assert rank_mod_p(rows, 11) == 1 and rows == [[4, 8], [2, 4]]
+
+
+# 2^61 - 1 needs slots wider than 64 bits
+WIDE_PRIMES = (2, 3, 29, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail, rather than hang, an elimination that stops making progress."""
+    def expire(signum, frame):
+        raise TimeoutError("rank_mod_p did not finish within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def fp_rref_rank(rows, p, n_cols):
+    F = PrimeField(p)
+    return len(Matrix.from_rows([[F.from_int(e) for e in r] for r in rows],
+                                F, cols=n_cols).rref()[1])
+
+
+def assert_rank_as_rref(rows, p, n_cols):
+    before = [list(r) for r in rows]
+    rank = rank_mod_p(rows, p)
+    assert rank == fp_rref_rank(rows, p, n_cols)
+    assert rows == before
+    return rank
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_rank_mod_p_matches_rref_on_tall_and_wide_shapes(p):
+    rng = random.Random(p % 1009)
+    # residues, the slot-filling p - 1 and -1, and big signed ints
+    draws = (lambda: rng.randrange(p),
+             lambda: rng.choice((0, 1, -1, p - 1, 1 - p)),
+             lambda: rng.randrange(-10**30, 10**30))
+    shapes = [(1, 1), (2, 1), (9, 2), (13, 4), (3, 11), (1, 7), (6, 6)] + \
+        [(rng.randrange(1, 14), rng.randrange(1, 14)) for _ in range(24)]
+    for k, (n_rows, n_cols) in enumerate(shapes):
+        rows = deficient_rows(rng, n_rows, n_cols, draws[k % 3])
+        assert_rank_as_rref(rows, p, n_cols)
+        assert_rank_as_rref([list(c) for c in zip(*rows)], p, len(rows))
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_rank_mod_p_matches_rref_on_sparse_deficient_matrices(p):
+    rng = random.Random(4060 + p % 997)
+
+    def draw():
+        if rng.random() < 0.9:
+            return 0
+        return rng.choice((rng.randrange(1, p), -1, 10**30 + 1))
+
+    for _ in range(2):
+        rows = deficient_rows(rng, 38, 60, draw)   # 40 x 60
+        assert len(rows) == 40
+        assert assert_rank_as_rref(rows, p, 60) < 40
+        # the transpose, 60 x 40, is ranked on its columns
+        assert_rank_as_rref([list(c) for c in zip(*rows)], p, 40)
+
+
+def test_rank_mod_p_reads_a_tall_matrix_by_columns():
+    log = []
+
+    class Row(list):
+        def __iter__(self):
+            for j, e in enumerate(list.__iter__(self)):
+                log.append((self.i, j))
+                yield e
+
+    def logged(n_rows, n_cols):
+        rows = []
+        for i in range(n_rows):
+            rows.append(Row((i * i + 3 * j * j + i * j) % 5
+                            for j in range(n_cols)))
+            rows[-1].i = i
+        expected = fp_rref_rank(rows, 5, n_cols)
+        log.clear()
+        return rows, expected
+
+    rows, expected = logged(6, 3)
+    assert rank_mod_p(rows, 5) == expected == 3
+    assert log == [(i, j) for j in range(3) for i in range(6)]
+    rows, expected = logged(3, 6)
+    assert rank_mod_p(rows, 5) == expected == 3
+    assert log == [(i, j) for i in range(3) for j in range(6)]
+
+
+@pytest.mark.parametrize("p", [4, 9, 15, 1, 0, -3, 2**61 + 1, 3.0, True])
+def test_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
+    for rows in ([[1, 2], [3, 4]], [[2, 0], [0, 3]], []):
+        with pytest.raises(InvalidInput, match="not prime"):
+            rank_mod_p(rows, p)
 
 
 def test_rank_int_matches_rref_rank():
