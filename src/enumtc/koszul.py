@@ -262,18 +262,19 @@ def quotient_hilbert(seq: GradedSequence, up_to: int = None) -> HilbertSeries:
                           (macaulay_rank(K, t) for t in range(up_to + 1))])
 
 
-def em_poincare(seq: GradedSequence, exterior_count: int) -> HilbertSeries:
-    """Quotient series convolved with (1+t)^m.
+def em_poincare(cert, exterior_count: int) -> HilbertSeries:
+    """Quotient series of a certified sequence convolved with (1+t)^m.
 
     The exterior factor enters only as the (1+t)^m Poincare factor; the
-    sequence must certify regular first, since the identification of the
-    quotient with the target cohomology needs the collapse.
+    certificate from is_regular_maximal must read Regular, since the
+    identification of the quotient with the target cohomology needs the
+    collapse.
     """
     if exterior_count < 0:
         raise InvalidInput("exterior_count must be >= 0")
-    cert = is_regular_maximal(seq)
     if cert.verdict != "Regular":
         raise CollapseHypothesisUnmet("sequence is not regular")
+    seq = GradedSequence(tuple(cert.elements))
     return quotient_hilbert(seq).convolve_binomial(exterior_count)
 
 

@@ -114,30 +114,30 @@ def stated_image_generators(n: int, field):
     return ctx, gens
 
 
-def generated_dim(ctx: NablaContext, gens, degree: int, primes):
-    """Span dimensions of the degree-`degree` products of integral generators.
+def generated_dims(ctx: NablaContext, gens, max_degree: int, primes):
+    """Per even degree 0..max_degree, the span rank of the generator
+    products over Q, then mod each prime of `primes` in order.
 
-    The products are built once over Q and their coefficient rows read
-    as ints, so reducing them mod p gives the products over F_p.  Returns
-    the rank over Q, then the rank mod each prime of `primes` in order.
+    A product g_i1 ... g_ik, i1 <= ... <= ik, is its prefix times g_ik:
+    one multiplication over Q per product for the whole window.  Its
+    rows are read as ints, so mod p they are the products over F_p.
     """
     degs = [g.weighted_degree() for g in gens]
-    products = []
-
-    def rec(i, remaining, current):
-        # skip gens[i] from here on, or take one more factor of it
-        if remaining == 0:
-            products.append(current)
-        elif i < len(gens):
-            rec(i + 1, remaining, current)
-            if degs[i] <= remaining:
-                rec(i, remaining - degs[i], current * gens[i])
-
-    rec(0, degree, Polynomial.one(ctx.table, ctx.field))
-    monomials = monomials_of_weighted_degree(ctx.table, degree)
-    rows = [[f.terms.get(m, 0).numerator for m in monomials]
-            for f in products]
-    return [rank_int(rows)] + [rank_mod_p(rows, p) for p in primes]
+    if any(d < 1 for d in degs):
+        raise InvalidInput("generators must have positive degree")
+    # (last factor's index, product, degree), the empty product first
+    found = [(0, Polynomial.one(ctx.table, ctx.field), 0)]
+    for last, f, d in found:
+        for i in range(last, len(gens)):
+            if d + degs[i] <= max_degree:
+                found.append((i, f * gens[i], d + degs[i]))
+    dims = []
+    for degree in range(0, max_degree + 1, 2):
+        monomials = monomials_of_weighted_degree(ctx.table, degree)
+        rows = [[f.terms.get(m, 0).numerator for m in monomials]
+                for _, f, d in found if d == degree]
+        dims.append([rank_int(rows)] + [rank_mod_p(rows, p) for p in primes])
+    return dims
 
 
 def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
@@ -177,8 +177,9 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
         if not g.is_homogeneous():
             raise GeneratorCheckFailure(f"generator {g!r} not homogeneous")
     degrees = range(0, max_degree + 1, 2)
-    dims = [(integral_kernel_dim(ctx.n, d), bsu_monomial_count(ctx, d),
-             generated_dim(ctx, gens, d, primes)) for d in degrees]
+    dims = [(integral_kernel_dim(ctx.n, d), bsu_monomial_count(ctx, d), g)
+            for d, g in zip(degrees, generated_dims(ctx, gens, max_degree,
+                                                    primes))]
     tables = []
     for i, p in enumerate([None, *primes]):
         rows = []

@@ -132,7 +132,7 @@ def test_criterion_02_regseq_pu3h_and_permutations():
 
 
 def test_criterion_03_em_poincare_pu3h():
-    series = em_poincare(seq_h(), 0)
+    series = em_poincare(is_regular_maximal(seq_h()), 0)
     expected = [1, 2, 3, 4, 4, 4, 3, 2, 1]
     ok = (series.coeffs == expected and series.top_degree() == 8
           and series.total() == 24 and series.is_palindromic()
@@ -143,7 +143,7 @@ def test_criterion_03_em_poincare_pu3h():
 
 def test_criterion_04_em_poincare_pu4k():
     t0 = perf_counter()
-    series = em_poincare(seq_k(), 3)
+    series = em_poincare(is_regular_maximal(seq_k()), 3)
     dt = perf_counter() - t0
     ok = (series.top_degree() == 15 and series.total() == 192
           and series.is_palindromic() and series.alternating_sum() == 0
@@ -153,8 +153,10 @@ def test_criterion_04_em_poincare_pu4k():
 
 
 def test_criterion_05_genus_and_tc_assembly():
-    g_line = genus_bounds(em_poincare(seq_k(), 3), 15, True)
-    g_quartic = genus_bounds(em_poincare(seq_h(), 0), 8, True)
+    g_line = genus_bounds(em_poincare(is_regular_maximal(seq_k()), 3), 15,
+                          True)
+    g_quartic = genus_bounds(em_poincare(is_regular_maximal(seq_h()), 0), 8,
+                             True)
     tc = (tc_lower(g_line[0]), tc_lower(g_quartic[0]),
           tc_lower(g_quartic[0]))
     ok = g_line == (16, 16) and g_quartic == (9, 9) and tc == (15, 8, 8)

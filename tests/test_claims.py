@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from enumtc import claims, cli, errors, quartic
+from enumtc import claims, cli, errors, koszul, quartic
 from enumtc.claims import (
     Config,
     VerificationReport,
@@ -14,8 +15,11 @@ from enumtc.claims import (
 )
 from enumtc.errors import InconsistentEvidence, InvalidInput, UnknownClaim
 from enumtc.fields import NumberFieldElement, cyclotomic_field
-from enumtc.koszul import HilbertSeries
+from enumtc.geometry import (common_fixed_check, fermat_lines,
+                             make_group_action)
+from enumtc.koszul import HilbertSeries, is_regular_maximal
 from enumtc.linalg import Matrix
+from enumtc.restriction import k_datum
 
 
 def test_genus_bounds_windows():
@@ -231,6 +235,43 @@ def test_dependencies_results_are_reused(monkeypatch):
     assert calls == {"em_poincare": 1, "fermat_lines": 1}
 
 
+def test_em_poincare_reads_the_regseq_certificate(monkeypatch):
+    certified = []
+
+    def counted(seq):
+        certified.append(seq)
+        return is_regular_maximal(seq)
+
+    monkeypatch.setattr(claims, "is_regular_maximal", counted)
+    monkeypatch.setattr(koszul, "is_regular_maximal", counted)
+    report = run_claims(["em-poincare-pu4k", "em-poincare-pu3h"])
+    assert report.ok()
+    assert len(certified) == 2
+
+
+def test_k_faithful_verdict_matches_common_fixed_check():
+    evidence = run_claims(["k-faithful"]).claim("k-faithful").evidence
+    check = common_fixed_check(make_group_action(k_datum().matrices(),
+                                                 fermat_lines()))
+    assert evidence["verdict"] == check["verdict"] == "PASS"
+    assert evidence["moved_per_element"] == \
+        [row["moved"] for row in check["rows"]]
+
+
+def test_k_faithful_fails_when_a_scalar_matrix_joins_k(monkeypatch):
+    # z*I fixes every line, so the group of order 81 acts unfaithfully
+    datum = k_datum()
+    z = datum.field.gen()
+    scaled = dataclasses.replace(
+        datum, generators=datum.generators + ((z, z, z, z),))
+    monkeypatch.setattr(claims, "k_datum", lambda: scaled)
+    record = run_claims(["k-faithful"]).claim("k-faithful")
+    assert record.status == "failed"
+    assert record.evidence["verdict"] == "FAIL"
+    assert record.evidence["group_order"] == 81
+    assert record.evidence["moved_per_element"].count(0) == 2
+
+
 def test_klein_equivalence_fails_with_complete_evidence():
     report = run_claims(["klein-equivalence"])
     rec = report.claim("klein-equivalence")
@@ -416,4 +457,6 @@ def test_each_number_field_inverse_is_eliminated_once(monkeypatch):
     assert all(rec.status == "verified" for rec in report.records
                if not rec.id.startswith("lit-"))
     assert sorted(eliminated) == sorted(set(asked))
-    assert len(asked) > 10 * len(eliminated)
+    # 136 distinct elements; k-faithful's spot check reads the listed
+    # permutations and normalises no image of its own
+    assert (len(asked), len(eliminated)) == (1125, 136)

@@ -4,6 +4,8 @@ from itertools import permutations
 
 import pytest
 
+from enumtc import geometry
+from enumtc.claims import run_claims
 from enumtc.errors import (
     CollisionAtTolerance,
     InvalidInput,
@@ -189,6 +191,63 @@ def test_homomorphism_spot_check_on_k():
     lines = fermat_lines()
     action = make_group_action(k_datum().matrices(), lines)
     assert homomorphism_spot_check(action, random.Random(99), samples=8)
+
+
+def _spot_check_by_images(action, rng, samples):
+    """The spot check with every product moved by induced_permutation."""
+    k = len(action.matrices)
+    for _ in range(samples):
+        i, j = rng.randrange(k), rng.randrange(k)
+        gi, gj = action.matrices[i], action.matrices[j]
+        product = [[sum((a * b for a, b in zip(row, col)), F3CYC.zero())
+                    for col in zip(*gj)] for row in gi]
+        if induced_permutation(product, action.objects) != \
+                compose_permutations(action.permutations[i],
+                                     action.permutations[j]):
+            return False
+    return True
+
+
+def test_spot_check_refuses_swapped_permutations():
+    action = make_group_action(k_datum().matrices(), fermat_lines())
+    perms = action.permutations
+    perms[1], perms[9] = perms[9], perms[1]
+    assert not homomorphism_spot_check(action, random.Random(99),
+                                       samples=20)
+
+
+def test_spot_check_on_an_open_list_matches_the_image_check(monkeypatch):
+    # products of the first four elements leave the list, so some go
+    # through induced_permutation
+    action = make_group_action(k_datum().matrices()[:4], fermat_lines())
+    moved = []
+    induced = geometry.induced_permutation
+
+    def counted(g, objects):
+        moved.append(g)
+        return induced(g, objects)
+
+    monkeypatch.setattr(geometry, "induced_permutation", counted)
+    for seed in range(5):
+        assert homomorphism_spot_check(action, random.Random(seed), 12) == \
+            _spot_check_by_images(action, random.Random(seed), 12)
+    assert moved
+
+
+def test_k_faithful_moves_each_line_under_each_element_once(monkeypatch):
+    # 27 matrices x 27 lines = 729 images; the 20 spot-check products
+    # are all listed, so they move nothing (the per-product path took 47)
+    calls = []
+    induced = geometry.induced_permutation
+
+    def counted(g, objects):
+        calls.append(len(objects))
+        return induced(g, objects)
+
+    monkeypatch.setattr(geometry, "induced_permutation", counted)
+    report = run_claims(["k-faithful"])
+    assert report.claim("k-faithful").status == "verified"
+    assert calls == [27] * 27
 
 
 def test_common_fixed_check_exact_and_trivial():

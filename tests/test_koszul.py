@@ -194,7 +194,7 @@ def test_empty_sequence_homology():
 
 def test_empty_sequence_has_no_ring():
     empty = GradedSequence(())
-    for call in (lambda: em_poincare(empty, 1),
+    for call in (lambda: em_poincare(is_regular_maximal(empty), 1),
                  lambda: is_regular_maximal(empty),
                  lambda: KoszulComplex(empty)):
         with pytest.raises(EnumTCError):
@@ -279,7 +279,7 @@ def test_quotient_hilbert_k_triple():
 
 
 def test_em_poincare_h_case():
-    series = em_poincare(h_pair(), 0)
+    series = em_poincare(is_regular_maximal(h_pair()), 0)
     assert series.coeffs == [1, 2, 3, 4, 4, 4, 3, 2, 1]
     assert series.is_palindromic()
     assert series.alternating_sum() == 0
@@ -287,7 +287,7 @@ def test_em_poincare_h_case():
 
 
 def test_em_poincare_k_case():
-    series = em_poincare(k_triple(), 3)
+    series = em_poincare(is_regular_maximal(k_triple()), 3)
     assert series.coeffs == [1, 3, 6, 10, 14, 18, 21, 23,
                              23, 21, 18, 14, 10, 6, 3, 1]
     assert series.top_degree() == 15
@@ -300,8 +300,10 @@ def test_em_poincare_rejects_nonregular():
     t = make_table(("x", "y"))
     x = Polynomial.variable("x", t, F3)
     y = Polynomial.variable("y", t, F3)
+    cert = is_regular_maximal(GradedSequence((x, x * y)))
+    assert cert.verdict == "NotRegular"
     with pytest.raises(CollapseHypothesisUnmet):
-        em_poincare(GradedSequence((x, x * y)), 1)
+        em_poincare(cert, 1)
 
 
 def test_tor_concentration_k_triple():

@@ -7,10 +7,10 @@ from enumtc import nabla as nabla_module
 from enumtc.claims import Config, run_claims
 from enumtc.errors import GeneratorCheckFailure, InvalidInput
 from enumtc.fields import QQ, PrimeField
-from enumtc.linalg import Matrix, rank_int
+from enumtc.linalg import Matrix, rank_int, rank_mod_p
 from enumtc.nabla import (
     bsu_monomial_count,
-    generated_dim,
+    generated_dims,
     integral_kernel_dim,
     make_context,
     nabla,
@@ -210,8 +210,19 @@ def test_verify_generators_rejects_constant_and_zero_generators():
 
 def test_generated_dim_degree0():
     ctx, gens = stated_image_generators(3, QQ)
-    assert generated_dim(ctx, gens, 0, ()) == [1]
-    assert generated_dim(ctx, gens, 0, (2, 5, 7)) == [1, 1, 1, 1]
+    assert generated_dims(ctx, gens, 0, ()) == [[1]]
+    assert generated_dims(ctx, gens, 0, (2, 5, 7)) == [[1, 1, 1, 1]]
+    # degree 2 holds no product: rank 0 in every field
+    assert generated_dims(ctx, gens, 3, (2,)) == [[1, 1], [0, 0]]
+
+
+def test_generated_dims_refuses_degree_zero_generators():
+    # an unbounded product search would never end on these
+    ctx, gens = stated_image_generators(4, QQ)
+    for g in (Polynomial.one(ctx.table, ctx.field),
+              Polynomial.zero(ctx.table, ctx.field)):
+        with pytest.raises(InvalidInput, match="positive degree"):
+            generated_dims(ctx, gens + [g], 8, ())
 
 
 def test_rational_kernel_dim_matches_bsu_window():
@@ -319,7 +330,7 @@ def test_verify_generators_rejects_bad_input_before_any_rank(monkeypatch):
         raise AssertionError("a rank was taken")
 
     monkeypatch.setattr(nabla_module, "integral_kernel_dim", no_rank)
-    monkeypatch.setattr(nabla_module, "generated_dim", no_rank)
+    monkeypatch.setattr(nabla_module, "generated_dims", no_rank)
     ctx, (g1, g2) = stated_image_generators(3, QQ)
     with pytest.raises(InvalidInput, match="not integral"):
         verify_generators(ctx, [g1, g2 * Fraction(1, 2)], 12, (2,))
@@ -330,15 +341,61 @@ def test_verify_generators_rejects_bad_input_before_any_rank(monkeypatch):
         verify_generators(fctx, fgens, 12, ())
 
 
+def _recursive_generated_dim(ctx, gens, degree, primes):
+    """Ranks of the degree-`degree` generator products, each product
+    rebuilt from 1 by a recursion that takes or skips each generator."""
+    degs = [g.weighted_degree() for g in gens]
+    products = []
+
+    def rec(i, remaining, current):
+        if remaining == 0:
+            products.append(current)
+        elif i < len(gens):
+            rec(i + 1, remaining, current)
+            if degs[i] <= remaining:
+                rec(i, remaining - degs[i], current * gens[i])
+
+    rec(0, degree, Polynomial.one(ctx.table, ctx.field))
+    monomials = monomials_of_weighted_degree(ctx.table, degree)
+    rows = [[f.terms.get(m, 0).numerator for m in monomials]
+            for f in products]
+    return [rank_int(rows)] + [rank_mod_p(rows, p) for p in primes]
+
+
+@pytest.mark.parametrize("n,primes", [(3, (2, 5, 7)), (4, (3, 5, 7))])
+def test_generated_dims_match_per_degree_recursion(n, primes):
+    ctx, gens = stated_image_generators(n, QQ)
+    assert generated_dims(ctx, gens, 28, primes) == [
+        _recursive_generated_dim(ctx, gens, d, primes)
+        for d in range(0, 29, 2)]
+
+
 def test_claim_builds_each_degrees_products_once(monkeypatch):
-    calls = []
-    build = nabla_module.generated_dim
+    # one multiplication per product of degree <= max_degree: 23 + 46 at
+    # 28, where a rebuild from 1 in every degree took 132 + 226, and
+    # 6 + 8 at the default 12 (16 + 20)
+    multiplied, passes, inside = [0], [], [False]
+    mul, build = Polynomial.__mul__, nabla_module.generated_dims
 
-    def spy(ctx, gens, degree, *rest):
-        calls.append(degree)
-        return build(ctx, gens, degree, *rest)
+    def counted_mul(self, other):
+        multiplied[0] += inside[0]
+        return mul(self, other)
 
-    monkeypatch.setattr(nabla_module, "generated_dim", spy)
-    report = run_claims(["nabla-generators-n4"], Config())
-    assert report.claim("nabla-generators-n4").status == "verified"
-    assert calls == list(range(0, 13, 2))
+    def spy(ctx, gens, top, primes):
+        passes.append(top)
+        inside[0] = True
+        try:
+            return build(ctx, gens, top, primes)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(nabla_module, "generated_dims", spy)
+    for config, products in ((Config(max_degree=28), 69), (Config(), 14)):
+        multiplied[0] = 0
+        passes.clear()
+        report = run_claims(["nabla-generators-n3", "nabla-generators-n4"],
+                            config)
+        assert all(rec.status == "verified" for rec in report.records)
+        assert passes == [config.max_degree] * 2
+        assert multiplied[0] == products
