@@ -4,14 +4,19 @@ import argparse
 import sys
 
 from .claims import Config, all_claim_ids, claim_ids, run_claims
-from .errors import EnumTCError, UnknownClaim
+from .errors import EnumTCError, InvalidInput, UnknownClaim
 from .fields import is_prime
 
 
 def prime(text: str) -> int:
-    """Argument type for --prime: an integer that is prime."""
+    """Argument type for --prime: an integer that is prime, below
+    fields.PRIMALITY_BOUND."""
     p = int(text)
-    if not is_prime(p):
+    try:
+        prime_p = is_prime(p)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime_p:
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 

@@ -18,15 +18,21 @@ from functools import cache
 from .errors import DivisionByZero, InvalidField, InvalidInput
 
 
+# Miller-Rabin on the primes to 41 decides primality below this bound.
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
     """Deterministic: Miller-Rabin on the primes to 41 decides p below
-    3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017), trial division
-    above."""
+    PRIMALITY_BOUND, about 3.3e24 (Sorenson and Webster, Math. Comp. 86,
+    2017).  A larger p raises InvalidInput: no test here decides it in
+    bounded time."""
+    if p >= PRIMALITY_BOUND:
+        raise InvalidInput(f"primality is decided only below "
+                           f"{PRIMALITY_BOUND}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if p < 2 or any(p % a == 0 for a in bases):
         return p in bases
-    if p >= 3317044064679887385961981:
-        return all(p % d for d in range(43, math.isqrt(p) + 1, 2))
     r = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = 2^r * odd
     for a in bases:
         chain = [pow(a, (p - 1) >> r, p)]

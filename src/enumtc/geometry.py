@@ -6,9 +6,9 @@ entry 1, and g moves each by one matrix built from its minors: a point by
 g, a covector by the cofactor matrix, a space line by the 2x2 minors,
 and orbits under a few generators close by breadth-first search.
 Induced index permutations of the 27 Fermat-cubic lines over Q(zeta_3)
-and of plane points and lines, under the group elements a
-restriction.SubgroupDatum lists, feed the faithfulness and freeness
-checks.
+and of plane points and lines come from the generators of an elementary
+abelian group, checked to satisfy its relations exactly, and feed the
+faithfulness and freeness checks.
 Projective equivalence of two ternary quartics under an explicit matrix
 is decided exactly; when the exact comparison fails, a report of the
 complex-embedded coefficients says by how much.
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CheckFailed,
     CollisionAtTolerance,
     InvalidInput,
     InvalidLine,
@@ -268,29 +269,11 @@ def induced_permutation(g, objects):
 
 @dataclass
 class GroupAction:
-    """Matrices (identity first), the objects acted on, and the perms."""
+    """The objects acted on and every group element's permutation,
+    identity first."""
 
-    matrices: list
     objects: list
     permutations: list
-
-
-def _is_identity_matrix(m) -> bool:
-    for i, row in enumerate(m):
-        for j, entry in enumerate(row):
-            want_one = i == j
-            if bool(entry) != want_one:
-                return False
-            if want_one and entry * entry != entry:
-                return False
-    return True
-
-
-def make_group_action(matrices, objects) -> GroupAction:
-    if not matrices or not _is_identity_matrix(matrices[0]):
-        raise InvalidInput("matrices[0] must be the identity")
-    perms = [induced_permutation(g, objects) for g in matrices]
-    return GroupAction(list(matrices), list(objects), perms)
 
 
 def compose_permutations(outer, inner):
@@ -298,56 +281,67 @@ def compose_permutations(outer, inner):
     return tuple(outer[inner[i]] for i in range(len(inner)))
 
 
-def homomorphism_spot_check(action: GroupAction, rng, samples: int = 10):
-    """perm(g*h) == perm(g) after perm(h) on random pairs.  perm(g*h) is
-    read from action.permutations when g*h is listed, entry for entry,
-    zeros read as int 0; only an unlisted product moves objects."""
-    k = len(action.matrices)
-    if k < 2:
-        return True
+def make_group_action(generators, p: int, objects) -> GroupAction:
+    """The action of (Z/p)^r on the objects, from the r generator matrices.
 
-    def key(m):
-        return tuple(tuple(e if e else 0 for e in row) for row in m)
-
-    listed = {key(m): perm
-              for m, perm in zip(action.matrices, action.permutations)}
-    for _ in range(samples):
-        i = rng.randrange(k)
-        j = rng.randrange(k)
-        gi, gj = action.matrices[i], action.matrices[j]
-        product = [[_dot(row, col) for col in zip(*gj)] for row in gi]
-        got = listed.get(key(product))
-        if got is None:
-            got = induced_permutation(product, action.objects)
-        want = compose_permutations(action.permutations[i],
-                                    action.permutations[j])
-        if got != want:
-            return False
-    return True
+    Only the generators move objects.  CheckFailed names the first
+    generator whose permutation has order not dividing p or fails to
+    commute with an earlier one; past that check e -> perm(g_1)^e_1 ...
+    perm(g_r)^e_r is an action of (Z/p)^r, and it is listed for e in
+    itertools.product(range(p), repeat=r) order, the identity first.
+    """
+    objects = list(objects)
+    perms = [induced_permutation(g, objects) for g in generators]
+    identity = tuple(range(len(objects)))
+    powers = []
+    for i, perm in enumerate(perms):
+        row = [identity]
+        for _ in range(p - 1):
+            row.append(compose_permutations(perm, row[-1]))
+        if compose_permutations(perm, row[-1]) != identity:
+            raise CheckFailed(f"generator {i + 1}: permutation order does "
+                              f"not divide {p}")
+        for j, other in enumerate(perms[:i]):
+            if compose_permutations(perm, other) != \
+                    compose_permutations(other, perm):
+                raise CheckFailed(f"generator {i + 1} does not commute "
+                                  f"with generator {j + 1}")
+        powers.append(row)
+    listed = [identity]
+    for row in reversed(powers):
+        listed = [compose_permutations(power, q) for power in row
+                  for q in listed]
+    return GroupAction(objects, listed)
 
 
 def common_fixed_check(action: GroupAction) -> dict:
-    """Per nontrivial element: moved-object count and least displacement.
+    """Per nontrivial element: moved-object count and least displacement;
+    per element its fixed count, and the objects in free orbits.
 
     PASS means every nontrivial element moves at least one object.  The
     displacement of a moved object is the chordal distance between the
-    complex embeddings of its coordinates and its image's.
+    complex embeddings of its coordinates and its image's.  An object no
+    nontrivial element fixes lies in a free orbit.
     """
+    n = len(action.objects)
     emb = [embedded(obj.coords) for obj in action.objects]
     rows = []
-    verdict = "PASS"
-    for gi in range(1, len(action.matrices)):
-        perm = action.permutations[gi]
-        moved = [i for i in range(len(perm)) if perm[i] != i]
-        if moved:
-            min_disp = min(chordal_distance(emb[perm[i]], emb[i])
-                           for i in moved)
-        else:
-            min_disp, verdict = None, "FAIL"
+    stabilized = set()
+    for gi, perm in enumerate(action.permutations[1:], 1):
+        moved = [i for i in range(n) if perm[i] != i]
+        stabilized.update(i for i in range(n) if perm[i] == i)
+        min_disp = min((chordal_distance(emb[perm[i]], emb[i])
+                        for i in moved), default=None)
         rows.append({"element": gi, "moved": len(moved),
                      "min_displacement": min_disp})
-    return {"rows": rows, "verdict": verdict,
-            "elements": len(action.matrices) - 1}
+    free = n - len(stabilized)
+    return {"rows": rows,
+            "verdict": "PASS" if all(r["moved"] for r in rows) else "FAIL",
+            "group_order": len(action.permutations),
+            "fixed_per_element": [n - r["moved"] for r in rows],
+            "objects_in_free_orbits": free,
+            "has_free_orbit": free > 0,
+            "entirely_free": not stabilized}
 
 
 def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:

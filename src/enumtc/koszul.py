@@ -78,12 +78,10 @@ class KoszulComplex:
     each basis is built once.
     """
 
-    def __init__(self, seq: GradedSequence, table=None, field=None):
-        if len(seq) == 0 and (table is None or field is None):
-            raise InvalidInput("empty sequence needs an explicit ring")
+    def __init__(self, seq: GradedSequence):
         self.seq = seq
-        self.table = seq.table if len(seq) else table
-        self.field = seq.field if len(seq) else field
+        self.table = seq.table
+        self.field = seq.field
         self.degrees = seq.degrees()
         self._terms = [[(e, int_entry(self.field, c))
                         for e, c in f.terms.items()] for f in seq.elements]
@@ -245,21 +243,19 @@ class HilbertSeries:
         return HilbertSeries(out)
 
 
-def quotient_hilbert(seq: GradedSequence, up_to: int = None) -> HilbertSeries:
-    """Graded dimensions of ring/(sequence) by Macaulay corank.
+def quotient_hilbert(seq: GradedSequence) -> HilbertSeries:
+    """Graded dimensions of ring/(sequence) by Macaulay corank, in degrees
+    up to s = sum(d_i) - sum(w_j).
 
-    For a certified-regular maximal sequence the series is finite and
-    up_to defaults to s = sum(d_i) - sum(w_j); otherwise up_to is
-    required.
+    The sequence must be maximal; certified regular, its series is finite
+    and ends at s.
     """
-    if up_to is None:
-        if len(seq) == len(seq.table):
-            up_to = sum(seq.degrees()) - sum(seq.table.weights)
-        else:
-            raise InvalidInput("up_to required for non-maximal sequences")
+    if len(seq) != len(seq.table):
+        raise InvalidInput("the quotient series needs a maximal sequence")
     K = KoszulComplex(seq)
+    s = sum(seq.degrees()) - sum(seq.table.weights)
     return HilbertSeries([dim - rank for rank, dim in
-                          (macaulay_rank(K, t) for t in range(up_to + 1))])
+                          (macaulay_rank(K, t) for t in range(s + 1))])
 
 
 def em_poincare(cert, exterior_count: int) -> HilbertSeries:

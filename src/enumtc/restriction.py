@@ -10,10 +10,11 @@ specialization, mod p, produces the restricted images of the polynomial
 generators in degree order.
 
 K and H are defined here and only here: the same datum gives the
-restricted cohomology and, through matrices(), the group elements that
-act on the lines, flexes and bitangents.  Non-diagonal or higher prime
-power subgroups are out of scope.  Diagonal generators commute by
-construction, so commutativity is structural rather than checked.
+restricted cohomology and, through generator_matrices(), the generators
+that act on the lines, flexes and bitangents.  Non-diagonal or higher
+prime power subgroups are out of scope.  Diagonal generators commute by
+construction; geometry.make_group_action checks the relations on the
+permutations they induce.
 """
 
 from __future__ import annotations
@@ -149,18 +150,26 @@ class SubgroupDatum:
         p = 2, where the degree-1 classes are polynomial."""
         return 0 if self.p == 2 else len(self.generators)
 
+    def _diagonal(self, entries):
+        zero, n = self.field.zero(), self.n
+        return tuple(tuple(entries[i] if i == j else zero for j in range(n))
+                     for i in range(n))
+
+    def generator_matrices(self):
+        """The generators as n x n diagonal matrices over field."""
+        return [self._diagonal(g) for g in self.generators]
+
     def matrices(self):
         """Every group element as an n x n diagonal matrix over field: the
         product of the g_i^e_i for e in itertools.product(range(p),
         repeat=r) order, so the identity comes first and generator i
         sits at the i-th unit vector."""
-        zero, one, n = self.field.zero(), self.field.one(), self.n
+        one, n = self.field.one(), self.n
         out = []
         for e in product(range(self.p), repeat=len(self.generators)):
             diag = [prod((g[j] ** k for g, k in zip(self.generators, e)),
                          start=one) for j in range(n)]
-            out.append(tuple(tuple(diag[i] if i == j else zero
-                                   for j in range(n)) for i in range(n)))
+            out.append(self._diagonal(diag))
         return out
 
 

@@ -15,6 +15,7 @@ from enumtc.claims import (
 )
 from enumtc.errors import InconsistentEvidence, InvalidInput, UnknownClaim
 from enumtc.fields import NumberFieldElement, cyclotomic_field
+from enumtc.fields import PRIMALITY_BOUND
 from enumtc.geometry import (common_fixed_check, fermat_lines,
                              make_group_action)
 from enumtc.koszul import HilbertSeries, is_regular_maximal
@@ -251,8 +252,9 @@ def test_em_poincare_reads_the_regseq_certificate(monkeypatch):
 
 def test_k_faithful_verdict_matches_common_fixed_check():
     evidence = run_claims(["k-faithful"]).claim("k-faithful").evidence
-    check = common_fixed_check(make_group_action(k_datum().matrices(),
-                                                 fermat_lines()))
+    datum = k_datum()
+    check = common_fixed_check(make_group_action(datum.generator_matrices(),
+                                                 datum.p, fermat_lines()))
     assert evidence["verdict"] == check["verdict"] == "PASS"
     assert evidence["moved_per_element"] == \
         [row["moved"] for row in check["rows"]]
@@ -270,6 +272,27 @@ def test_k_faithful_fails_when_a_scalar_matrix_joins_k(monkeypatch):
     assert record.evidence["verdict"] == "FAIL"
     assert record.evidence["group_order"] == 81
     assert record.evidence["moved_per_element"].count(0) == 2
+
+
+def test_k_faithful_records_a_broken_relation_as_failed(monkeypatch):
+    # read as order 2, K's first generator diag(z, 1, 1, 1) breaks g^2 = 1
+    monkeypatch.setattr(claims, "make_group_action",
+                        lambda gens, p, objects:
+                        make_group_action(gens, 2, objects))
+    report = run_claims(["thm-sg-line"])
+    record = report.claim("k-faithful")
+    assert record.status == "failed"
+    assert record.evidence == {"error": "CheckFailed: generator 1: "
+                                        "permutation order does not divide 2"}
+    assert report.claim("thm-sg-line").evidence == {
+        "blocked_by": ["k-faithful"]}
+
+
+def test_config_refuses_a_prime_past_the_primality_bound():
+    with pytest.raises(InvalidInput, match="primality is decided only "
+                                           "below"):
+        Config(prime=2**89 - 1)
+    assert 2**89 - 1 >= PRIMALITY_BOUND
 
 
 def test_klein_equivalence_fails_with_complete_evidence():
@@ -457,6 +480,7 @@ def test_each_number_field_inverse_is_eliminated_once(monkeypatch):
     assert all(rec.status == "verified" for rec in report.records
                if not rec.id.startswith("lit-"))
     assert sorted(eliminated) == sorted(set(asked))
-    # 136 distinct elements; k-faithful's spot check reads the listed
-    # permutations and normalises no image of its own
-    assert (len(asked), len(eliminated)) == (1125, 136)
+    # k-faithful normalises the 81 images of the 27 lines under K's 3
+    # generators, where moving them by all 27 elements took 729: 648
+    # asks fewer, and one element only a non-generator's image needed
+    assert (len(asked), len(eliminated)) == (477, 135)

@@ -87,6 +87,20 @@ def test_composite_prime_is_usage_error(monkeypatch, capsys):
     assert ran == []
 
 
+def test_prime_past_the_primality_bound_is_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_claims", lambda *a: ran.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nabla-generators-n3", "--prime",
+              "618970019642690137449562111"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "enumtc verify: error: argument --prime: primality is decided only "
+        "below 3317044064679887385961981"]
+    assert ran == []
+
+
 def test_negative_max_degree_is_usage_error(monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(cli, "run_claims", lambda *a: ran.append(a))

@@ -41,6 +41,16 @@ def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
         assert not fields.is_prime(n)
 
 
+def test_is_prime_refuses_past_its_bound():
+    # 2^89 - 1 is a Mersenne prime past the bound; trial division of it
+    # would not end
+    assert fields.is_prime(fields.PRIMALITY_BOUND - 2) is False
+    for n in (fields.PRIMALITY_BOUND, 2**89 - 1, 2**90):
+        with pytest.raises(InvalidInput, match="primality is decided only "
+                                               "below 3317044064679887385961981"):
+            fields.is_prime(n)
+
+
 def test_fp_basic_arithmetic():
     F3 = PrimeField(3)
     two = F3.from_int(2)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from enumtc import geometry
+from enumtc import claims, geometry
 from enumtc.claims import run_claims
 from enumtc.errors import (
+    CheckFailed,
     CollisionAtTolerance,
     InvalidInput,
     InvalidLine,
@@ -24,7 +25,6 @@ from enumtc.geometry import (
     compose_with_matrix,
     fermat_cubic,
     fermat_lines,
-    homomorphism_spot_check,
     induced_permutation,
     line_on_surface,
     make_group_action,
@@ -117,9 +117,13 @@ def test_identity_and_generator_permutations():
     assert compose_permutations(twice, perm) == ident
 
 
+def k_action(lines):
+    return make_group_action(k_datum().generator_matrices(), 3, lines)
+
+
 def test_k_action_is_faithful():
     lines = fermat_lines()
-    action = make_group_action(k_datum().matrices(), lines)
+    action = k_action(lines)
     ident = tuple(range(27))
     trivial = [i for i, p in enumerate(action.permutations) if p == ident]
     assert trivial == [0]
@@ -131,7 +135,7 @@ def test_witness_fixers_are_exactly_two():
     lines = fermat_lines()
     w = witness_line()
     i0 = next(i for i, ln in enumerate(lines) if ln.coords == w.coords)
-    action = make_group_action(k_datum().matrices(), lines)
+    action = k_action(lines)
     fixers = [g for g in range(1, 27) if action.permutations[g][i0] == i0]
     assert fixers == [12, 24]
     moved_by = 26 - len(fixers)
@@ -154,7 +158,7 @@ def test_coordinate_permutations_move_lines_like_their_forms():
     assert [Line3D.from_forms(f) for f in forms] == lines
     index = {ln.coords: i for i, ln in enumerate(lines)}
     cubic = fermat_cubic(F3CYC)
-    mats = []
+    perms = {}
     for sigma in permutations(range(4)):
         # g e_j = e_sigma(j); a form a moves to a g^-1, whose entry
         # sigma(j) is a_j
@@ -168,11 +172,13 @@ def test_coordinate_permutations_move_lines_like_their_forms():
                 for j in range(4):
                     image[sigma[j]] = form[j]
             want.append(index[Line3D.from_forms(moved).coords])
-        assert induced_permutation(g, lines) == tuple(want)
-        mats.append(g)
-    action = make_group_action(mats, lines)
-    assert len(set(action.permutations)) == 24
-    assert homomorphism_spot_check(action, random.Random(5), samples=24)
+        perms[sigma] = induced_permutation(g, lines)
+        assert perms[sigma] == tuple(want)
+    assert len(set(perms.values())) == 24
+    # g_s g_t = g_(s t), so the lines move by a homomorphism of S_4
+    for s, t in product(perms, repeat=2):
+        st = tuple(s[t[j]] for j in range(4))
+        assert perms[st] == compose_permutations(perms[s], perms[t])
 
 
 def test_spanning_points_solve_the_forms_and_give_the_line_back():
@@ -188,55 +194,68 @@ def test_spanning_points_solve_the_forms_and_give_the_line_back():
 
 
 def test_homomorphism_spot_check_on_k():
+    # past the generator relations, the table is an action of (Z/3)^3:
+    # element e + f permutes as e after f, for every pair
+    action = k_action(fermat_lines())
+    elements = list(product(range(3), repeat=3))
+    perm = dict(zip(elements, action.permutations))
+    for e, f in product(elements, repeat=2):
+        total = tuple((a + b) % 3 for a, b in zip(e, f))
+        assert perm[total] == compose_permutations(perm[e], perm[f])
+    evidence = run_claims(["k-faithful"]).claim("k-faithful").evidence
+    assert evidence["homomorphism_spot_check"] is True
+
+
+def test_group_action_refuses_generators_breaking_a_relation():
     lines = fermat_lines()
-    action = make_group_action(k_datum().matrices(), lines)
-    assert homomorphism_spot_check(action, random.Random(99), samples=8)
+    # diag(z, 1, 1, 1) has order 3, which does not divide 2
+    with pytest.raises(CheckFailed, match="generator 1: permutation order "
+                                          "does not divide 2"):
+        make_group_action(k_datum().generator_matrices(), 2, lines)
+    zero, one = F3CYC.zero(), F3CYC.one()
+
+    def swap(a, b):
+        sigma = {a: b, b: a}
+        return tuple(tuple(one if i == sigma.get(j, j) else zero
+                           for j in range(4)) for i in range(4))
+
+    # swapping x, y and swapping y, z each have order 2, but they do not
+    # commute, and S_4 moves the 27 lines faithfully
+    with pytest.raises(CheckFailed, match="generator 2 does not commute "
+                                          "with generator 1"):
+        make_group_action([swap(0, 1), swap(1, 2)], 2, lines)
+    assert len(make_group_action([swap(0, 1), swap(2, 3)], 2,
+                                 lines).permutations) == 4
 
 
-def _spot_check_by_images(action, rng, samples):
-    """The spot check with every product moved by induced_permutation."""
-    k = len(action.matrices)
-    for _ in range(samples):
-        i, j = rng.randrange(k), rng.randrange(k)
-        gi, gj = action.matrices[i], action.matrices[j]
-        product = [[sum((a * b for a, b in zip(row, col)), F3CYC.zero())
-                    for col in zip(*gj)] for row in gi]
-        if induced_permutation(product, action.objects) != \
-                compose_permutations(action.permutations[i],
-                                     action.permutations[j]):
-            return False
-    return True
+def _recorded_actions(monkeypatch, ids):
+    """The GroupAction of every make_group_action call the claims make."""
+    made = []
+
+    def recorded(generators, p, objects):
+        made.append(make_group_action(generators, p, objects))
+        return made[-1]
+
+    monkeypatch.setattr(claims, "make_group_action", recorded)
+    report = run_claims(ids)
+    assert all(report.claim(cid).status == "verified" for cid in ids)
+    return made
 
 
-def test_spot_check_refuses_swapped_permutations():
-    action = make_group_action(k_datum().matrices(), fermat_lines())
-    perms = action.permutations
-    perms[1], perms[9] = perms[9], perms[1]
-    assert not homomorphism_spot_check(action, random.Random(99),
-                                       samples=20)
+def test_generator_actions_match_every_listed_element(monkeypatch):
+    made = _recorded_actions(monkeypatch, ["k-faithful", "h-free-on-flexes",
+                                           "h-free-on-bitangents"])
+    assert sorted(len(action.objects) for action in made) == [24, 27, 28]
+    for action in made:
+        datum = k_datum() if len(action.objects) == 27 else h_datum()
+        assert action.permutations == [induced_permutation(m, action.objects)
+                                       for m in datum.matrices()]
 
 
-def test_spot_check_on_an_open_list_matches_the_image_check(monkeypatch):
-    # products of the first four elements leave the list, so some go
-    # through induced_permutation
-    action = make_group_action(k_datum().matrices()[:4], fermat_lines())
-    moved = []
-    induced = geometry.induced_permutation
-
-    def counted(g, objects):
-        moved.append(g)
-        return induced(g, objects)
-
-    monkeypatch.setattr(geometry, "induced_permutation", counted)
-    for seed in range(5):
-        assert homomorphism_spot_check(action, random.Random(seed), 12) == \
-            _spot_check_by_images(action, random.Random(seed), 12)
-    assert moved
-
-
-def test_k_faithful_moves_each_line_under_each_element_once(monkeypatch):
-    # 27 matrices x 27 lines = 729 images; the 20 spot-check products
-    # are all listed, so they move nothing (the per-product path took 47)
+def test_group_actions_move_each_object_under_each_generator_once(
+        monkeypatch):
+    # K's 3 generators move the 27 lines and H's 2 the flexes and the
+    # bitangents; listing every element moved them 27, 4 and 4 times
     calls = []
     induced = geometry.induced_permutation
 
@@ -245,21 +264,31 @@ def test_k_faithful_moves_each_line_under_each_element_once(monkeypatch):
         return induced(g, objects)
 
     monkeypatch.setattr(geometry, "induced_permutation", counted)
-    report = run_claims(["k-faithful"])
-    assert report.claim("k-faithful").status == "verified"
-    assert calls == [27] * 27
+    for claim_id, want in (("k-faithful", [27] * 3),
+                           ("h-free-on-flexes", [24] * 2),
+                           ("h-free-on-bitangents", [28] * 2)):
+        calls.clear()
+        report = run_claims([claim_id])
+        assert report.claim(claim_id).status == "verified"
+        assert calls == want
 
 
 def test_common_fixed_check_exact_and_trivial():
     lines = fermat_lines()
-    action = make_group_action(k_datum().matrices(), lines)
-    report = common_fixed_check(action)
+    report = common_fixed_check(k_action(lines))
     assert report["verdict"] == "PASS"
-    assert report["elements"] == 26
+    assert report["group_order"] == 27
     assert all(row["moved"] >= 1 for row in report["rows"])
-    only_identity = make_group_action(k_datum().matrices()[:1], lines)
+    # each line has an order-3 stabilizer: no free orbit
+    assert report["fixed_per_element"] == [27 - row["moved"]
+                                           for row in report["rows"]]
+    assert not report["has_free_orbit"] and not report["entirely_free"]
+    assert report["objects_in_free_orbits"] == 0
+    only_identity = make_group_action((), 3, lines)
+    assert only_identity.permutations == [tuple(range(27))]
     vacuous = common_fixed_check(only_identity)
     assert vacuous["verdict"] == "PASS" and vacuous["rows"] == []
+    assert vacuous["entirely_free"] and vacuous["objects_in_free_orbits"] == 27
 
 
 def test_point_normalization_and_exact_permutation():
@@ -309,11 +338,13 @@ def test_h_action_over_qq():
     mats = h_datum().matrices()
     pts = [PointP2.from_coords((Fraction(sx), Fraction(2 * sy), Fraction(1)))
            for sx in (1, -1) for sy in (1, -1)]
-    action = make_group_action(mats, pts)
+    action = make_group_action(h_datum().generator_matrices(), 2, pts)
     check = common_fixed_check(action)
     assert check["verdict"] == "PASS"
     # one free orbit: every nontrivial element moves all four points
     assert [r["moved"] for r in check["rows"]] == [4, 4, 4]
+    assert check["fixed_per_element"] == [0, 0, 0]
+    assert check["entirely_free"] and check["objects_in_free_orbits"] == 4
     assert sorted(p[0] for p in action.permutations) == [0, 1, 2, 3]
     covectors = [LineP2.from_coords((Fraction(a), Fraction(b), Fraction(1)))
                  for a, b in ((1, 0), (-1, 0), (0, 3), (0, -3))]

@@ -186,12 +186,6 @@ def test_nonregular_pair_homology():
     assert koszul_homology_dim(K, 2)[1] == 0
 
 
-def test_empty_sequence_homology():
-    t = make_table(("x", "y"))
-    K = KoszulComplex(GradedSequence(()), table=t, field=QQ)
-    assert koszul_homology_dim(K, 3) == [4]
-
-
 def test_empty_sequence_has_no_ring():
     empty = GradedSequence(())
     for call in (lambda: em_poincare(is_regular_maximal(empty), 1),
@@ -264,6 +258,12 @@ def test_quotient_hilbert_h_pair():
     # independent oracle: (1-t^4)(1-t^6)/(1-t)^2
     oracle = series_product([1, 1, 1, 1], [1, 1, 1, 1, 1, 1])
     assert series.coeffs == oracle
+
+
+def test_quotient_hilbert_refuses_a_non_maximal_sequence():
+    short = GradedSequence(k_triple().elements[:2])
+    with pytest.raises(InvalidInput, match="needs a maximal sequence"):
+        quotient_hilbert(short)
 
 
 def test_quotient_hilbert_k_triple():
