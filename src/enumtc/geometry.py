@@ -32,7 +32,7 @@ from .poly import Polynomial, SpecializationMap, make_table, substitute
 
 SPACE_VARS = ("x", "y", "z", "w")
 
-# verify_projective_equivalence calls embedded coefficient vectors
+# proportionality calls embedded coefficient vectors
 # proportional when they deviate by at most this, relative to their size.
 NUMERIC_TOL = 1e-8
 
@@ -362,17 +362,21 @@ def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:
 
 
 def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows):
-    """Decide F(Mx) = lambda * G exactly; report numerically on failure.
+    """Decide F(Mx) = lambda * G exactly, as proportionality does."""
+    if not _det3(m_rows):
+        raise InvalidInput("matrix is singular")
+    return proportionality(compose_with_matrix(F, m_rows), G)
+
+
+def proportionality(FM: Polynomial, G: Polynomial):
+    """Decide FM = lambda * G exactly; report numerically on failure.
 
     Returns the exact nonzero lambda on success.  Otherwise returns a
     report dict with the best numeric proportionality factor and the
     maximum coefficient deviation, judged at NUMERIC_TOL.
     """
-    if F.table != G.table or F.field != G.field:
+    if FM.table != G.table or FM.field != G.field:
         raise InvalidInput("the two quartics live in different rings")
-    if not _det3(m_rows):
-        raise InvalidInput("matrix is singular")
-    FM = compose_with_matrix(F, m_rows)
     if FM and G:
         e, lead = G.leading_term()
         cand = FM.terms.get(e)

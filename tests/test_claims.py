@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from enumtc import claims, cli, errors, koszul, quartic
+from enumtc import claims, cli, errors, geometry, koszul, quartic
 from enumtc.claims import (
     Config,
     VerificationReport,
@@ -263,9 +263,7 @@ def test_k_faithful_verdict_matches_common_fixed_check():
 def test_k_faithful_fails_when_a_scalar_matrix_joins_k(monkeypatch):
     # z*I fixes every line, so the group of order 81 acts unfaithfully
     datum = k_datum()
-    z = datum.field.gen()
-    scaled = dataclasses.replace(
-        datum, generators=datum.generators + ((z, z, z, z),))
+    scaled = dataclasses.replace(datum, grid=datum.grid + ((1, 1, 1, 1),))
     monkeypatch.setattr(claims, "k_datum", lambda: scaled)
     record = run_claims(["k-faithful"]).claim("k-faithful")
     assert record.status == "failed"
@@ -305,6 +303,29 @@ def test_klein_equivalence_fails_with_complete_evidence():
     assert rec.evidence["exact_matches"] == 0
     assert 2.5 < rec.evidence["min_max_abs_deviation"] < 2.65
     assert not report.ok()
+
+
+def test_klein_equivalence_composes_the_classical_quartic_once_per_matrix(
+        monkeypatch):
+    composed = []
+    compose = geometry.compose_with_matrix
+
+    def counted(F, m_rows):
+        composed.append(F)
+        return compose(F, m_rows)
+
+    monkeypatch.setattr(geometry, "compose_with_matrix", counted)
+    monkeypatch.setattr(claims, "compose_with_matrix", counted)
+    combos = run_claims(["klein-equivalence"]).claim(
+        "klein-equivalence").evidence["interpretations"]
+    # 4 quartic-to-classical readings, and C(M y) once for each matrix
+    assert len(composed) == 6
+    assert sum(F == quartic.classical_klein_quartic() for F in composed) == 2
+    names = list(claims._ALPHA_NAMES.values())
+    assert [(r["quartic_alpha"], r["matrix_alpha"], r["direction"])
+            for r in combos] == [
+        (q, m, d) for q in names for m in names
+        for d in ("quartic-to-classical", "classical-to-quartic")]
 
 
 def test_report_is_byte_stable():

@@ -33,6 +33,7 @@ from enumtc.geometry import (
 from enumtc.poly import Polynomial, make_table
 from enumtc.quartic import klein_quartic
 from enumtc.restriction import h_datum, k_datum
+from subgroups import matrices
 
 F3CYC = cyclotomic_field(3)
 F7CYC = cyclotomic_field(7)
@@ -107,7 +108,7 @@ def test_line_forms_must_have_four_coordinates():
 
 def test_identity_and_generator_permutations():
     lines = fermat_lines()
-    mats = k_datum().matrices()
+    mats = matrices(k_datum())
     ident = induced_permutation(mats[0], lines)
     assert ident == tuple(range(27))
     # diag(z,1,1,1) is element (a,b,c)=(1,0,0), index 9
@@ -249,7 +250,7 @@ def test_generator_actions_match_every_listed_element(monkeypatch):
     for action in made:
         datum = k_datum() if len(action.objects) == 27 else h_datum()
         assert action.permutations == [induced_permutation(m, action.objects)
-                                       for m in datum.matrices()]
+                                       for m in matrices(datum)]
 
 
 def test_group_actions_move_each_object_under_each_generator_once(
@@ -335,7 +336,7 @@ def test_line_objects_transform_by_inverse():
 def test_h_action_over_qq():
     point = PointP2.from_coords((Fraction(2), Fraction(4), Fraction(2)))
     assert point.coords == (1, 2, 1) and point.field == QQ
-    mats = h_datum().matrices()
+    mats = matrices(h_datum())
     pts = [PointP2.from_coords((Fraction(sx), Fraction(2 * sy), Fraction(1)))
            for sx in (1, -1) for sy in (1, -1)]
     action = make_group_action(h_datum().generator_matrices(), 2, pts)

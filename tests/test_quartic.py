@@ -40,6 +40,7 @@ from enumtc.quartic import (
     smoothness_certificate,
 )
 from enumtc.restriction import h_datum
+from subgroups import matrices
 
 _MEMO = {}
 
@@ -234,7 +235,7 @@ def test_sign_group_permutes_flexes_and_bitangents():
     lines = [LineP2.from_coords(v) for v in bits]
     assert [p.coords for p in pts] == flexes
     assert [v.coords for v in lines] == bits
-    for h in h_datum().matrices()[1:]:
+    for h in matrices(h_datum())[1:]:
         perm = induced_permutation(h, pts)
         assert sorted(perm) == list(range(24))
         assert any(perm[i] != i for i in range(24))

@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from enumtc.errors import (
-    GradingViolation,
-    InconsistentEvidence,
-    InvalidInput,
-)
+from enumtc.errors import GradingViolation, InvalidInput
 from enumtc.fields import QQ, PrimeField, cyclotomic_field
+from enumtc.linalg import rank_mod_p
+from enumtc.nabla import stated_image_generators
 from enumtc.poly import (
     Polynomial,
     SpecializationMap,
@@ -20,14 +18,12 @@ from enumtc.poly import (
 from enumtc.restriction import (
     SubgroupDatum,
     chern_to_tau_map,
-    exponent_grid,
     h_datum,
     k_datum,
-    make_subgroup_datum,
     phi_star_generators,
     tau_table,
-    verify_specialization_from_generators,
 )
+from subgroups import matrices
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -69,8 +65,6 @@ def test_identity_specialization_gives_symmetric_images():
          for j in range(1, 4)},
         check_grading=True)
     c_to_sigma = chern_to_tau_map(3, 2)
-    from enumtc.nabla import stated_image_generators
-
     _, gens = stated_image_generators(3, F2)
     for g in gens:
         expected = substitute(g, c_to_sigma)
@@ -79,90 +73,88 @@ def test_identity_specialization_gives_symmetric_images():
 
 def test_k_tau4_is_zero():
     d = k_datum()
-    assert not d.tau_map.images["tau4"]
-    assert exponent_grid(d.generators, d.p, d.field) == [
-        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    assert not d.tau_map().images["tau4"]
+    assert d.grid == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def test_h_tau3_is_zero():
     d = h_datum()
-    assert not d.tau_map.images["tau3"]
-    assert exponent_grid(d.generators, d.p, d.field) == [
-        [1, 0, 0], [0, 1, 0]]
-
-
-def test_verify_stored_maps():
-    assert verify_specialization_from_generators(k_datum())
-    assert verify_specialization_from_generators(h_datum())
+    assert not d.tau_map().images["tau3"]
+    assert d.grid == ((1, 0, 0), (0, 1, 0))
 
 
 def test_derived_map_matches_stored_literals():
-    k = k_datum()
-    derived = make_subgroup_datum(4, 3, k.field, k.generators,
-                                  target_names=("xi1", "xi2", "xi3"),
-                                  name="K")
-    assert derived.tau_map.images == k.tau_map.images
-    h = h_datum()
-    derived = make_subgroup_datum(3, 2, QQ, h.generators,
-                                  target_names=("u", "v"), name="H")
-    assert derived.tau_map.images == h.tau_map.images
+    # the paper's maps: tau -> (xi1, xi2, xi3, 0) for K, (u^2, v^2, 0) for H
+    t = make_table(("xi1", "xi2", "xi3"), (2, 2, 2))
+    xi = [Polynomial.variable(x, t, F3) for x in t.names]
+    assert k_datum().tau_map().images == {
+        "tau1": xi[0], "tau2": xi[1], "tau3": xi[2],
+        "tau4": Polynomial.zero(t, F3)}
+    t = make_table(("u", "v"))
+    u, v = (Polynomial.variable(x, t, F2) for x in t.names)
+    assert h_datum().tau_map().images == {
+        "tau1": u * u, "tau2": v * v, "tau3": Polynomial.zero(t, F2)}
+
+
+def test_generator_matrices_are_the_stated_diagonals():
+    F = cyclotomic_field(3)
+    z, one, zero = F.gen(), F.one(), F.zero()
+    assert k_datum().generator_matrices() == [
+        _diagonal(d, zero) for d in ((z, one, one, one), (one, z, one, one),
+                                     (one, one, z, one))]
+    one = Fraction(1)
+    assert h_datum().generator_matrices() == [
+        _diagonal(d, Fraction(0)) for d in ((-one, one, one),
+                                            (one, -one, one))]
 
 
 def test_trivial_subgroup_kills_everything():
-    d = make_subgroup_datum(3, 2, QQ, ())
-    assert all(not img for img in d.tau_map.images.values())
-    assert verify_specialization_from_generators(d)
+    d = SubgroupDatum(3, 2, ())
+    assert all(not img for img in d.tau_map().images.values())
     assert all(not f for f in phi_star_generators(d))
 
 
-def test_verify_names_disagreeing_generator():
-    d = k_datum()
-    xi1 = Polynomial.variable("xi1", d.tau_map.images["tau1"].table, F3)
-    d.tau_map.images["tau2"] = xi1
-    with pytest.raises(InconsistentEvidence) as info:
-        verify_specialization_from_generators(d)
-    assert "generator 1" in str(info.value)
-
-
-def test_verify_flags_spurious_terms():
-    d = k_datum()
-    t = d.tau_map.images["tau1"].table
-    d.tau_map.images["tau4"] = Polynomial.monomial((1, 1, 0), F3.one(), t, F3)
-    with pytest.raises(InconsistentEvidence) as info:
-        verify_specialization_from_generators(d)
-    assert "tau4" in str(info.value)
-
-
 def test_grading_violation_propagates():
-    d = h_datum()
-    t = d.tau_map.images["tau1"].table
-    u = Polynomial.variable("u", t, F2)
-    d.tau_map.images["tau1"] = u  # weight 1 image for a weight 2 class
+    images = h_datum().tau_map().images
+    u = Polynomial.variable("u", images["tau1"].table, F2)
+    images["tau1"] = u  # weight 1 image for a weight 2 class
+    _, gens = stated_image_generators(3, F2)
+    in_tau = substitute(gens[0], chern_to_tau_map(3, 2))
     with pytest.raises(GradingViolation):
-        phi_star_generators(d)
+        substitute(in_tau, SpecializationMap(images, check_grading=True))
 
 
 def test_p_dividing_n_is_rejected():
-    F = cyclotomic_field(3)
-    d = make_subgroup_datum(3, 3, F, ((F.gen(), F.one(), F.one()),))
+    d = SubgroupDatum(3, 3, ((1, 0, 0),))
     with pytest.raises(InvalidInput):
         phi_star_generators(d)
 
 
 def test_datum_validation():
-    one = Fraction(1)
-    good = h_datum()
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, QQ, ((one, one, one),), good.tau_map)
+        SubgroupDatum(3, 2, ((0, 0, 0),))
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, QQ, ((Fraction(3), one, one),), good.tau_map)
+        SubgroupDatum(3, 2, ((2, 0, 0),))  # root**2 = 1 for p = 2
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 4, QQ, good.generators, good.tau_map)
+        SubgroupDatum(3, 4, ((1, 0, 0),))
     with pytest.raises(InvalidInput):
-        SubgroupDatum(4, 2, QQ, good.generators, good.tau_map)
-    bad_keys = SpecializationMap({"tau1": good.tau_map.images["tau1"]})
+        SubgroupDatum(4, 2, h_datum().grid)
     with pytest.raises(InvalidInput):
-        SubgroupDatum(3, 2, QQ, good.generators, bad_keys)
+        SubgroupDatum(1, 2, ((1,),))
+
+
+def test_dependent_generators_are_refused():
+    # (z, 1, 1, 1) and (z^2, 1, 1, 1) span a group of order 3, not 9, so
+    # two exterior classes would be one too many
+    with pytest.raises(InvalidInput, match="2 generators are dependent "
+                                           "mod 3"):
+        SubgroupDatum(4, 3, ((1, 0, 0, 0), (2, 0, 0, 0)))
+    assert rank_mod_p(((1, 0, 0, 0), (2, 0, 0, 0)), 3) == 1
+    with pytest.raises(InvalidInput, match="dependent mod 2"):
+        SubgroupDatum(3, 2, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    # the scalar row (1, 1, 1, 1) is independent of K's rows
+    scaled = SubgroupDatum(4, 3, k_datum().grid + ((1, 1, 1, 1),))
+    assert scaled.exterior_count == 4
 
 
 def _matmul(a, b, zero):
@@ -176,10 +168,11 @@ def _diagonal(diag, zero):
 
 
 def test_datum_matrices_list_the_group():
+    fields = {3: cyclotomic_field(3), 2: QQ}
     for datum, exterior in ((k_datum(), 3), (h_datum(), 0)):
-        p, r, n = datum.p, len(datum.generators), datum.n
-        zero, one = datum.field.zero(), datum.field.one()
-        mats = datum.matrices()
+        p, r, n = datum.p, len(datum.grid), datum.n
+        zero, one = fields[p].zero(), fields[p].one()
+        mats = matrices(datum)
         assert len(mats) == len(set(mats)) == p ** r
         ident = _diagonal((one,) * n, zero)
         assert mats[0] == ident
@@ -192,20 +185,21 @@ def test_datum_matrices_list_the_group():
             assert power == ident
             assert all(_matmul(m, g, zero) in mats for g in mats)
         # generator i sits at the exponent vector e_i, index p^(r-1-i)
-        for i, gen in enumerate(datum.generators):
-            assert mats[p ** (r - 1 - i)] == _diagonal(gen, zero)
+        for i, gen in enumerate(datum.generator_matrices()):
+            assert mats[p ** (r - 1 - i)] == gen
         assert datum.exterior_count == exterior
     F = cyclotomic_field(3)
     z = F.gen()
     roots = (F.one(), z, z * z)
     written = [_diagonal((roots[a], roots[b], roots[c], F.one()), F.zero())
                for a in range(3) for b in range(3) for c in range(3)]
-    assert k_datum().matrices() == written
+    assert matrices(k_datum()) == written
 
 
 def test_entry_outside_root_powers():
-    with pytest.raises(InvalidInput):
-        exponent_grid(((Fraction(3), Fraction(1)),), 2, QQ)
+    # root**(1/2) is no power of the root
+    with pytest.raises(InvalidInput, match="generator 1 is not 2 int"):
+        SubgroupDatum(2, 3, ((Fraction(1, 2), 0),))
 
 
 def test_h_pair_coprime_via_resultant():
@@ -224,17 +218,24 @@ def test_random_derived_data_verify():
     powers = [F.one(), F.gen(), F.gen() ** 2]
     for _ in range(30):
         r = rng.randrange(1, 4)
-        gens = []
-        while len(gens) < r:
-            grid_row = [rng.randrange(3) for _ in range(4)]
-            if any(grid_row):
-                gens.append(tuple(powers[e] for e in grid_row))
-        d = make_subgroup_datum(4, 3, F, gens)
+        grid = []
+        while len(grid) < r:
+            row = tuple(rng.randrange(-3, 6) for _ in range(4))
+            if rank_mod_p(grid + [row], 3) == len(grid) + 1:
+                grid.append(row)
+        d = SubgroupDatum(4, 3, tuple(grid))
         assert d.exterior_count == r
-        assert verify_specialization_from_generators(d)
-        grid = exponent_grid(d.generators, 3, F)
+        assert d.generator_matrices() == [
+            _diagonal([powers[e % 3] for e in row], F.zero())
+            for row in grid]
+        images = d.tau_map().images
         for j in range(4):
-            img = d.tau_map.images[f"tau{j + 1}"]
+            img = images[f"tau{j + 1}"]
+            # tau_j -> sum_i grid[i][j] xi_i, coefficients read mod 3
+            assert img == sum((Polynomial.variable(f"xi{i + 1}", img.table,
+                                                   F3) * grid[i][j]
+                               for i in range(r)),
+                              Polynomial.zero(img.table, F3))
             assert not img or (img.is_homogeneous()
                                and img.weighted_degree() == 2)
             assert all(grid[i][j] % 3 == 0 for i in range(r)) == (not img)

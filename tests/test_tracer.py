@@ -40,14 +40,17 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     tracer = spans.Tracer().install()
     try:
         during = _bindings(spans)
-        report = run_claims(["regseq-pu4k"])
+        report = run_claims(["regseq-pu4k", "regseq-pu3h"])
     finally:
         tracer.uninstall()
     after = _bindings(spans)
     assert report.claim("regseq-pu4k").status == "verified"
+    assert report.claim("regseq-pu3h").status == "verified"
     assert sum(during[k] is not v for k, v in before.items()) > 0
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls["koszul.macaulay_rank"] > 0
     assert calls["koszul.KoszulComplex.boundary_matrix"] > 0
+    # the benchmark's restriction.phi_star_generators.calls reads this span
+    assert calls["restriction.phi_star_generators"] == 2
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
