@@ -18,11 +18,10 @@ failures as blocked records, and assembles a deterministic report.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from .errors import (CheckFailed, InconsistentEvidence, InvalidInput,
+from .errors import (CheckFailed, Frozen, InconsistentEvidence, InvalidInput,
                      UnknownClaim)
 from .fields import QQ, cyclotomic_field, is_prime
 from .geometry import (NUMERIC_TOL, LineP2, PointP2, common_fixed_check,
@@ -42,14 +41,13 @@ from .restriction import h_datum, k_datum, phi_star_generators
 OK_STATUSES = ("verified", "assumed-from-literature")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Frozen):
     """Snapshot of the knobs a run depends on."""
 
-    prime: int = 7
-    max_degree: int = 12
+    _fields = ("prime", "max_degree")
 
-    def __post_init__(self):
+    def __init__(self, prime: int = 7, max_degree: int = 12):
+        self._set(prime, max_degree)
         if not isinstance(self.prime, int) or not is_prime(self.prime):
             raise InvalidInput(f"Config.prime: {self.prime!r} is not prime")
         if type(self.max_degree) is not int or self.max_degree < 0:
@@ -60,15 +58,15 @@ class Config:
         return {"prime": self.prime, "max_degree": self.max_degree}
 
 
-@dataclass
 class ClaimRecord:
-    id: str
-    status: str
-    statement: str
-    paper_ref: object = None
-    dependencies: list = field(default_factory=list)
-    evidence: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    def __init__(self, id: str, status: str, statement: str,
+                 paper_ref=None, dependencies: list = None,
+                 evidence: dict = None, elapsed_ms: float = 0.0):
+        self.id, self.status, self.statement = id, status, statement
+        self.paper_ref = paper_ref
+        self.dependencies = [] if dependencies is None else dependencies
+        self.evidence = {} if evidence is None else evidence
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self, zero_elapsed: bool = False):
         return {"id": self.id, "status": self.status,
@@ -78,11 +76,9 @@ class ClaimRecord:
                 "elapsed_ms": 0.0 if zero_elapsed else self.elapsed_ms}
 
 
-@dataclass
 class VerificationReport:
-    config: Config
-    records: list
-    requested: list
+    def __init__(self, config: Config, records: list, requested: list):
+        self.config, self.records, self.requested = config, records, requested
 
     def claim(self, claim_id: str) -> ClaimRecord:
         for rec in self.records:
@@ -375,14 +371,14 @@ def _run_thm_tc_all(genus_line: int, genus_btg: int, genus_flex: int):
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
-class _Claim:
-    statement: str
-    dependencies: tuple = ()
+class _Claim(Frozen):
     # run(config, deps) -> (status, evidence, value); deps maps each
     # declared dependency to its value (None for literature nodes)
-    run: object = None
-    paper_ref: object = None
+    _fields = ("statement", "dependencies", "run", "paper_ref")
+
+    def __init__(self, statement: str, dependencies: tuple = (), run=None,
+                 paper_ref=None):
+        self._set(statement, dependencies, run, paper_ref)
 
     @property
     def literature(self) -> bool:

@@ -11,11 +11,10 @@ NumberField memoises the inverses it has computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import DivisionByZero, InvalidField, InvalidInput
+from .errors import DivisionByZero, Frozen, InvalidField, InvalidInput
 
 
 # Miller-Rabin on the primes to 41 decides primality below this bound.
@@ -74,7 +73,7 @@ class PrimeField:
         return f"{a.residue} mod {self.p}"
 
 
-class _FieldElement:
+class _FieldElement(Frozen):
     """Operators shared by FpElement and NumberFieldElement, built on
     their _coerce, _add (self + sign * other), *, inverse and field.one()."""
 
@@ -119,10 +118,11 @@ class _FieldElement:
         return result
 
 
-@dataclass(frozen=True)
 class FpElement(_FieldElement):
-    field: PrimeField
-    residue: int
+    _fields = ("field", "residue")
+
+    def __init__(self, field: PrimeField, residue: int):
+        self._set(field, residue)
 
     def _coerce(self, other):
         if isinstance(other, FpElement):
@@ -272,18 +272,25 @@ def _normal(field, num, den):
     return NumberFieldElement(field, tuple(num), den)
 
 
-@dataclass(frozen=True, slots=True)
 class NumberFieldElement(_FieldElement):
     """(num[0] + num[1] t + ... + num[n-1] t^(n-1)) / den in a NumberField.
 
     num holds degree ints, den > 0 and gcd(den, *num) == 1.  Every
-    operation returns this normal form, so the dataclass == and hash are
-    exact.  Build elements through NumberField, not this constructor.
+    operation returns this normal form, so == and hash, which compare
+    (field, num, den), are exact.  Build elements through NumberField,
+    not this constructor.
     """
 
-    field: NumberField
-    num: tuple
-    den: int
+    __slots__ = _fields = ("field", "num", "den")
+
+    # Frozen's _set and _values unrolled: every Q(zeta_p) operation runs them
+    def __init__(self, field: NumberField, num: tuple, den: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def _values(self):
+        return self.field, self.num, self.den
 
     @property
     def coeffs(self):

@@ -16,12 +16,12 @@ complex-embedded coefficients says by how much.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     CheckFailed,
     CollisionAtTolerance,
+    Frozen,
     InvalidInput,
     InvalidLine,
     NotInvariant,
@@ -101,12 +101,14 @@ def orbit(objects, generators, limit: int):
     return sorted(found, key=lambda item: [_exact_key(v) for v in item])
 
 
-@dataclass(frozen=True)
-class _Projective:
+class _Projective(Frozen):
     """Exact projective coordinates, last nonzero coordinate 1; under g
     they move by the matrix moved_by(g) of the subclass."""
 
-    coords: tuple
+    _fields = ("coords",)
+
+    def __init__(self, coords: tuple):
+        self._set(coords)
 
     @classmethod
     def from_coords(cls, coords):
@@ -267,13 +269,12 @@ def induced_permutation(g, objects):
     return tuple(perm)
 
 
-@dataclass
 class GroupAction:
     """The objects acted on and every group element's permutation,
     identity first."""
 
-    objects: list
-    permutations: list
+    def __init__(self, objects: list, permutations: list):
+        self.objects, self.permutations = objects, permutations
 
 
 def compose_permutations(outer, inner):

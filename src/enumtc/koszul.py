@@ -13,12 +13,12 @@ variables are a system of parameters iff they are regular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import add
 
 from .errors import (
     CollapseHypothesisUnmet,
+    Frozen,
     InvalidInput,
     UnsupportedLength,
 )
@@ -26,13 +26,13 @@ from .linalg import int_entry, rank_over
 from .poly import Polynomial, monomials_of_weighted_degree, polynomial_to_json
 
 
-@dataclass(frozen=True)
-class GradedSequence:
+class GradedSequence(Frozen):
     """Homogeneous nonconstant elements of one weighted polynomial ring."""
 
-    elements: tuple
+    _fields = ("elements",)
 
-    def __post_init__(self):
+    def __init__(self, elements: tuple):
+        self._set(elements)
         for f in self.elements:
             if not isinstance(f, Polynomial):
                 raise InvalidInput("sequence entries must be polynomials")
@@ -135,16 +135,18 @@ def koszul_homology_dim(K: KoszulComplex, t: int):
     return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
 
 
-@dataclass
 class RegularityCertificate:
-    elements: list
-    degrees: tuple
-    weights: tuple
-    s: int
-    checked_degrees: list
-    ranks: list
-    verdict: str
-    method: str = "artinian-window"
+    def __init__(self, elements: list, degrees: tuple, weights: tuple, s: int,
+                 checked_degrees: list, ranks: list, verdict: str,
+                 method: str = "artinian-window"):
+        self.elements = elements
+        self.degrees = degrees
+        self.weights = weights
+        self.s = s
+        self.checked_degrees = checked_degrees
+        self.ranks = ranks
+        self.verdict = verdict
+        self.method = method
 
     def to_json(self):
         return {
@@ -211,14 +213,11 @@ def permuted_regularity(seq: GradedSequence):
     return rows
 
 
-@dataclass
 class HilbertSeries:
     """Graded dimensions h_0..h_D with a declared top degree."""
 
-    coeffs: list
-
-    def __post_init__(self):
-        self.coeffs = list(self.coeffs)
+    def __init__(self, coeffs: list):
+        self.coeffs = list(coeffs)
         while self.coeffs and self.coeffs[-1] == 0:
             self.coeffs.pop()
 

@@ -11,9 +11,7 @@ subring generated by c_2..c_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import GeneratorCheckFailure, InvalidInput
+from .errors import Frozen, GeneratorCheckFailure, InvalidInput
 from .fields import QQ, is_prime
 from .linalg import rank_int, rank_mod_p
 from .poly import Polynomial, make_table, monomials_of_weighted_degree
@@ -21,11 +19,11 @@ from .poly import Polynomial, make_table, monomials_of_weighted_degree
 CERTIFIED_DEGREE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class NablaContext:
-    n: int
-    field: object
-    table: object
+class NablaContext(Frozen):
+    _fields = ("n", "field", "table")
+
+    def __init__(self, n: int, field, table):
+        self._set(n, field, table)
 
 
 def make_context(n: int, field) -> NablaContext:

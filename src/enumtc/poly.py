@@ -9,7 +9,6 @@ monic gcd over a field that the exact contact checks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -17,6 +16,7 @@ from operator import add
 
 from .errors import (
     DivisionByZero,
+    Frozen,
     GradingViolation,
     IncompleteMap,
     InexactDivision,
@@ -25,14 +25,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class VariableTable(Frozen):
     """Ordered variable names with positive integer weights."""
 
-    names: tuple
-    weights: tuple
+    _fields = ("names", "weights")
 
-    def __post_init__(self):
+    def __init__(self, names: tuple, weights: tuple):
+        self._set(names, weights)
         if len(self.names) != len(set(self.names)):
             raise InvalidInput("variable names must be distinct")
         if len(self.names) != len(self.weights):
@@ -282,7 +281,6 @@ class Polynomial:
         return Polynomial(self.table, self.field, quot)
 
 
-@dataclass
 class SpecializationMap:
     """Variable images defining a ring homomorphism.
 
@@ -292,8 +290,8 @@ class SpecializationMap:
     source variable's weight.
     """
 
-    images: dict
-    check_grading: bool = False
+    def __init__(self, images: dict, check_grading: bool = False):
+        self.images, self.check_grading = images, check_grading
 
 
 def substitute(f: Polynomial, smap: SpecializationMap) -> Polynomial:

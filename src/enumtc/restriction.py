@@ -18,9 +18,7 @@ construction; geometry.make_group_action checks the relations on the
 permutations they induce.
 """
 
-from dataclasses import dataclass
-
-from .errors import InvalidInput
+from .errors import Frozen, InvalidInput
 from .fields import PrimeField, QQ, cyclotomic_field, is_prime
 from .linalg import rank_mod_p
 from .nabla import stated_image_generators
@@ -47,8 +45,7 @@ def chern_to_tau_map(n: int, p: int) -> SpecializationMap:
     return SpecializationMap(images, check_grading=True)
 
 
-@dataclass(frozen=True)
-class SubgroupDatum:
+class SubgroupDatum(Frozen):
     """Diagonal elementary abelian subgroup (Z/p)^r of PU_n.
 
     grid holds one row of n ints per generator: generator i acts on slot
@@ -56,12 +53,10 @@ class SubgroupDatum:
     the r generators span a group of order p^r.
     """
 
-    n: int
-    p: int
-    grid: tuple
-    name: str = ""
+    _fields = ("n", "p", "grid", "name")
 
-    def __post_init__(self):
+    def __init__(self, n: int, p: int, grid: tuple, name: str = ""):
+        self._set(n, p, grid, name)
         if self.n < 2:
             raise InvalidInput("ambient rank must be at least 2")
         if not is_prime(self.p):

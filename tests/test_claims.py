@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -20,7 +19,7 @@ from enumtc.geometry import (common_fixed_check, fermat_lines,
                              make_group_action)
 from enumtc.koszul import HilbertSeries, is_regular_maximal
 from enumtc.linalg import Matrix
-from enumtc.restriction import k_datum
+from enumtc.restriction import SubgroupDatum, k_datum
 
 
 def test_genus_bounds_windows():
@@ -263,7 +262,8 @@ def test_k_faithful_verdict_matches_common_fixed_check():
 def test_k_faithful_fails_when_a_scalar_matrix_joins_k(monkeypatch):
     # z*I fixes every line, so the group of order 81 acts unfaithfully
     datum = k_datum()
-    scaled = dataclasses.replace(datum, grid=datum.grid + ((1, 1, 1, 1),))
+    scaled = SubgroupDatum(datum.n, datum.p, datum.grid + ((1, 1, 1, 1),),
+                           datum.name)
     monkeypatch.setattr(claims, "k_datum", lambda: scaled)
     record = run_claims(["k-faithful"]).claim("k-faithful")
     assert record.status == "failed"

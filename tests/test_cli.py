@@ -136,6 +136,20 @@ def test_verify_does_not_import_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_dataclasses_or_introspection_modules():
+    """Importing the CLI and the claims adds none of dataclasses and the
+    modules it pulls in (inspect, ast, dis) to a fresh interpreter."""
+    code = ("import sys; before = set(sys.modules); "
+            "import enumtc.claims, enumtc.cli; "
+            "added = set(sys.modules) - before; "
+            "print(sorted(added & {'dataclasses', 'inspect', 'ast', 'dis'}), "
+            "'enumtc.cli' in added)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] True"
+
+
 def test_cli_and_claims_run_without_numpy():
     """Neither numpy nor mpmath is loaded, even by the four claims that
     embed Q(zeta_p) into C."""
