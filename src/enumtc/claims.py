@@ -23,7 +23,7 @@ from time import perf_counter
 
 from .errors import (CheckFailed, Frozen, InconsistentEvidence, InvalidInput,
                      UnknownClaim)
-from .fields import QQ, cyclotomic_field, is_prime
+from .fields import QQ, is_prime
 from .geometry import (NUMERIC_TOL, LineP2, PointP2, common_fixed_check,
                        compose_with_matrix, fermat_cubic, fermat_lines,
                        images, line_on_surface, make_group_action,
@@ -114,21 +114,18 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # genus and branching arithmetic
 
-def genus_bounds(poincare: HilbertSeries, manifold_dim: int,
-                 surjectivity: bool):
-    """Sectional-category window from a quotient Poincare series.
+def genus_bounds(poincare: HilbertSeries, manifold_dim: int):
+    """Sectional-category window from a quotient Poincare series, under
+    the certified surjectivity hypothesis.
 
-    The upper bound is always manifold_dim + 1.  When the surjectivity
-    hypothesis is certified the nonvanishing top class pushes the lower
-    bound to (top nonzero degree) + 1, which must then equal the upper
-    bound; a top degree differing from the manifold dimension under that
-    hypothesis means the evidence contradicts itself.
+    The upper bound is always manifold_dim + 1.  The nonvanishing top
+    class pushes the lower bound to (top nonzero degree) + 1, which must
+    then equal the upper bound; a top degree differing from the manifold
+    dimension means the evidence contradicts itself.
     """
     if manifold_dim < 0:
         raise InvalidInput("manifold_dim must be >= 0")
     upper = manifold_dim + 1
-    if not surjectivity:
-        return 1, upper
     top = poincare.top_degree()
     if top != manifold_dim:
         raise InconsistentEvidence(
@@ -219,7 +216,7 @@ def _run_tor_concentration(seq_k, seq_h, config: Config):
 
 def _run_fermat_lines():
     lines = fermat_lines()
-    cubic = fermat_cubic(cyclotomic_field(3))
+    cubic = fermat_cubic()
     on_surface = all(line_on_surface(ln, cubic) for ln in lines)
     distinct = len({ln.coords for ln in lines}) == len(lines)
     ok = len(lines) == 27 and on_surface and distinct
@@ -346,7 +343,7 @@ def _run_klein_equivalence():
 
 def _run_genus(series, manifold_dim: int, expected: int):
     """Genus window of a certified quotient series; the genus is the value."""
-    lo, hi = genus_bounds(series, manifold_dim, True)
+    lo, hi = genus_bounds(series, manifold_dim)
     ok = lo == hi == expected
     evidence = {"manifold_dim": manifold_dim, "lower": lo, "upper": hi,
                 "genus": lo}

@@ -404,17 +404,17 @@ class NumberFieldElement(_FieldElement):
 _CYCLOTOMIC = {}
 
 
-def cyclotomic_field(p: int, name: str = "z") -> NumberField:
-    """Q(zeta_p) for prime p, with minpoly 1 + t + ... + t^(p-1).
+def cyclotomic_field(p: int) -> NumberField:
+    """Q(zeta_p) for prime p, with minpoly 1 + z + ... + z^(p-1).
 
-    One shared instance per (p, name): field checks on elements reduce to
-    an identity test.
+    One shared instance per p: field checks on elements reduce to an
+    identity test.
     """
-    field = _CYCLOTOMIC.get((p, name))
+    field = _CYCLOTOMIC.get(p)
     if field is None:
         if not is_prime(p):
             raise InvalidField(f"{p} is not prime")
-        field = _CYCLOTOMIC[p, name] = NumberField([1] * p, name=name)
+        field = _CYCLOTOMIC[p] = NumberField([1] * p, name="z")
     return field
 
 

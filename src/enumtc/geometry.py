@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fields import QQ, cyclotomic_field, field_inverse, nf_embed_complex
 from .numroots import chordal_distance
-from .poly import Polynomial, SpecializationMap, make_table, substitute
+from .poly import Polynomial, make_table, substitute
 
 SPACE_VARS = ("x", "y", "z", "w")
 
@@ -197,10 +197,11 @@ class Line3D(_Projective):
         return [tuple(row[k] for row in P), tuple(row[l] for row in P)]
 
 
-def fermat_cubic(field, names=SPACE_VARS) -> Polynomial:
-    table = make_table(names)
+def fermat_cubic() -> Polynomial:
+    """x^3 + y^3 + z^3 + w^3 over Q(zeta_3), where its 27 lines live."""
+    field, table = cyclotomic_field(3), make_table(SPACE_VARS)
     acc = Polynomial.zero(table, field)
-    for name in names:
+    for name in SPACE_VARS:
         acc = acc + Polynomial.variable(name, table, field) ** 3
     return acc
 
@@ -237,7 +238,7 @@ def line_on_surface(line: Line3D, F: Polynomial) -> bool:
     images = {}
     for i, name in enumerate(F.table.names):
         images[name] = Polynomial(st, F.field, {(1, 0): p[i], (0, 1): q[i]})
-    return not substitute(F, SpecializationMap(images))
+    return not substitute(F, images)
 
 
 def embedded(v):
@@ -359,7 +360,7 @@ def compose_with_matrix(F: Polynomial, m_rows) -> Polynomial:
                 e[j] = 1
                 terms[tuple(e)] = m_rows[i][j]
         images[name] = Polynomial(F.table, F.field, terms)
-    return substitute(F, SpecializationMap(images))
+    return substitute(F, images)
 
 
 def verify_projective_equivalence(F: Polynomial, G: Polynomial, m_rows):
@@ -373,8 +374,8 @@ def proportionality(FM: Polynomial, G: Polynomial):
     """Decide FM = lambda * G exactly; report numerically on failure.
 
     Returns the exact nonzero lambda on success.  Otherwise returns a
-    report dict with the best numeric proportionality factor and the
-    maximum coefficient deviation, judged at NUMERIC_TOL.
+    report dict: the maximum coefficient deviation from the best numeric
+    proportionality factor, and whether it is within NUMERIC_TOL.
     """
     if FM.table != G.table or FM.field != G.field:
         raise InvalidInput("the two quartics live in different rings")
@@ -391,16 +392,10 @@ def proportionality(FM: Polynomial, G: Polynomial):
     gv = [nf_embed_complex(G.terms.get(e, 0)) for e in exps]
     f_max = max(abs(c) for c in fv)
     k = max(range(len(gv)), key=lambda i: abs(gv[i]))
-    report = {"exact": False, "lambda": None,
-              "numeric_tol": NUMERIC_TOL, "monomials": len(exps)}
     if abs(gv[k]) == 0:
-        report["numeric_proportional"] = False
-        report["max_abs_deviation"] = f_max
-        return report
+        return {"numeric_proportional": False, "max_abs_deviation": f_max}
     lam_num = fv[k] / gv[k]
     dev = max(abs(f - lam_num * g) for f, g in zip(fv, gv))
     scale = max(f_max, abs(gv[k]), 1.0)
-    report["numeric_lambda"] = (lam_num.real, lam_num.imag)
-    report["max_abs_deviation"] = dev
-    report["numeric_proportional"] = dev <= NUMERIC_TOL * scale
-    return report
+    return {"numeric_proportional": dev <= NUMERIC_TOL * scale,
+            "max_abs_deviation": dev}

@@ -1,14 +1,15 @@
 """Koszul complexes, regularity certificates, and quotient Hilbert series.
 
-A homogeneous sequence in a weighted polynomial ring gives a Koszul
-complex with wedge-basis boundary matrices per internal degree; its
-higher homology vanishes exactly on regular sequences.  Maximal-length
-sequences (as many elements as variables) are certified regular through
-Artinian vanishing of the quotient: the quotient is a cyclic graded
-module, so once the Macaulay strata are full for every degree t with
-s < t <= s + max(weight), where s = sum(d_i) - sum(w_j), they are full
-forever, the quotient is Artinian, and n homogeneous forms in n
-variables are a system of parameters iff they are regular.
+A homogeneous sequence in a weighted polynomial ring over F_p gives a
+Koszul complex with wedge-basis boundary matrices per internal degree,
+ranked by ``linalg.rank_mod_p``; its higher homology vanishes exactly
+on regular sequences.  Maximal-length sequences (as many elements as
+variables) are certified regular through Artinian vanishing of the
+quotient: the quotient is a cyclic graded module, so once the Macaulay
+strata are full for every degree t with s < t <= s + max(weight), where
+s = sum(d_i) - sum(w_j), they are full forever, the quotient is
+Artinian, and n homogeneous forms in n variables are a system of
+parameters iff they are regular.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from operator import add
 from .errors import (
     CollapseHypothesisUnmet,
     Frozen,
+    InvalidField,
     InvalidInput,
     UnsupportedLength,
 )
-from .linalg import int_entry, rank_over
+from .fields import PrimeField
+from .linalg import rank_mod_p
 from .poly import Polynomial, monomials_of_weighted_degree, polynomial_to_json
 
 
@@ -73,18 +76,22 @@ class KoszulComplex:
 
     K_i has basis {monomial * e_J : |J| = i}; the boundary sends e_J to
     sum_k (-1)^(k+1) f_{j_k} e_{J minus j_k}.  Internal degree of e_J is
-    the sum of the element degrees over J.  Each element's coefficients
-    are read once as int-row entries, so the field must be QQ or F_p, and
-    each basis is built once.
+    the sum of the element degrees over J.  The field must be F_p: each
+    element's coefficients are read once as their residues, and each
+    basis is built once.
     """
 
     def __init__(self, seq: GradedSequence):
         self.seq = seq
         self.table = seq.table
         self.field = seq.field
+        if not isinstance(self.field, PrimeField):
+            raise InvalidField(f"Koszul complexes are over F_p only, "
+                               f"not over {self.field!r}")
+        self.p = self.field.p
         self.degrees = seq.degrees()
-        self._terms = [[(e, int_entry(self.field, c))
-                        for e, c in f.terms.items()] for f in seq.elements]
+        self._terms = [[(e, c.residue) for e, c in f.terms.items()]
+                       for f in seq.elements]
         self._bases = {}
 
     def module_basis(self, i: int, t: int):
@@ -102,8 +109,8 @@ class KoszulComplex:
         """(rows, src, dst) for d_i: (K_i)_t -> (K_{i-1})_t.
 
         Row r is the image of src[r] in the dst basis: the transpose of
-        d_i, of the same rank.  Entries are ``linalg.int_entry`` values,
-        an F_p residue possibly negated.
+        d_i, of the same rank.  Entries are ints: an F_p residue, possibly
+        negated.
         """
         if not 1 <= i <= len(self.seq):
             raise InvalidInput(f"homological index {i} out of range")
@@ -130,15 +137,14 @@ def koszul_homology_dim(K: KoszulComplex, t: int):
     """
     k = len(K.seq)
     dims = [len(K.module_basis(i, t)) for i in range(k + 1)]
-    ranks = [0] + [rank_over(K.field, K.boundary_matrix(i, t)[0])
+    ranks = [0] + [rank_mod_p(K.boundary_matrix(i, t)[0], K.p)
                    for i in range(1, k + 1)] + [0]
     return [dims[i] - ranks[i] - ranks[i + 1] for i in range(k + 1)]
 
 
 class RegularityCertificate:
     def __init__(self, elements: list, degrees: tuple, weights: tuple, s: int,
-                 checked_degrees: list, ranks: list, verdict: str,
-                 method: str = "artinian-window"):
+                 checked_degrees: list, ranks: list, verdict: str):
         self.elements = elements
         self.degrees = degrees
         self.weights = weights
@@ -146,7 +152,6 @@ class RegularityCertificate:
         self.checked_degrees = checked_degrees
         self.ranks = ranks
         self.verdict = verdict
-        self.method = method
 
     def to_json(self):
         return {
@@ -157,7 +162,7 @@ class RegularityCertificate:
             "checked_degrees": list(self.checked_degrees),
             "ranks": list(self.ranks),
             "verdict": self.verdict,
-            "method": self.method,
+            "method": "artinian-window",
         }
 
 
@@ -167,7 +172,7 @@ def macaulay_rank(K: KoszulComplex, t: int):
     This is the first Koszul differential d_1: (K_1)_t -> (K_0)_t.
     """
     rows, _, dst = K.boundary_matrix(1, t)
-    return rank_over(K.field, rows), len(dst)
+    return rank_mod_p(rows, K.p), len(dst)
 
 
 def is_regular_maximal(seq: GradedSequence) -> RegularityCertificate:

@@ -5,12 +5,13 @@ from the claim's data, never of field element objects:
 
 - ``rank_mod_p`` ranks int rows over F_p, a prime checked once per p,
   by forward elimination on packed rows (below).
-- ``rank_int`` ranks rows over Q by clearing each row's denominators and
-  running fraction-free (Bareiss) forward elimination on ints.
-- ``int_entry`` writes a coefficient of QQ or F_p as an int-row entry,
-  and ``rank_over`` sends int rows to the kernel of their field.  Both
-  raise InvalidField for any other field: no claim ranks over a number
-  field.
+- ``rank_int`` ranks int rows over Q by fraction-free (Bareiss)
+  forward elimination.
+
+Each caller knows its field and calls its kernel: the Koszul and
+Macaulay ranks and the restriction grid call ``rank_mod_p``, the nabla
+kernels ``rank_int`` and ``rank_mod_p``.  No claim ranks over a number
+field.
 
 ``rank_mod_p`` packs each row into one int, column j in the w-bit slot
 at bit j*w.  With b = p.bit_length(), w is 4b rounded up to whole bytes
@@ -34,10 +35,9 @@ entry alone where the pivot row is zero.
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
 
-from .errors import InvalidField, InvalidInput
-from .fields import PrimeField, RationalField, field_inverse, is_prime
+from .errors import InvalidInput
+from .fields import field_inverse, is_prime
 
 
 @cache
@@ -82,17 +82,12 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def rank_int(rows) -> int:
-    """Rank over Q of rows of ints or Fractions, computed on ints.
+    """Rank over Q of rows of ints, on copies of the rows.
 
-    Rows are scaled by the lcm of their denominators into copies.  Then
     Bareiss (Math. Comp. 22, 1968): after k pivots each entry is a
     (k+1)-minor, so dividing by the k-th pivot is exact.
     """
-    scaled = []
-    for row in rows:
-        den = lcm(*(e.denominator for e in row))
-        scaled.append([e.numerator * (den // e.denominator) for e in row])
-    rows = scaled
+    rows = [list(row) for row in rows]
     width = len(rows[0]) if rows else 0
     rank, prev = 0, 1
     for c in range(width):
@@ -112,25 +107,6 @@ def rank_int(rows) -> int:
                            for x, b in zip(row[c + 1:], tail)]
         prev = a
     return rank
-
-
-def int_entry(field, c):
-    """c in F_p as its residue; c in Q as an int if integral, else as
-    the Fraction, which ``rank_int`` also reads."""
-    if isinstance(field, PrimeField):
-        return c.residue
-    if isinstance(field, RationalField):
-        return c.numerator if c.denominator == 1 else c
-    raise InvalidField(f"no int rows over {field!r}")
-
-
-def rank_over(field, rows) -> int:
-    """Rank of int rows over F_p (``rank_mod_p``) or Q (``rank_int``)."""
-    if isinstance(field, PrimeField):
-        return rank_mod_p(rows, field.p)
-    if isinstance(field, RationalField):
-        return rank_int(rows)
-    raise InvalidField(f"no int-row rank over {field!r}")
 
 
 class Matrix:

@@ -87,9 +87,10 @@ def integral_kernel_dim(n: int, degree: int) -> int:
 
 
 def bsu_monomial_count(ctx: NablaContext, degree: int) -> int:
-    """Monomials in c_2..c_n of the given weighted degree."""
-    use = tuple(range(1, ctx.n))
-    return len(monomials_of_weighted_degree(ctx.table, degree, use=use))
+    """Monomials in c_2..c_n of the given weighted degree: those of the
+    degree without c_1."""
+    return sum(1 for e in monomials_of_weighted_degree(ctx.table, degree)
+               if not e[0])
 
 
 def stated_image_generators(n: int, field):

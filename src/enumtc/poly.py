@@ -281,37 +281,31 @@ class Polynomial:
         return Polynomial(self.table, self.field, quot)
 
 
-class SpecializationMap:
-    """Variable images defining a ring homomorphism.
+def substitute(f: Polynomial, images: dict,
+               check_grading: bool = False) -> Polynomial:
+    """Apply to f the ring homomorphism given by variable images.
 
-    images maps every source variable name to a Polynomial in the target
-    ring; source coefficients enter the target ring unchanged.  With
-    check_grading set, each image must be zero or homogeneous of the
-    source variable's weight.
+    images maps every variable name of f to a Polynomial in the target
+    ring; coefficients of f enter the target ring unchanged.  With
+    check_grading set, each image must be zero or homogeneous of its
+    variable's weight.
     """
-
-    def __init__(self, images: dict, check_grading: bool = False):
-        self.images, self.check_grading = images, check_grading
-
-
-def substitute(f: Polynomial, smap: SpecializationMap) -> Polynomial:
-    """Apply the ring homomorphism defined by smap to f."""
-    missing = [n for n in f.table.names if n not in smap.images]
+    missing = [n for n in f.table.names if n not in images]
     if missing:
         raise IncompleteMap(f"no image for {', '.join(missing)}")
-    sample = next(iter(smap.images.values()))
+    sample = next(iter(images.values()))
     ttable, tfield = sample.table, sample.field
-    for name, img in smap.images.items():
+    for name, img in images.items():
         if img.table != ttable or img.field != tfield:
             raise InvalidInput("images live in different rings")
-        if smap.check_grading and img:
+        if check_grading and img:
             w = f.table.weights[f.table.index(name)]
             if not img.is_homogeneous() or img.weighted_degree() != w:
                 raise GradingViolation(
                     f"image of {name} is not homogeneous of weight {w}")
-    # powers[i][k - 1] is images[i] ** k, each built once from the last
-    images = [smap.images[name] for name in f.table.names]
-    powers = [[img] for img in images]
+    # powers[i][k - 1] is the i-th variable's image ** k, each built once
+    # from the last
+    powers = [[images[name]] for name in f.table.names]
     one = Polynomial.one(ttable, tfield)
     terms = {}
     for e, c in f.terms.items():
@@ -320,7 +314,7 @@ def substitute(f: Polynomial, smap: SpecializationMap) -> Polynomial:
             if k:
                 ps = powers[i]
                 while len(ps) < k:
-                    ps.append(ps[-1] * images[i])
+                    ps.append(ps[-1] * ps[0])
                 prod = ps[k - 1] if prod is one else prod * ps[k - 1]
         for te, tc in prod.terms.items():
             s = terms.get(te)
@@ -342,33 +336,29 @@ def elementary_symmetric(k: int, table: VariableTable, field) -> Polynomial:
     return Polynomial(table, field, terms)
 
 
-def monomials_of_weighted_degree(table: VariableTable, d: int,
-                                 use: tuple = None):
+def monomials_of_weighted_degree(table: VariableTable, d: int):
     """All exponent tuples of weighted degree exactly d, canonical order.
 
-    use restricts to a subset of variable indices (others stay zero).
-    The enumeration is cached per (table, d, use); each call returns a
-    new list.
+    The enumeration is cached per (table, d); each call returns a new
+    list.
     """
-    return list(_monomials(table, d, None if use is None else tuple(use)))
+    return list(_monomials(table, d))
 
 
 @lru_cache(maxsize=1024)
-def _monomials(table: VariableTable, d: int, use):
+def _monomials(table: VariableTable, d: int):
     n = len(table)
-    idxs = range(n) if use is None else use
     out = []
 
-    def rec(pos, remaining, current):
-        if pos == len(idxs):
+    def rec(i, remaining, current):
+        if i == n:
             if remaining == 0:
                 out.append(tuple(current))
             return
-        i = idxs[pos]
         w = table.weights[i]
         for e in range(remaining // w + 1):
             current[i] = e
-            rec(pos + 1, remaining - e * w, current)
+            rec(i + 1, remaining - e * w, current)
         current[i] = 0
 
     rec(0, d, [0] * n)

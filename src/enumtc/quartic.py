@@ -21,7 +21,6 @@ from .geometry import LineP2, PointP2, compose_with_matrix, orbit
 from .koszul import GradedSequence, is_regular_maximal
 from .poly import (
     Polynomial,
-    SpecializationMap,
     hessian_det,
     make_table,
     substitute,
@@ -270,7 +269,7 @@ def _contact_gcd(F: Polynomial, line, check: str):
             break
     else:
         raise CheckFailed(f"{check}: F vanishes on the line")
-    f = substitute(F, SpecializationMap({
+    f = substitute(F, {
         name: Polynomial(_LINE_TABLE, F.field, {(0,): p[m], (1,): q[m]})
-        for m, name in enumerate(F.table.names)}))
+        for m, name in enumerate(F.table.names)})
     return univariate_gcd(f, f.partial("t"), "t"), p, q

@@ -24,7 +24,6 @@ from .linalg import rank_mod_p
 from .nabla import stated_image_generators
 from .poly import (
     Polynomial,
-    SpecializationMap,
     elementary_symmetric,
     make_table,
     substitute,
@@ -36,13 +35,12 @@ def tau_table(n: int):
     return make_table(tuple(f"tau{j}" for j in range(1, n + 1)), (2,) * n)
 
 
-def chern_to_tau_map(n: int, p: int) -> SpecializationMap:
+def chern_to_tau_map(n: int, p: int) -> dict:
     """c_i -> i-th elementary symmetric polynomial in tau_1..tau_n, mod p."""
     Fp = PrimeField(p)
     tau = tau_table(n)
-    images = {f"c{i}": elementary_symmetric(i, tau, Fp)
-              for i in range(1, n + 1)}
-    return SpecializationMap(images, check_grading=True)
+    return {f"c{i}": elementary_symmetric(i, tau, Fp)
+            for i in range(1, n + 1)}
 
 
 class SubgroupDatum(Frozen):
@@ -85,7 +83,7 @@ class SubgroupDatum(Frozen):
                             for j in range(n)) for i in range(n))
                 for row in self.grid]
 
-    def tau_map(self) -> SpecializationMap:
+    def tau_map(self) -> dict:
         """tau_j -> sum_i grid[i][j] xi_i over F_p for odd p, and the
         square of sum_i grid[i][j] u_i for p = 2, whose degree-1 classes
         are named u, v, w, ..."""
@@ -99,7 +97,7 @@ class SubgroupDatum(Frozen):
             form = sum((x * row[j] for x, row in zip(xs, self.grid)),
                        Polynomial.zero(target, Fp))
             images[f"tau{j + 1}"] = form * form if self.p == 2 else form
-        return SpecializationMap(images, check_grading=True)
+        return images
 
 
 def k_datum() -> SubgroupDatum:
@@ -118,7 +116,8 @@ def phi_star_generators(datum: SubgroupDatum):
 
     Composite: generator in c_1..c_n -> sigma_i(tau) -> the datum's tau
     specialization, everything reduced mod p throughout (the maps are
-    defined over the integers, so early reduction is harmless).
+    defined over the integers, so early reduction is harmless).  Both
+    maps are checked to respect the grading.
     """
     if datum.n % datum.p == 0:
         raise InvalidInput(f"p={datum.p} divides n={datum.n}")
@@ -126,4 +125,5 @@ def phi_star_generators(datum: SubgroupDatum):
     _, gens = stated_image_generators(datum.n, Fp)
     c_to_sigma = chern_to_tau_map(datum.n, datum.p)
     tau_map = datum.tau_map()
-    return [substitute(substitute(g, c_to_sigma), tau_map) for g in gens]
+    return [substitute(substitute(g, c_to_sigma, check_grading=True),
+                       tau_map, check_grading=True) for g in gens]

@@ -37,7 +37,6 @@ from enumtc.nabla import make_context, nabla, stated_image_generators, \
 from enumtc.numroots import chordal_distance
 from enumtc.poly import (
     Polynomial,
-    SpecializationMap,
     hessian_det,
     make_table,
     resultant,
@@ -153,10 +152,8 @@ def test_criterion_04_em_poincare_pu4k():
 
 
 def test_criterion_05_genus_and_tc_assembly():
-    g_line = genus_bounds(em_poincare(is_regular_maximal(seq_k()), 3), 15,
-                          True)
-    g_quartic = genus_bounds(em_poincare(is_regular_maximal(seq_h()), 0), 8,
-                             True)
+    g_line = genus_bounds(em_poincare(is_regular_maximal(seq_k()), 3), 15)
+    g_quartic = genus_bounds(em_poincare(is_regular_maximal(seq_h()), 0), 8)
     tc = (tc_lower(g_line[0]), tc_lower(g_quartic[0]),
           tc_lower(g_quartic[0]))
     ok = g_line == (16, 16) and g_quartic == (9, 9) and tc == (15, 8, 8)
@@ -184,7 +181,7 @@ def test_criterion_06_nabla_generators():
 def test_criterion_07_fermat_lines_and_witness():
     t0 = perf_counter()
     lines = fermat_lines()
-    cubic = fermat_cubic(cyclotomic_field(3))
+    cubic = fermat_cubic()
     exact = (len(lines) == 27
              and len({ln.coords for ln in lines}) == 27
              and all(line_on_surface(ln, cubic) for ln in lines))
@@ -320,12 +317,12 @@ def test_criterion_11_property_suites():
     uv = make_table(("u", "v"))
     u = Polynomial.variable("u", uv, QQ)
     v = Polynomial.variable("v", uv, QQ)
-    smap = SpecializationMap({"x": u + v, "y": u * v, "z": u - v})
+    images = {"x": u + v, "y": u * v, "z": u - v}
     for _ in range(100):
         f = _random_poly(rng, xyz, QQ, 3, 4, (-4, 5))
         g = _random_poly(rng, xyz, QQ, 3, 4, (-4, 5))
-        assert substitute(f * g, smap) == \
-            substitute(f, smap) * substitute(g, smap)
+        assert substitute(f * g, images) == \
+            substitute(f, images) * substitute(g, images)
 
     # resultant vanishes exactly when the gcd is nonconstant
     tx = make_table(("x",))

@@ -26,15 +26,14 @@ def test_genus_bounds_windows():
     pu4k = HilbertSeries([1, 3, 7, 13, 20, 26, 29, 29, 26, 20, 13, 7, 3, 1])
     # exact series not needed for the arithmetic: only the top degree
     series15 = HilbertSeries([1] * 16)
-    assert genus_bounds(series15, 15, True) == (16, 16)
+    assert genus_bounds(series15, 15) == (16, 16)
     series8 = HilbertSeries([1, 2, 3, 4, 4, 4, 3, 2, 1])
-    assert genus_bounds(series8, 8, True) == (9, 9)
-    assert genus_bounds(series8, 8, False) == (1, 9)
-    assert genus_bounds(pu4k, 20, False) == (1, 21)
+    assert genus_bounds(series8, 8) == (9, 9)
+    assert genus_bounds(pu4k, 13) == (14, 14)
     with pytest.raises(InconsistentEvidence):
-        genus_bounds(series8, 10, True)
+        genus_bounds(series8, 10)
     with pytest.raises(InvalidInput):
-        genus_bounds(series8, -1, True)
+        genus_bounds(series8, -1)
 
 
 def test_tc_lower_values():

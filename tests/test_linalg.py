@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from enumtc.errors import InvalidField, InvalidInput
+from enumtc.errors import InvalidInput
 from enumtc.fields import QQ, PrimeField, cyclotomic_field, field_inverse
-from enumtc.linalg import Matrix, int_entry, rank_int, rank_mod_p, rank_over
+from enumtc.linalg import Matrix, rank_int, rank_mod_p
 
 
 def qmat(rows):
@@ -263,29 +263,6 @@ def test_zero_matrix_rank():
     M = Matrix(3, 4, [Fraction(0)] * 12, QQ)
     assert M.rank() == 0
     assert len(M.kernel_basis()) == 4
-
-
-def test_rank_over_picks_the_kernel_of_its_field():
-    rng = random.Random(41)
-    Q3 = cyclotomic_field(3)
-    for field in (QQ, PrimeField(2), PrimeField(5)):
-        for _ in range(30):
-            rows = [[field.from_int(rng.randrange(-3, 4)) for _ in range(4)]
-                    for _ in range(rng.randrange(4))]
-            if field == QQ and rows:
-                rows[0][0] = Fraction(rng.randrange(1, 9), 3)
-            ints = [[int_entry(field, c) for c in row] for row in rows]
-            for row, int_row in zip(rows, ints):
-                assert [field.from_int(e) if isinstance(e, int) else e
-                        for e in int_row] == row
-            assert rank_over(field, ints) == \
-                Matrix.from_rows(rows, field, cols=4).rank()
-    assert int_entry(QQ, Fraction(6, 3)) == 2
-    assert type(int_entry(QQ, Fraction(6, 3))) is int
-    with pytest.raises(InvalidField):
-        int_entry(Q3, Q3.gen())
-    with pytest.raises(InvalidField):
-        rank_over(Q3, [[1, 0], [0, 1]])
 
 
 def test_kernel_of_identity_empty():
