@@ -5,9 +5,10 @@ statement, a dependency list, and a compute function.  The compute
 function receives the run's Config and the values its declared
 dependencies returned, and returns a status, structured evidence, and a
 value for the claims that depend on it: the subgroup datum with its
-sequence and regularity certificate, the Poincare series, the genus,
-the lines, the exact flexes (with the classical Klein quartic, its
-checked generators and P) and the bitangents.
+regularity certificate (which holds the Koszul complex that the Poincare
+series, the Tor check and the permutations read), the Poincare series,
+the genus, the lines, the exact flexes (with the classical Klein
+quartic, its checked generators and P) and the bitangents.
 Literature nodes carry no computation: they record the cited facts the
 computational claims plug into, and they are never folded into
 "verified".
@@ -28,9 +29,8 @@ from .geometry import (NUMERIC_TOL, LineP2, PointP2, common_fixed_check,
                        compose_with_matrix, fermat_cubic, fermat_lines,
                        images, line_on_surface, make_group_action,
                        proportionality, verify_projective_equivalence)
-from .koszul import (GradedSequence, HilbertSeries, em_poincare,
-                     is_regular_maximal, permuted_regularity,
-                     tor_concentration_check)
+from .koszul import (KoszulComplex, em_poincare, is_regular_maximal,
+                     permuted_regularity, tor_concentration_check)
 from .nabla import stated_image_generators, verify_generators
 from .quartic import (KLEIN_BITANGENT, KLEIN_FLEX, classical_klein_quartic,
                       exact_bitangents, exact_flex_tangents, exact_flexes,
@@ -114,9 +114,15 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # genus and branching arithmetic
 
-def genus_bounds(poincare: HilbertSeries, manifold_dim: int):
-    """Sectional-category window from a quotient Poincare series, under
-    the certified surjectivity hypothesis.
+def _top_degree(series: list) -> int:
+    """Highest degree with a nonzero coefficient; -1 for the zero series."""
+    return max((d for d, c in enumerate(series) if c), default=-1)
+
+
+def genus_bounds(poincare: list, manifold_dim: int):
+    """Sectional-category window from a quotient Poincare series (its
+    coefficients h_0, h_1, ...), under the certified surjectivity
+    hypothesis.
 
     The upper bound is always manifold_dim + 1.  The nonvanishing top
     class pushes the lower bound to (top nonzero degree) + 1, which must
@@ -126,7 +132,7 @@ def genus_bounds(poincare: HilbertSeries, manifold_dim: int):
     if manifold_dim < 0:
         raise InvalidInput("manifold_dim must be >= 0")
     upper = manifold_dim + 1
-    top = poincare.top_degree()
+    top = _top_degree(poincare)
     if top != manifold_dim:
         raise InconsistentEvidence(
             f"top nonzero degree {top} differs from manifold dimension "
@@ -163,52 +169,53 @@ def _run_nabla_generators(n: int, config: Config):
 
 def _run_regseq(datum_fn):
     """Certify the restricted sequence; the Poincare series reads the
-    exterior count and certificate from the value (datum, seq, cert)."""
+    exterior count and certificate from the value (datum, cert)."""
     datum = datum_fn()
-    seq = GradedSequence(tuple(phi_star_generators(datum)))
-    cert = is_regular_maximal(seq)
+    cert = is_regular_maximal(KoszulComplex(phi_star_generators(datum)))
     # the tau map is derived from the datum's grid, so it agrees by
     # construction; the key stays for the report's stable shape
     evidence = {"subgroup": datum.name, "p": datum.p,
                 "tau_map_consistent": True,
                 "certificate": cert.to_json()}
     return ("verified" if cert.verdict == "Regular" else "failed"), \
-        evidence, (datum, seq, cert)
+        evidence, (datum, cert)
 
 
-def _run_regseq_permutations(seq_k, seq_h):
-    rows_k = permuted_regularity(seq_k)
-    rows_h = permuted_regularity(seq_h)
+def _run_regseq_permutations(cert_k, cert_h):
+    rows_k = permuted_regularity(cert_k.complex)
+    rows_h = permuted_regularity(cert_h.complex)
     ok = all(r["verdict"] == "Regular" for r in rows_k + rows_h)
     evidence = {"pu4k": rows_k, "pu3h": rows_h}
     return ("verified" if ok else "failed"), evidence, None
 
 
-def _run_em_poincare_pu4k(datum, seq, cert):
+def _run_em_poincare_pu4k(datum, cert):
     series = em_poincare(cert, datum.exterior_count)
-    ok = series.top_degree() == 15 and series.total() == 192
-    evidence = {"coefficients": series.coeffs,
-                "top_degree": series.top_degree(),
-                "total": series.total(),
-                "palindromic": series.is_palindromic(),
+    top, total = _top_degree(series), sum(series)
+    ok = top == 15 and total == 192
+    evidence = {"coefficients": series, "top_degree": top, "total": total,
+                "palindromic": series == series[::-1],
                 "exterior_count": datum.exterior_count}
     return ("verified" if ok else "failed"), evidence, series
 
 
-def _run_em_poincare_pu3h(datum, seq, cert):
+def _run_em_poincare_pu3h(datum, cert):
     series = em_poincare(cert, datum.exterior_count)
     expected = [1, 2, 3, 4, 4, 4, 3, 2, 1]
-    ok = series.coeffs == expected
-    evidence = {"coefficients": series.coeffs, "expected": expected,
-                "top_degree": series.top_degree(), "total": series.total(),
+    ok = series == expected
+    evidence = {"coefficients": series, "expected": expected,
+                "top_degree": _top_degree(series), "total": sum(series),
                 "exterior_count": datum.exterior_count}
     return ("verified" if ok else "failed"), evidence, series
 
 
-def _run_tor_concentration(seq_k, seq_h, config: Config):
-    # window covers the full quotient range plus headroom per case
-    rep_k = tor_concentration_check(seq_k, max(config.max_degree, 20))
-    rep_h = tor_concentration_check(seq_h, max(config.max_degree, 14))
+def _run_tor_concentration(cert_k, cert_h, config: Config):
+    # window covers the full quotient range plus headroom per case; the
+    # complexes carry the ranks em-poincare and regseq already took
+    rep_k = tor_concentration_check(cert_k.complex,
+                                    max(config.max_degree, 20))
+    rep_h = tor_concentration_check(cert_h.complex,
+                                    max(config.max_degree, 14))
     ok = rep_k["ok"] and rep_h["ok"]
     return ("verified" if ok else "failed"), \
         {"pu4k": rep_k, "pu3h": rep_h}, None

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import CheckFailed, InvalidField, InvalidInput, NotInvariant
 from .fields import NumberFieldElement, PrimeField, cyclotomic_field
 from .geometry import LineP2, PointP2, compose_with_matrix, orbit
-from .koszul import GradedSequence, is_regular_maximal
+from .koszul import KoszulComplex, is_regular_maximal
 from .poly import (
     Polynomial,
     hessian_det,
@@ -147,10 +147,10 @@ def smoothness_certificate(F: Polynomial):
                                f"rational with denominator prime to {p}")
         return fp.from_int(c.numerator * pow(c.denominator, -1, p))
 
-    return is_regular_maximal(GradedSequence(tuple(
+    return is_regular_maximal(KoszulComplex(
         Polynomial(F.table, fp, {e: residue(c) for e, c in
                                  F.partial(name).terms.items()})
-        for name in F.table.names)))
+        for name in F.table.names))
 
 
 def exact_flexes(F: Polynomial, seed, generators):

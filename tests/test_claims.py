@@ -17,19 +17,23 @@ from enumtc.fields import NumberFieldElement, cyclotomic_field
 from enumtc.fields import PRIMALITY_BOUND
 from enumtc.geometry import (common_fixed_check, fermat_lines,
                              make_group_action)
-from enumtc.koszul import HilbertSeries, is_regular_maximal
+from enumtc.koszul import KoszulComplex, is_regular_maximal
 from enumtc.linalg import Matrix
 from enumtc.restriction import SubgroupDatum, k_datum
 
 
 def test_genus_bounds_windows():
-    pu4k = HilbertSeries([1, 3, 7, 13, 20, 26, 29, 29, 26, 20, 13, 7, 3, 1])
+    pu4k = [1, 3, 7, 13, 20, 26, 29, 29, 26, 20, 13, 7, 3, 1]
     # exact series not needed for the arithmetic: only the top degree
-    series15 = HilbertSeries([1] * 16)
+    series15 = [1] * 16
     assert genus_bounds(series15, 15) == (16, 16)
-    series8 = HilbertSeries([1, 2, 3, 4, 4, 4, 3, 2, 1])
+    series8 = [1, 2, 3, 4, 4, 4, 3, 2, 1]
     assert genus_bounds(series8, 8) == (9, 9)
     assert genus_bounds(pu4k, 13) == (14, 14)
+    # the top degree is the last nonzero coefficient
+    assert genus_bounds(series8 + [0, 0], 8) == (9, 9)
+    with pytest.raises(InconsistentEvidence):
+        genus_bounds(series8 + [0, 0], 10)
     with pytest.raises(InconsistentEvidence):
         genus_bounds(series8, 10)
     with pytest.raises(InvalidInput):
@@ -235,17 +239,39 @@ def test_dependencies_results_are_reused(monkeypatch):
 
 
 def test_em_poincare_reads_the_regseq_certificate(monkeypatch):
-    certified = []
+    certified, built, ranked = [], [], []
+    build, boundary = KoszulComplex.__init__, KoszulComplex.boundary_matrix
 
-    def counted(seq):
-        certified.append(seq)
-        return is_regular_maximal(seq)
+    def counted(K):
+        certified.append(K)
+        return is_regular_maximal(K)
+
+    def counted_build(self, elements):
+        built.append(self)
+        build(self, elements)
+
+    def counted_boundary(self, i, t):
+        ranked.append((id(self), i, t))
+        return boundary(self, i, t)
 
     monkeypatch.setattr(claims, "is_regular_maximal", counted)
     monkeypatch.setattr(koszul, "is_regular_maximal", counted)
-    report = run_claims(["em-poincare-pu4k", "em-poincare-pu3h"])
+    monkeypatch.setattr(KoszulComplex, "__init__", counted_build)
+    monkeypatch.setattr(KoszulComplex, "boundary_matrix", counted_boundary)
+    ranks = []
+    rank_mod_p = koszul.rank_mod_p
+    monkeypatch.setattr(koszul, "rank_mod_p",
+                        lambda rows, p: ranks.append(p) or rank_mod_p(rows, p))
+    report = run_claims(["em-poincare-pu4k", "em-poincare-pu3h",
+                         "tor-concentration"])
     assert report.ok()
     assert len(certified) == 2
+    # one complex per restricted sequence: the Poincare series and the
+    # Tor check read the complex the regseq certificate holds, and no
+    # (complex, i, t) is ranked twice
+    assert built == certified
+    assert len(ranked) == len(set(ranked)) == len(ranks) > 0
+    assert {key for key, _, _ in ranked} == {id(K) for K in built}
 
 
 def test_k_faithful_verdict_matches_common_fixed_check():

@@ -253,7 +253,7 @@ def test_klein_smoothness_certificate_mod_29():
     assert cert.verdict == "Regular"
     assert cert.checked_degrees == [7]
     assert cert.ranks == [{"degree": 7, "rank": 36, "stratum_dim": 36}]
-    assert cert.elements[0].field.p == 29
+    assert cert.complex.p == 29
     # the alpha model's coefficient 3a is not rational; P carries the
     # classical model's smoothness to it instead
     with pytest.raises(InvalidField, match="is not a rational"):

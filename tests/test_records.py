@@ -11,23 +11,20 @@ from enumtc.claims import ClaimRecord, Config
 from enumtc.errors import InvalidInput
 from enumtc.fields import PrimeField, QQ, cyclotomic_field
 from enumtc.geometry import LineP2, PointP2
-from enumtc.koszul import GradedSequence, HilbertSeries
 from enumtc.nabla import make_context
-from enumtc.poly import Polynomial, make_table
+from enumtc.poly import make_table
 from enumtc.restriction import SubgroupDatum, h_datum, k_datum
 
 
 def _frozen_records():
     """One instance of every immutable record class, with a field name."""
     F = cyclotomic_field(7)
-    c1 = Polynomial(make_table(("c1", "c2"), (2, 4)), QQ, {(1, 0): 1})
     return [
         (Config(), "prime"),
         (claims._REGISTRY["lit-smale-reduction"], "statement"),
         (PrimeField(5).from_int(3), "residue"),
         (F.gen(), "num"),
         (PointP2.from_coords((F.one(), F.zero(), F.one())), "coords"),
-        (GradedSequence((c1,)), "elements"),
         (make_table(("x", "y")), "names"),
         (make_context(3, QQ), "n"),
         (k_datum(), "grid"),
@@ -112,17 +109,6 @@ def test_claim_records_built_without_defaults_share_nothing():
     assert second.dependencies == [] and second.evidence == {}
     first.status = "failed"   # a record stays mutable
     assert first.status == "failed"
-
-
-def test_hilbert_series_trims_trailing_zeros_into_its_own_list():
-    coeffs = (1, 2, 1, 0, 0)
-    series = HilbertSeries(coeffs)
-    assert series.coeffs == [1, 2, 1]
-    assert series.top_degree() == 2
-    assert HilbertSeries([0, 0]).coeffs == []
-    listed = [1, 0]
-    HilbertSeries(listed)
-    assert listed == [1, 0]
 
 
 def test_constructors_still_check_their_input():
