@@ -1,17 +1,18 @@
 """Claim registry, genus arithmetic, and the verification runner.
 
 Every independently checkable statement gets a stable id, a prose
-statement, a dependency list, and a compute function.  The compute
-function receives the run's Config and the values its declared
-dependencies returned, and returns a status, structured evidence, and a
+statement, a dependency list, a compute function and a target.  The
+compute function receives the run's Config and the values its declared
+dependencies returned, and returns a result, structured evidence, and a
 value for the claims that depend on it: the subgroup datum with its
 regularity certificate (which holds the Koszul complex that the Poincare
-series, the Tor check and the permutations read), the Poincare series,
-the genus, the lines, the exact flexes (with the classical Klein
-quartic, its checked generators and P) and the bitangents.
-Literature nodes carry no computation: they record the cited facts the
-computational claims plug into, and they are never folded into
-"verified".
+series, the Tor check and the permutations read), the Poincare series, the
+genus, the lines, the exact flexes (with the classical Klein quartic, its
+checked generators and P) and the bitangents.  The runner alone sets a
+status, verified exactly when the result equals the target; a number the
+statement quotes is formatted from the target.  Literature nodes carry no
+computation: they record the cited facts the computational claims plug
+into, and they are never folded into "verified".
 
 run_claims executes a requested id set together with its transitive
 dependencies, one claim at a time in dependency order, propagates
@@ -39,6 +40,7 @@ from .quartic import (KLEIN_BITANGENT, KLEIN_FLEX, classical_klein_quartic,
 from .restriction import h_datum, k_datum, phi_star_generators
 
 OK_STATUSES = ("verified", "assumed-from-literature")
+_PU3H_SERIES = (1, 2, 3, 4, 4, 4, 3, 2, 1)  # em-poincare-pu3h's target
 
 
 class Config(Frozen):
@@ -164,7 +166,7 @@ def _run_nabla_generators(n: int, config: Config):
                                _cross_check_primes(n, config))
     evidence = {"n": n, "max_degree": config.max_degree,
                 "integer_coefficients": True, "fields": tables}
-    return "verified", evidence, None
+    return True, evidence, None
 
 
 def _run_regseq(datum_fn):
@@ -177,8 +179,7 @@ def _run_regseq(datum_fn):
     evidence = {"subgroup": datum.name, "p": datum.p,
                 "tau_map_consistent": True,
                 "certificate": cert.to_json()}
-    return ("verified" if cert.verdict == "Regular" else "failed"), \
-        evidence, (datum, cert)
+    return cert.verdict, evidence, (datum, cert)
 
 
 def _run_regseq_permutations(cert_k, cert_h):
@@ -186,27 +187,24 @@ def _run_regseq_permutations(cert_k, cert_h):
     rows_h = permuted_regularity(cert_h.complex)
     ok = all(r["verdict"] == "Regular" for r in rows_k + rows_h)
     evidence = {"pu4k": rows_k, "pu3h": rows_h}
-    return ("verified" if ok else "failed"), evidence, None
+    return ok, evidence, None
 
 
 def _run_em_poincare_pu4k(datum, cert):
     series = em_poincare(cert, datum.exterior_count)
     top, total = _top_degree(series), sum(series)
-    ok = top == 15 and total == 192
     evidence = {"coefficients": series, "top_degree": top, "total": total,
                 "palindromic": series == series[::-1],
                 "exterior_count": datum.exterior_count}
-    return ("verified" if ok else "failed"), evidence, series
+    return (top, total), evidence, series
 
 
 def _run_em_poincare_pu3h(datum, cert):
     series = em_poincare(cert, datum.exterior_count)
-    expected = [1, 2, 3, 4, 4, 4, 3, 2, 1]
-    ok = series == expected
-    evidence = {"coefficients": series, "expected": expected,
+    evidence = {"coefficients": series, "expected": _PU3H_SERIES,
                 "top_degree": _top_degree(series), "total": sum(series),
                 "exterior_count": datum.exterior_count}
-    return ("verified" if ok else "failed"), evidence, series
+    return tuple(series), evidence, series
 
 
 def _run_tor_concentration(cert_k, cert_h, config: Config):
@@ -217,8 +215,7 @@ def _run_tor_concentration(cert_k, cert_h, config: Config):
     rep_h = tor_concentration_check(cert_h.complex,
                                     max(config.max_degree, 14))
     ok = rep_k["ok"] and rep_h["ok"]
-    return ("verified" if ok else "failed"), \
-        {"pu4k": rep_k, "pu3h": rep_h}, None
+    return ok, {"pu4k": rep_k, "pu3h": rep_h}, None
 
 
 def _run_fermat_lines():
@@ -226,10 +223,10 @@ def _run_fermat_lines():
     cubic = fermat_cubic()
     on_surface = all(line_on_surface(ln, cubic) for ln in lines)
     distinct = len({ln.coords for ln in lines}) == len(lines)
-    ok = len(lines) == 27 and on_surface and distinct
     evidence = {"count": len(lines), "all_on_surface": on_surface,
                 "pairwise_distinct": distinct, "exact": True}
-    return ("verified" if ok else "failed"), evidence, lines
+    # the count stands only for distinct lines that lie on the surface
+    return (len(lines) if on_surface and distinct else None), evidence, lines
 
 
 def _run_k_faithful(lines):
@@ -247,7 +244,7 @@ def _run_k_faithful(lines):
                 "moved_per_element": moved,
                 "elements_moving_each_line": sorted(set(moved_by)),
                 "max_elements_moving_one_line": max(moved_by)}
-    return ("verified" if all(moved) else "failed"), evidence, None
+    return all(moved), evidence, None
 
 
 def _run_klein_flexes():
@@ -264,8 +261,8 @@ def _run_klein_flexes():
     # 24 distinct points exhaust the Bezout number 24, so each is simple
     evidence = {"count": len(flexes), "multiplicities": [1],
                 "max_residual": 0.0}
-    return "verified", evidence, {"classical": C, "generators": generators,
-                                  "matrix": P, "flexes": flexes}
+    return True, evidence, {"classical": C, "generators": generators,
+                            "matrix": P, "flexes": flexes}
 
 
 def _run_klein_bitangents(klein):
@@ -281,17 +278,17 @@ def _run_klein_bitangents(klein):
                 "tangencies_matching_flexes": len(tangents),
                 "worst_flex_match_distance": 0.0,
                 "coordinate_change": None}
-    return "verified", evidence, bits
+    return True, evidence, bits
 
 
-def _run_h_free(objects, count):
+def _run_h_free(kind, coords):
     # H's sign matrices are rational; they act on the Q(zeta_7) objects
+    objects = [kind.from_coords(v) for v in coords]
     datum = h_datum()
     check = common_fixed_check(
         make_group_action(datum.generator_matrices(), datum.p, objects))
-    ok = (check["verdict"] == "PASS" and check["has_free_orbit"]
-          and len(objects) == count)
-    return ("verified" if ok else "failed"), \
+    ok = check["verdict"] == "PASS" and check["has_free_orbit"]
+    return (len(objects) if ok else None), \
         {"objects": len(objects), **check}, None
 
 
@@ -345,44 +342,42 @@ def _run_klein_equivalence():
                 "min_max_abs_deviation": best,
                 "verdict": "no interpretation yields a projective "
                            "equivalence" if not exact_hits else "equivalent"}
-    return ("verified" if exact_hits else "failed"), evidence, None
+    return bool(exact_hits), evidence, None
 
 
-def _run_genus(series, manifold_dim: int, expected: int):
+def _run_genus(series, manifold_dim: int):
     """Genus window of a certified quotient series; the genus is the value."""
     lo, hi = genus_bounds(series, manifold_dim)
-    ok = lo == hi == expected
     evidence = {"manifold_dim": manifold_dim, "lower": lo, "upper": hi,
                 "genus": lo}
-    return ("verified" if ok else "failed"), evidence, lo
+    return (lo, hi), evidence, lo
 
 
-def _run_thm_sg(genus: int, sheets: int, expected: int):
+def _run_thm_sg(genus: int, sheets: int):
     """A subgroup genus bounds the solution cover's genus from below."""
     evidence = {"sheets": sheets, "genus_lower_bound": genus}
-    return ("verified" if genus == expected else "failed"), evidence, genus
+    return genus, evidence, genus
 
 
 def _run_thm_tc_all(genus_line: int, genus_btg: int, genus_flex: int):
     bounds = {"lines": tc_lower(genus_line),
               "bitangents": tc_lower(genus_btg),
               "flexes": tc_lower(genus_flex)}
-    ok = bounds == {"lines": 15, "bitangents": 8, "flexes": 8}
-    return ("verified" if ok else "failed"), \
-        {"tc_lower_bounds": bounds}, None
+    return bounds, {"tc_lower_bounds": bounds}, None
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 class _Claim(Frozen):
-    # run(config, deps) -> (status, evidence, value); deps maps each
-    # declared dependency to its value (None for literature nodes)
-    _fields = ("statement", "dependencies", "run", "paper_ref")
+    # run(config, deps) -> (result, evidence, value), verified if result ==
+    # target; deps maps declared dependencies to values (None for literature)
+    _fields = ("statement", "dependencies", "run", "paper_ref", "target")
 
     def __init__(self, statement: str, dependencies: tuple = (), run=None,
-                 paper_ref=None):
-        self._set(statement, dependencies, run, paper_ref)
+                 paper_ref=None, target=True):
+        self._set(statement.format(t=target), dependencies, run, paper_ref,
+                  target)
 
     @property
     def literature(self) -> bool:
@@ -408,11 +403,13 @@ _REGISTRY = {
         "The three restricted generator images over F_3 form a regular "
         "sequence, certified by full Macaulay ranks across the Artinian "
         "window.",
-        ("nabla-generators-n4",), lambda c, d: _run_regseq(k_datum)),
+        ("nabla-generators-n4",), lambda c, d: _run_regseq(k_datum),
+        target="Regular"),
     "regseq-pu3h": _Claim(
         "The two restricted generator images over F_2 form a regular "
         "sequence, certified by a full Macaulay rank at the window degree.",
-        ("nabla-generators-n3",), lambda c, d: _run_regseq(h_datum)),
+        ("nabla-generators-n3",), lambda c, d: _run_regseq(h_datum),
+        target="Regular"),
     "regseq-permutations": _Claim(
         "Every ordering of each restricted sequence re-certifies regular.",
         ("regseq-pu4k", "regseq-pu3h"),
@@ -420,14 +417,16 @@ _REGISTRY = {
                                               d["regseq-pu3h"][1])),
     "em-poincare-pu4k": _Claim(
         "The quotient Poincare series for the rank-3 diagonal restriction, "
-        "times (1+t)^3, has top degree 15 and total dimension 192.",
+        "times (1+t)^3, has top degree {t[0]} and total dimension {t[1]}.",
         ("regseq-pu4k",),
-        lambda c, d: _run_em_poincare_pu4k(*d["regseq-pu4k"])),
+        lambda c, d: _run_em_poincare_pu4k(*d["regseq-pu4k"]),
+        target=(15, 192)),
     "em-poincare-pu3h": _Claim(
         "The quotient Poincare series for the rank-2 diagonal restriction "
-        "is (1, 2, 3, 4, 4, 4, 3, 2, 1).",
+        "is {t}.",
         ("regseq-pu3h",),
-        lambda c, d: _run_em_poincare_pu3h(*d["regseq-pu3h"])),
+        lambda c, d: _run_em_poincare_pu3h(*d["regseq-pu3h"]),
+        target=_PU3H_SERIES),
     "tor-concentration": _Claim(
         "Higher Koszul homology of both restricted sequences vanishes in "
         "all internal degrees through the checked window.",
@@ -435,9 +434,9 @@ _REGISTRY = {
         lambda c, d: _run_tor_concentration(d["regseq-pu4k"][1],
                                             d["regseq-pu3h"][1], c)),
     "fermat-lines": _Claim(
-        "Exactly 27 pairwise distinct lines lie on the Fermat cubic "
+        "Exactly {t} pairwise distinct lines lie on the Fermat cubic "
         "surface, exact over Q(zeta_3).",
-        (), lambda c, d: _run_fermat_lines()),
+        (), lambda c, d: _run_fermat_lines(), target=27),
     "k-faithful": _Claim(
         "The order-27 diagonal group permutes the 27 lines faithfully: "
         "every nontrivial element moves at least one line.",
@@ -458,58 +457,59 @@ _REGISTRY = {
         "onto the classical model x^3 y + y^3 z + z^3 x up to scale.",
         (), lambda c, d: _run_klein_equivalence()),
     "h-free-on-flexes": _Claim(
-        "The sign-change four-group permutes the 24 flexes with a free "
+        "The sign-change four-group permutes the {t} flexes with a free "
         "orbit, and every nontrivial element moves at least one flex.",
         ("klein-flexes",),
-        lambda c, d: _run_h_free(
-            [PointP2.from_coords(p) for p in d["klein-flexes"]["flexes"]],
-            24)),
+        lambda c, d: _run_h_free(PointP2, d["klein-flexes"]["flexes"]),
+        target=24),
     "h-free-on-bitangents": _Claim(
-        "The sign-change four-group permutes the 28 bitangents with a free "
+        "The sign-change four-group permutes the {t} bitangents with a free "
         "orbit, and every nontrivial element moves at least one bitangent.",
         ("klein-bitangents",),
-        lambda c, d: _run_h_free(
-            [LineP2.from_coords(v) for v in d["klein-bitangents"]], 28)),
+        lambda c, d: _run_h_free(LineP2, d["klein-bitangents"]),
+        target=28),
     "genus-pu4k": _Claim(
         "The bundle of the rank-3 diagonal subgroup quotient has genus "
-        "exactly 16: lower bound from the top nonvanishing class, upper "
+        "exactly {t[0]}: lower bound from the top nonvanishing class, upper "
         "bound from the 15-manifold dimension.",
         ("em-poincare-pu4k", "regseq-pu4k", "lit-quotient-collapse",
          "lit-homological-genus", "lit-coho-dim"),
-        lambda c, d: _run_genus(d["em-poincare-pu4k"], 15, 16)),
+        lambda c, d: _run_genus(d["em-poincare-pu4k"], 15), target=(16, 16)),
     "genus-pu3h": _Claim(
         "The bundle of the rank-2 diagonal subgroup quotient has genus "
-        "exactly 9: lower bound from the top nonvanishing class, upper "
+        "exactly {t[0]}: lower bound from the top nonvanishing class, upper "
         "bound from the 8-manifold dimension.",
         ("em-poincare-pu3h", "regseq-pu3h", "lit-quotient-collapse",
          "lit-homological-genus", "lit-coho-dim"),
-        lambda c, d: _run_genus(d["em-poincare-pu3h"], 8, 9)),
+        lambda c, d: _run_genus(d["em-poincare-pu3h"], 8), target=(9, 9)),
     "thm-sg-line": _Claim(
         "The 27-sheeted cover of smooth cubic surface problems has genus "
-        "at least 16.",
+        "at least {t}.",
         ("genus-pu4k", "fermat-lines", "k-faithful", "lit-pullback-genus",
          "lit-disconnected-covers"),
-        lambda c, d: _run_thm_sg(d["genus-pu4k"], 27, 16)),
+        lambda c, d: _run_thm_sg(d["genus-pu4k"], 27), target=16),
     "thm-sg-btg": _Claim(
         "The 28-sheeted cover of smooth quartic bitangent problems has "
-        "genus at least 9.",
+        "genus at least {t}.",
         ("genus-pu3h", "klein-bitangents", "h-free-on-bitangents",
          "lit-pullback-genus", "lit-disconnected-covers",
          "lit-harris-monodromy"),
-        lambda c, d: _run_thm_sg(d["genus-pu3h"], 28, 9)),
+        lambda c, d: _run_thm_sg(d["genus-pu3h"], 28), target=9),
     "thm-sg-flex": _Claim(
         "The 24-sheeted cover of smooth quartic flex problems has genus "
-        "at least 9.",
+        "at least {t}.",
         ("genus-pu3h", "klein-flexes", "h-free-on-flexes",
          "lit-pullback-genus", "lit-disconnected-covers",
          "lit-harris-monodromy"),
-        lambda c, d: _run_thm_sg(d["genus-pu3h"], 24, 9)),
+        lambda c, d: _run_thm_sg(d["genus-pu3h"], 24), target=9),
     "thm-tc-all": _Claim(
         "Any algorithm tree solving the three enumeration problems needs "
-        "at least 15, 8, and 8 branching nodes respectively.",
+        "at least {t[lines]}, {t[bitangents]}, and {t[flexes]} branching "
+        "nodes respectively.",
         ("thm-sg-line", "thm-sg-btg", "thm-sg-flex", "lit-smale-reduction"),
         lambda c, d: _run_thm_tc_all(d["thm-sg-line"], d["thm-sg-btg"],
-                                     d["thm-sg-flex"])),
+                                     d["thm-sg-flex"]),
+        target={"lines": 15, "bitangents": 8, "flexes": 8}),
     # literature nodes: cited facts, never machine-checked here
     "lit-quotient-collapse": _Claim(
         "Restriction to the diagonal elementary abelian subgroup is "
@@ -604,7 +604,8 @@ def _execute(claim_id: str, config: Config, done: dict, values: dict):
     else:
         deps = {d: values[d] for d in spec.dependencies}
         try:
-            status, evidence, value = spec.run(config, deps)
+            result, evidence, value = spec.run(config, deps)
+            status = "verified" if result == spec.target else "failed"
         except Exception as exc:
             status = "failed"
             evidence = {"error": f"{type(exc).__name__}: {exc}"}

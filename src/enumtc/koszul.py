@@ -181,14 +181,16 @@ def is_regular_maximal(K: KoszulComplex) -> RegularityCertificate:
 
 
 def permuted_regularity(K: KoszulComplex):
-    """Re-certify every permutation of a maximal sequence on a new complex.
+    """Re-certify each ordering of a maximal sequence; the identity is K.
 
     Returns a list of {order, verdict} rows; any NotRegular outcome is
     reported rather than raised, so callers can surface the contradiction.
     """
     rows = []
     for perm in permutations(range(len(K))):
-        cert = is_regular_maximal(KoszulComplex(K.elements[i] for i in perm))
+        ordered = K if list(perm) == sorted(perm) else \
+            KoszulComplex(K.elements[i] for i in perm)
+        cert = is_regular_maximal(ordered)
         rows.append({"order": list(perm), "verdict": cert.verdict})
     return rows
 

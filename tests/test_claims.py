@@ -162,7 +162,7 @@ def test_blocked_propagation(monkeypatch):
     monkeypatch.setitem(claims._REGISTRY, "tmp-downstream",
                         claims._Claim("depends on the broken one",
                                       ("tmp-broken",),
-                                      lambda c, d: ("verified", {}, None)))
+                                      lambda c, d: (True, {}, None)))
     report = run_claims(["tmp-downstream"])
     broken = report.claim("tmp-broken")
     assert broken.status == "failed"
@@ -205,7 +205,7 @@ def test_deps_hold_exactly_the_declared_dependencies(monkeypatch):
     def record(cid, value):
         def run(config, deps):
             seen[cid] = dict(deps)
-            return "verified", {}, value
+            return True, {}, value
         return run
 
     for cid, deps, value in (("tmp-a", (), "a"), ("tmp-b", (), "b"),
@@ -272,6 +272,59 @@ def test_em_poincare_reads_the_regseq_certificate(monkeypatch):
     assert built == certified
     assert len(ranked) == len(set(ranked)) == len(ranks) > 0
     assert {key for key, _, _ in ranked} == {id(K) for K in built}
+
+
+def test_permutations_reuse_the_certified_complex_for_the_identity(
+        monkeypatch):
+    built = []
+    build = KoszulComplex.__init__
+
+    def counted_build(self, elements):
+        build(self, elements)
+        built.append(self)
+
+    monkeypatch.setattr(KoszulComplex, "__init__", counted_build)
+    report = run_claims(["regseq-permutations"])
+    evidence = report.claim("regseq-permutations").evidence
+    assert report.ok()
+    assert (len(evidence["pu4k"]), len(evidence["pu3h"])) == (6, 2)
+    # the two certificates (H's claim id sorts first), then one complex
+    # per ordering other than the identity: 5 for K over F_3, 1 for H
+    certificates, permuted = built[:2], built[2:]
+    assert [K.p for K in certificates] == [2, 3]
+    assert [K.p for K in permuted] == [3] * 5 + [2]
+    assert all(K.elements != cert.elements
+               for K in permuted for cert in certificates if cert.p == K.p)
+
+
+# the claims whose target is a stated number or verdict, not True
+TARGETED = sorted(cid for cid, spec in claims._REGISTRY.items()
+                  if spec.target is not True)
+
+
+def test_every_stated_number_is_a_target():
+    assert TARGETED == [
+        "em-poincare-pu3h", "em-poincare-pu4k", "fermat-lines",
+        "genus-pu3h", "genus-pu4k", "h-free-on-bitangents",
+        "h-free-on-flexes", "regseq-pu3h", "regseq-pu4k", "thm-sg-btg",
+        "thm-sg-flex", "thm-sg-line", "thm-tc-all"]
+    assert claims._Claim("genus at least {t}.", target=17).statement == \
+        "genus at least 17."
+
+
+@pytest.mark.parametrize("cid", TARGETED)
+def test_a_different_target_fails_the_claim_on_the_same_evidence(
+        cid, monkeypatch):
+    spec = claims._REGISTRY[cid]
+    met = run_claims([cid]).claim(cid)
+    assert met.status == "verified"
+    monkeypatch.setitem(claims._REGISTRY, cid, claims._Claim(
+        spec.statement, spec.dependencies, spec.run, spec.paper_ref,
+        target=("not", spec.target)))
+    missed = run_claims([cid]).claim(cid)
+    assert missed.status == "failed"
+    assert missed.statement == met.statement
+    assert missed.evidence == met.evidence
 
 
 def test_k_faithful_verdict_matches_common_fixed_check():
@@ -450,8 +503,8 @@ def test_dropped_generator_fails_the_bitangent_orbit_check(monkeypatch):
     run_flexes = claims._run_klein_flexes
 
     def without_r():
-        status, evidence, value = run_flexes()
-        return status, evidence, dict(value,
+        result, evidence, value = run_flexes()
+        return result, evidence, dict(value,
                                       generators=value["generators"][:2])
 
     monkeypatch.setattr(claims, "_run_klein_flexes", without_r)

@@ -1,14 +1,18 @@
 """Soundness rows: a corrupted intermediate that no verified claim passes.
 
-Each row corrupts one value the program computes, runs the claims that
-read it, and expects every claim that reads the value to end failed with
-the check that caught it in its evidence.
+Each row corrupts one value the program computes or states (a rank, a
+line, a stated generator, a restricted image), runs the claims that read
+it, and expects every claim that reads the value to end failed with the
+check that caught it in its evidence.  No source is edited: each row
+patches one attribute for the length of the test.
 """
 
 import pytest
 
+from enumtc import claims
 from enumtc.claims import run_claims
 from enumtc.koszul import KoszulComplex
+from enumtc.poly import Polynomial
 
 
 def _understate_d1_rank(monkeypatch, p, t):
@@ -54,3 +58,79 @@ def test_an_understated_shared_d1_rank_fails_its_readers(
     other = "pu3h" if name == "pu4k" else "pu4k"
     assert tor.evidence[other]["ok"]
     assert not report.ok()
+
+
+def test_a_repeated_line_fails_fermat_lines_and_blocks_k_faithful(
+        monkeypatch):
+    lines = claims.fermat_lines
+    monkeypatch.setattr(claims, "fermat_lines",
+                        lambda: lines()[:-1] + lines()[:1])
+    report = run_claims(["k-faithful"])
+    fermat = report.claim("fermat-lines")
+    assert fermat.status == "failed"
+    assert fermat.evidence == {"count": 27, "all_on_surface": True,
+                               "pairwise_distinct": False, "exact": True}
+    assert report.claim("k-faithful").evidence == {
+        "blocked_by": ["fermat-lines"]}
+
+
+def test_a_stated_generator_off_the_kernel_fails_nabla_n3(monkeypatch):
+    stated = claims.stated_image_generators
+
+    def first_plus_c1_squared(n, field):
+        ctx, gens = stated(n, field)
+        c1 = Polynomial.variable("c1", ctx.table, ctx.field)
+        return ctx, [gens[0] + c1 ** 2, *gens[1:]]
+
+    monkeypatch.setattr(claims, "stated_image_generators",
+                        first_plus_c1_squared)
+    report = run_claims(["regseq-pu3h"])
+    error = report.claim("nabla-generators-n3").evidence["error"]
+    assert error.startswith("GeneratorCheckFailure: claimed generator ")
+    assert error.endswith(" is not in the kernel")
+    assert report.claim("regseq-pu3h").evidence == {
+        "blocked_by": ["nabla-generators-n3"]}
+
+
+def test_a_squared_restricted_image_fails_regseq_pu3h(monkeypatch):
+    restricted = claims.phi_star_generators
+
+    def second_is_first_squared(datum):
+        first = restricted(datum)[0]
+        return [first, first ** 2]
+
+    monkeypatch.setattr(claims, "phi_star_generators",
+                        second_is_first_squared)
+    report = run_claims(["em-poincare-pu3h"])
+    regseq = report.claim("regseq-pu3h")
+    assert regseq.status == "failed"
+    assert regseq.evidence["certificate"]["verdict"] == "NotRegular"
+    assert report.claim("em-poincare-pu3h").evidence == {
+        "blocked_by": ["regseq-pu3h"]}
+
+
+def test_understated_window_ranks_fail_every_other_ordering(monkeypatch):
+    """Each complex over F_3 whose elements are not in the certified
+    order is built with rank d_1 understated at the window degree s + 1."""
+    certified = {}
+    build = KoszulComplex.__init__
+
+    def build_corrupted(self, elements):
+        build(self, elements)
+        # the first complex over each field is its regseq certificate's
+        first = certified.setdefault(self.p, self)
+        if self.p == 3 and self.elements != first.elements:
+            s = sum(self.degrees) - sum(self.table.weights)
+            self._ranks[1, s + 1] = self.rank(1, s + 1) - 1
+
+    monkeypatch.setattr(KoszulComplex, "__init__", build_corrupted)
+    report = run_claims(["regseq-permutations"])
+    assert report.claim("regseq-pu4k").status == "verified"
+    permutations = report.claim("regseq-permutations")
+    assert permutations.status == "failed"
+    verdicts = {tuple(row["order"]): row["verdict"]
+                for row in permutations.evidence["pu4k"]}
+    assert verdicts.pop((0, 1, 2)) == "Regular"
+    assert list(verdicts.values()) == ["NotRegular"] * 5
+    assert all(row["verdict"] == "Regular"
+               for row in permutations.evidence["pu3h"])

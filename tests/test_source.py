@@ -38,3 +38,17 @@ def test_no_module_imports_a_name_it_never_uses():
     dead = {path.name: unused_imports(ast.parse(path.read_text()))
             for path in SOURCES}
     assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_only_the_runner_sets_a_claim_status():
+    """Each _run_* function in claims.py returns a result; the runner
+    compares it with the claim's target and alone writes a status."""
+    claims_py = Path(enumtc.__file__).parent / "claims.py"
+    runs = [node for node in ast.parse(claims_py.read_text()).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_run_")]
+    assert len(runs) > 10
+    statuses = {run.name for run in runs for node in ast.walk(run)
+                if isinstance(node, ast.Constant)
+                and node.value in ("verified", "failed")}
+    assert statuses == set()
