@@ -345,17 +345,20 @@ def _run_klein_equivalence():
     return bool(exact_hits), evidence, None
 
 
-def _run_genus(series, manifold_dim: int):
-    """Genus window of a certified quotient series; the genus is the value."""
+def _run_genus(series, datum):
+    """Genus window of a certified quotient series over PU_n, a manifold
+    of dimension n^2 - 1; the genus is the value."""
+    manifold_dim = datum.n ** 2 - 1
     lo, hi = genus_bounds(series, manifold_dim)
     evidence = {"manifold_dim": manifold_dim, "lower": lo, "upper": hi,
                 "genus": lo}
     return (lo, hi), evidence, lo
 
 
-def _run_thm_sg(genus: int, sheets: int):
-    """A subgroup genus bounds the solution cover's genus from below."""
-    evidence = {"sheets": sheets, "genus_lower_bound": genus}
+def _run_thm_sg(genus: int, fiber):
+    """A subgroup genus bounds the solution cover's genus from below; the
+    cover has one sheet per object of the fiber."""
+    evidence = {"sheets": len(fiber), "genus_lower_bound": genus}
     return genus, evidence, genus
 
 
@@ -474,34 +477,40 @@ _REGISTRY = {
         "bound from the 15-manifold dimension.",
         ("em-poincare-pu4k", "regseq-pu4k", "lit-quotient-collapse",
          "lit-homological-genus", "lit-coho-dim"),
-        lambda c, d: _run_genus(d["em-poincare-pu4k"], 15), target=(16, 16)),
+        lambda c, d: _run_genus(d["em-poincare-pu4k"], d["regseq-pu4k"][0]),
+        target=(16, 16)),
     "genus-pu3h": _Claim(
         "The bundle of the rank-2 diagonal subgroup quotient has genus "
         "exactly {t[0]}: lower bound from the top nonvanishing class, upper "
         "bound from the 8-manifold dimension.",
         ("em-poincare-pu3h", "regseq-pu3h", "lit-quotient-collapse",
          "lit-homological-genus", "lit-coho-dim"),
-        lambda c, d: _run_genus(d["em-poincare-pu3h"], 8), target=(9, 9)),
+        lambda c, d: _run_genus(d["em-poincare-pu3h"], d["regseq-pu3h"][0]),
+        target=(9, 9)),
     "thm-sg-line": _Claim(
         "The 27-sheeted cover of smooth cubic surface problems has genus "
         "at least {t}.",
         ("genus-pu4k", "fermat-lines", "k-faithful", "lit-pullback-genus",
          "lit-disconnected-covers"),
-        lambda c, d: _run_thm_sg(d["genus-pu4k"], 27), target=16),
+        lambda c, d: _run_thm_sg(d["genus-pu4k"], d["fermat-lines"]),
+        target=16),
     "thm-sg-btg": _Claim(
         "The 28-sheeted cover of smooth quartic bitangent problems has "
         "genus at least {t}.",
         ("genus-pu3h", "klein-bitangents", "h-free-on-bitangents",
          "lit-pullback-genus", "lit-disconnected-covers",
          "lit-harris-monodromy"),
-        lambda c, d: _run_thm_sg(d["genus-pu3h"], 28), target=9),
+        lambda c, d: _run_thm_sg(d["genus-pu3h"], d["klein-bitangents"]),
+        target=9),
     "thm-sg-flex": _Claim(
         "The 24-sheeted cover of smooth quartic flex problems has genus "
         "at least {t}.",
         ("genus-pu3h", "klein-flexes", "h-free-on-flexes",
          "lit-pullback-genus", "lit-disconnected-covers",
          "lit-harris-monodromy"),
-        lambda c, d: _run_thm_sg(d["genus-pu3h"], 24), target=9),
+        lambda c, d: _run_thm_sg(d["genus-pu3h"],
+                                 d["klein-flexes"]["flexes"]),
+        target=9),
     "thm-tc-all": _Claim(
         "Any algorithm tree solving the three enumeration problems needs "
         "at least {t[lines]}, {t[bitangents]}, and {t[flexes]} branching "

@@ -1,17 +1,13 @@
 """Exact dense linear algebra over the coefficient fields.
 
 Every rank a claim takes is of rows of plain Python ints, built straight
-from the claim's data, never of field element objects:
-
-- ``rank_mod_p`` ranks int rows over F_p, a prime checked once per p,
-  by forward elimination on packed rows (below).
-- ``rank_int`` ranks int rows over Q by fraction-free (Bareiss)
-  forward elimination.
-
-Each caller knows its field and calls its kernel: the Koszul and
-Macaulay ranks and the restriction grid call ``rank_mod_p``, the nabla
-kernels ``rank_int`` and ``rank_mod_p``.  No claim ranks over a number
-field.
+from the claim's data, never of field element objects, and one kernel
+takes it: ``rank_mod_p`` ranks int rows over F_p, a prime checked once
+per p, by forward elimination on packed rows (below).  The Koszul and
+Macaulay ranks and the restriction grid call it at their field's p; the
+nabla ranks over Q call it at one large prime, where the nabla claim's
+own equalities make the bounds exact (see ``nabla``).  No claim ranks
+over Q or a number field directly.
 
 ``rank_mod_p`` packs each row into one int, column j in the w-bit slot
 at bit j*w.  With b = p.bit_length(), w is 4b rounded up to whole bytes
@@ -25,11 +21,11 @@ with more rows than columns is ranked as its transpose.
 ``Matrix`` is the generic reduced row echelon form on field elements
 (QQ, F_p, Q(zeta_m)), with the kernel basis and the rank it gives.  No
 claim of ``enumtc verify`` reaches it; tests use it as the reference for
-the int-row kernels and the rows the claims build.
+the int-row kernel and the rows the claims build.
 
-``rank_int`` and ``rref`` update a row only from the pivot column
-onward, since the pivot row is zero left of it; ``rref`` also leaves an
-entry alone where the pivot row is zero.
+``rref`` updates a row only from the pivot column onward, since the
+pivot row is zero left of it, and leaves an entry alone where the pivot
+row is zero.
 """
 
 from __future__ import annotations
@@ -79,34 +75,6 @@ def rank_mod_p(rows, p: int) -> int:
             x += (p - f) * pivot
             x -= p * ((x * m >> s) & qmask)
     return len(pivots)
-
-
-def rank_int(rows) -> int:
-    """Rank over Q of rows of ints, on copies of the rows.
-
-    Bareiss (Math. Comp. 22, 1968): after k pivots each entry is a
-    (k+1)-minor, so dividing by the k-th pivot is exact.
-    """
-    rows = [list(row) for row in rows]
-    width = len(rows[0]) if rows else 0
-    rank, prev = 0, 1
-    for c in range(width):
-        for i, row in enumerate(rows):
-            if row[c]:
-                break
-        else:
-            continue
-        pivot = rows.pop(i)
-        rank += 1
-        if not rows:
-            break
-        a, tail = pivot[c], pivot[c + 1:]
-        for row in rows:
-            f = row[c]
-            row[c + 1:] = [(a * x - f * b) // prev
-                           for x, b in zip(row[c + 1:], tail)]
-        prev = a
-    return rank
 
 
 class Matrix:

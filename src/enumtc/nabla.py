@@ -7,16 +7,29 @@ int rows of ``nabla_matrix``.  Degreewise kernel ranks are taken on those
 rows, and a stated generating set can be checked against them:
 membership, span of products, and the dimension count against the
 subring generated by c_2..c_n.
+
+Ranks over Q are ranks modulo the prime Q_PRIME.  For int rows the rank
+modulo a prime is at most the rank over Q, so in each degree, with gen
+the span of the generator products and ker the kernel,
+
+    gen_P <= gen_Q <= ker_Q <= ker_P.
+
+The middle step holds because the generators are checked to lie in the
+kernel exactly, over Q, and nabla is a derivation, so their products do
+too.  ``verify_generators`` requires ker_P == gen_P on the Q row, which
+makes every term equal and the Q values exact; an unlucky prime fails
+the check rather than verifying.
 """
 
 from __future__ import annotations
 
 from .errors import Frozen, GeneratorCheckFailure, InvalidInput
 from .fields import QQ, is_prime
-from .linalg import rank_int, rank_mod_p
+from .linalg import rank_mod_p
 from .poly import Polynomial, make_table, monomials_of_weighted_degree
 
 CERTIFIED_DEGREE_BOUND = 12
+Q_PRIME = 2**31 - 1
 
 
 class NablaContext(Frozen):
@@ -81,9 +94,10 @@ def nabla_matrix(ctx: NablaContext, degree: int):
 
 
 def integral_kernel_dim(n: int, degree: int) -> int:
-    """Dimension of the degreewise kernel over Q: sources minus rank."""
+    """Dimension of the degreewise kernel modulo Q_PRIME: sources minus
+    rank.  It bounds the dimension over Q from above."""
     rows, sources, _ = nabla_matrix(make_context(n, QQ), degree)
-    return len(sources) - rank_int(rows)
+    return len(sources) - rank_mod_p(rows, Q_PRIME)
 
 
 def bsu_monomial_count(ctx: NablaContext, degree: int) -> int:
@@ -115,7 +129,8 @@ def stated_image_generators(n: int, field):
 
 def generated_dims(ctx: NablaContext, gens, max_degree: int, primes):
     """Per even degree 0..max_degree, the span rank of the generator
-    products over Q, then mod each prime of `primes` in order.
+    products modulo Q_PRIME (a lower bound for the rank over Q), then
+    mod each prime of `primes` in order.
 
     A product g_i1 ... g_ik, i1 <= ... <= ik, is its prefix times g_ik:
     one multiplication over Q per product for the whole window.  Its
@@ -135,7 +150,7 @@ def generated_dims(ctx: NablaContext, gens, max_degree: int, primes):
         monomials = monomials_of_weighted_degree(ctx.table, degree)
         rows = [[f.terms.get(m, 0).numerator for m in monomials]
                 for _, f, d in found if d == degree]
-        dims.append([rank_int(rows)] + [rank_mod_p(rows, p) for p in primes])
+        dims.append([rank_mod_p(rows, p) for p in (Q_PRIME, *primes)])
     return dims
 
 
@@ -148,9 +163,12 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
     derivation are integral, so this holds mod p too.
     Then per even degree k <= max_degree and per field, Q first and then
     `primes` in order, the span of generator products must have the
-    integral kernel rank and the count of monomials in c_2..c_n.  The
-    kernel rank is always taken over Q: the derivation degenerates mod
-    small primes (2c_1 vanishes mod 2), so a mod-p kernel can be larger.
+    integral kernel rank and the count of monomials in c_2..c_n.  On the
+    Q row both ranks are taken modulo Q_PRIME, and their equality makes
+    them the Q values (module docstring).  The other rows read that Q
+    kernel rank, only once every Q row has passed: the derivation
+    degenerates mod small primes (2c_1 vanishes mod 2), so a mod-p
+    kernel can be larger.
 
     Returns one {"p", "rows"} table per field (p is None for Q).  The
     first failing row, field by field, raises GeneratorCheckFailure
@@ -187,7 +205,9 @@ def verify_generators(ctx: NablaContext, gens, max_degree: int, primes):
             if not kdim == bdim == gdim:
                 raise GeneratorCheckFailure(
                     f"{'QQ' if p is None else f'p={p}'}, degree {degree}: "
-                    f"kernel {kdim}, subring count {bdim}, generated {gdim}")
+                    f"kernel {kdim}, subring count {bdim}, generated {gdim}"
+                    + (f" (kernel and generated are ranks modulo {Q_PRIME}, "
+                       f"bounds on the Q values)" if p is None else ""))
             status = "ok" if degree <= CERTIFIED_DEGREE_BOUND else \
                 "ok-beyond-certified-window"
             rows.append({"n": ctx.n, "p": p, "degree": degree,

@@ -6,7 +6,7 @@ import pytest
 
 from enumtc.errors import InvalidInput
 from enumtc.fields import QQ, PrimeField, cyclotomic_field, field_inverse
-from enumtc.linalg import Matrix, rank_int, rank_mod_p
+from enumtc.linalg import Matrix, rank_mod_p
 
 
 def qmat(rows):
@@ -191,41 +191,6 @@ def test_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
     for rows in ([[1, 2], [3, 4]], [[2, 0], [0, 3]], []):
         with pytest.raises(InvalidInput, match="not prime"):
             rank_mod_p(rows, p)
-
-
-def test_rank_int_matches_rref_rank():
-    rng = random.Random(31)
-    shapes = [(0, 0), (0, 3), (1, 1), (3, 0)] + \
-        [(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(296)]
-    for k, (n_rows, n_cols) in enumerate(shapes):
-        if k % 2:
-            def draw():
-                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        else:
-            def draw():
-                return rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)])
-        rows = deficient_rows(rng, n_rows, n_cols, draw)
-        if rows and k % 3 == 0:
-            rows.insert(rng.randrange(len(rows) + 1), [0] * n_cols)
-        M = Matrix.from_rows([[Fraction(e) for e in r] for r in rows], QQ,
-                             cols=n_cols)
-        expected = len(M.rref()[1])
-        assert M.rank() == expected
-        if k % 2 == 0:
-            before = [list(r) for r in rows]
-            assert rank_int(rows) == expected
-            assert rows == before
-
-
-def test_rank_int_small_cases():
-    assert rank_int([]) == 0
-    assert rank_int([[], []]) == 0
-    assert rank_int([[0]]) == 0 and rank_int([[-7]]) == 1
-    # the second pivot divides by the first; a skipped column keeps it
-    assert rank_int([[2, 4, 1], [4, 8, 3], [6, 12, 5]]) == 2
-    assert rank_int([[3, 1], [6, 2], [9, 4]]) == 2
-    assert qmat([[Fraction(1, 2), Fraction(1, 3)],
-                 [Fraction(3, 2), 1]]).rank() == 1
 
 
 @pytest.mark.parametrize("field", [QQ, cyclotomic_field(3)],

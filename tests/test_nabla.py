@@ -7,8 +7,9 @@ from enumtc import nabla as nabla_module
 from enumtc.claims import Config, run_claims
 from enumtc.errors import GeneratorCheckFailure, InvalidInput
 from enumtc.fields import QQ, PrimeField
-from enumtc.linalg import Matrix, rank_int, rank_mod_p
+from enumtc.linalg import Matrix, rank_mod_p
 from enumtc.nabla import (
+    Q_PRIME,
     bsu_monomial_count,
     generated_dims,
     integral_kernel_dim,
@@ -97,7 +98,7 @@ def test_degree8_matrix_n4():
     rows, sources, targets = nabla_matrix(ctx, 8)
     assert len(sources) == len(rows) == 5
     assert targets == [(3, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
-    assert rank_int(rows) == 3
+    assert Matrix.from_rows(rows, QQ).rank() == 3
     # one int row per source monomial, in the (c1^3, c1c2, c3) target basis
     assert dict(zip(sources, map(tuple, rows))) == {
         (4, 0, 0, 0): (16, 0, 0), (2, 1, 0, 0): (3, 8, 0),
@@ -198,6 +199,10 @@ def test_verify_generators_catches_missing_generator():
         verify_generators(ctx, gens[:1], 12, (5,))
     assert "degree 6" in str(exc.value)
     assert str(exc.value).startswith("QQ, degree 6:")
+    # the Q row's numbers are ranks modulo Q_PRIME, and it says so
+    assert str(exc.value).endswith(f"(kernel and generated are ranks "
+                                   f"modulo {Q_PRIME}, bounds on the Q "
+                                   f"values)")
 
 
 def test_verify_generators_rejects_constant_and_zero_generators():
@@ -237,7 +242,7 @@ def test_rational_kernel_dim_matches_bsu_window():
 def test_mod_p_kernel_can_exceed_integral_rank():
     # The derivation degenerates mod 2: both degree-4 monomials die for
     # n=3, so the F_2 kernel is 2-dimensional while the integral kernel
-    # has rank 1.  This is why verify_generators ranks the kernel over Q.
+    # has rank 1.  This is why every field's row reads the Q kernel.
     ctx2 = make_context(3, PrimeField(2))
     assert len(kernel_of_nabla(ctx2, 4)) == 2
     ctx3 = make_context(4, PrimeField(3))
@@ -256,25 +261,27 @@ def test_integral_kernel_dim_matches_kernel_basis():
 
 def test_fields_of_a_claim_share_one_rank_per_degree(monkeypatch):
     built, ranked = [], []
-    build, rank = nabla_module.nabla_matrix, nabla_module.rank_int
+    build, rank = nabla_module.nabla_matrix, nabla_module.rank_mod_p
 
     def spy_build(ctx, degree):
         out = build(ctx, degree)
         built.append((degree, out[0]))
         return out
 
-    def spy_rank(rows):
-        ranked.extend(d for d, b in built if b is rows)
-        return rank(rows)
+    def spy_rank(rows, p):
+        ranked.extend((d, p) for d, b in built if b is rows)
+        return rank(rows, p)
 
     monkeypatch.setattr(nabla_module, "nabla_matrix", spy_build)
-    monkeypatch.setattr(nabla_module, "rank_int", spy_rank)
+    monkeypatch.setattr(nabla_module, "rank_mod_p", spy_rank)
     ctx, gens = stated_image_generators(4, QQ)
     tables = verify_generators(ctx, gens, 14, (3, 5, 7))
     assert [t["p"] for t in tables] == [None, 3, 5, 7]
     for table in tables:
         assert [r["degree"] for r in table["rows"]] == list(range(0, 15, 2))
-    assert sorted(ranked) == [d for d, _ in built] == list(range(0, 15, 2))
+    # each derivation matrix is ranked once, modulo Q_PRIME only
+    assert [d for d, _ in built] == list(range(0, 15, 2))
+    assert sorted(ranked) == [(d, Q_PRIME) for d, _ in built]
 
 
 def _per_field_generated_dim(gens, degree):
@@ -322,7 +329,8 @@ def test_generator_scaled_by_p_fails_only_modulo_p():
     assert all(r["status"] == "ok" for r in tables[0]["rows"])
     with pytest.raises(GeneratorCheckFailure) as exc:
         verify_generators(ctx, gens, 12, (2, 5, 7))
-    assert str(exc.value).startswith("p=5, degree 6:")
+    assert str(exc.value) == "p=5, degree 6: kernel 1, subring count 1, " \
+        "generated 0"
 
 
 def test_verify_generators_rejects_bad_input_before_any_rank(monkeypatch):
@@ -359,7 +367,8 @@ def _recursive_generated_dim(ctx, gens, degree, primes):
     monomials = monomials_of_weighted_degree(ctx.table, degree)
     rows = [[f.terms.get(m, 0).numerator for m in monomials]
             for f in products]
-    return [rank_int(rows)] + [rank_mod_p(rows, p) for p in primes]
+    return [Matrix.from_rows(rows, QQ, cols=len(monomials)).rank()] + \
+        [rank_mod_p(rows, p) for p in primes]
 
 
 @pytest.mark.parametrize("n,primes", [(3, (2, 5, 7)), (4, (3, 5, 7))])
@@ -368,6 +377,17 @@ def test_generated_dims_match_per_degree_recursion(n, primes):
     assert generated_dims(ctx, gens, 28, primes) == [
         _recursive_generated_dim(ctx, gens, d, primes)
         for d in range(0, 29, 2)]
+
+
+def test_both_claims_verify_well_past_the_certified_window():
+    # the Q ranks modulo Q_PRIME meet in every degree through 40, so each
+    # Q row is exact there
+    report = run_claims(["nabla-generators-n3", "nabla-generators-n4"],
+                        Config(max_degree=40))
+    for record in report.records:
+        assert record.status == "verified"
+        q_rows = record.evidence["fields"][0]["rows"]
+        assert [r["degree"] for r in q_rows] == list(range(0, 41, 2))
 
 
 def test_claim_builds_each_degrees_products_once(monkeypatch):

@@ -1,16 +1,17 @@
 """Soundness rows: a corrupted intermediate that no verified claim passes.
 
 Each row corrupts one value the program computes or states (a rank, a
-line, a stated generator, a restricted image), runs the claims that read
-it, and expects every claim that reads the value to end failed with the
-check that caught it in its evidence.  No source is edited: each row
-patches one attribute for the length of the test.
+line, a stated generator, a restricted image, the prime of the Q ranks),
+runs the claims that read it, and expects every claim that reads the
+value to end failed with the check that caught it in its evidence.  No
+source is edited: each row patches one attribute for the length of the
+test.
 """
 
 import pytest
 
-from enumtc import claims
-from enumtc.claims import run_claims
+from enumtc import claims, nabla
+from enumtc.claims import Config, run_claims
 from enumtc.koszul import KoszulComplex
 from enumtc.poly import Polynomial
 
@@ -74,22 +75,52 @@ def test_a_repeated_line_fails_fermat_lines_and_blocks_k_faithful(
         "blocked_by": ["fermat-lines"]}
 
 
-def test_a_stated_generator_off_the_kernel_fails_nabla_n3(monkeypatch):
+def _add_c1_power(monkeypatch, index, power):
+    """The stated generator at `index` gets c1**power added, for both n."""
     stated = claims.stated_image_generators
 
-    def first_plus_c1_squared(n, field):
+    def corrupted(n, field):
         ctx, gens = stated(n, field)
         c1 = Polynomial.variable("c1", ctx.table, ctx.field)
-        return ctx, [gens[0] + c1 ** 2, *gens[1:]]
+        gens[index] = gens[index] + c1 ** power
+        return ctx, gens
 
-    monkeypatch.setattr(claims, "stated_image_generators",
-                        first_plus_c1_squared)
-    report = run_claims(["regseq-pu3h"])
-    error = report.claim("nabla-generators-n3").evidence["error"]
+    monkeypatch.setattr(claims, "stated_image_generators", corrupted)
+
+
+def _assert_off_the_kernel_blocks(report, n, reader):
+    error = report.claim(f"nabla-generators-n{n}").evidence["error"]
     assert error.startswith("GeneratorCheckFailure: claimed generator ")
     assert error.endswith(" is not in the kernel")
-    assert report.claim("regseq-pu3h").evidence == {
-        "blocked_by": ["nabla-generators-n3"]}
+    assert report.claim(reader).evidence == {
+        "blocked_by": [f"nabla-generators-n{n}"]}
+
+
+def test_a_stated_generator_off_the_kernel_fails_nabla_n3(monkeypatch):
+    _add_c1_power(monkeypatch, 0, 2)
+    _assert_off_the_kernel_blocks(run_claims(["regseq-pu3h"]), 3,
+                                  "regseq-pu3h")
+
+
+def test_a_stated_generator_off_the_kernel_fails_nabla_n4(monkeypatch):
+    _add_c1_power(monkeypatch, 2, 4)
+    _assert_off_the_kernel_blocks(run_claims(["regseq-pu4k"]), 4,
+                                  "regseq-pu4k")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_small_q_prime_fails_the_nabla_claim_closed(monkeypatch, n):
+    """Modulo 7 the Q ranks are strict bounds from degree 14 on: the
+    kernel modulo 7 outgrows the generated span, and the claim fails
+    rather than verifying on them."""
+    monkeypatch.setattr(nabla, "Q_PRIME", 7)
+    report = run_claims([f"nabla-generators-n{n}"], Config(max_degree=16))
+    record = report.claim(f"nabla-generators-n{n}")
+    assert record.status == "failed"
+    error = record.evidence["error"]
+    assert error.startswith("GeneratorCheckFailure: QQ, degree 14: ")
+    assert error.endswith(" (kernel and generated are ranks modulo 7, "
+                          "bounds on the Q values)")
 
 
 def test_a_squared_restricted_image_fails_regseq_pu3h(monkeypatch):
@@ -101,12 +132,15 @@ def test_a_squared_restricted_image_fails_regseq_pu3h(monkeypatch):
 
     monkeypatch.setattr(claims, "phi_star_generators",
                         second_is_first_squared)
-    report = run_claims(["em-poincare-pu3h"])
+    report = run_claims(["em-poincare-pu3h", "thm-sg-btg"])
     regseq = report.claim("regseq-pu3h")
     assert regseq.status == "failed"
     assert regseq.evidence["certificate"]["verdict"] == "NotRegular"
     assert report.claim("em-poincare-pu3h").evidence == {
         "blocked_by": ["regseq-pu3h"]}
+    # the bitangent cover's bound stands on the genus the sequence gives
+    assert report.claim("thm-sg-btg").evidence == {
+        "blocked_by": ["genus-pu3h"]}
 
 
 def test_understated_window_ranks_fail_every_other_ordering(monkeypatch):

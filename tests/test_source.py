@@ -25,6 +25,25 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in bound if name not in read)
 
 
+def unread_helpers(trees):
+    """(module, name) of each module-level function or method named _x
+    (not __x__) whose name no module of `trees`, a dict from module name
+    to tree, reads as a name or an attribute, in sorted order."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(module, f.name) for f in body
+                        if isinstance(f, ast.FunctionDef)
+                        and f.name.startswith("_")
+                        and not f.name.endswith("__")]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted((module, name) for module, name in defined
+                  if name not in read)
+
+
 def test_the_checker_finds_an_unused_import():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nimport sys\n"
@@ -38,6 +57,22 @@ def test_no_module_imports_a_name_it_never_uses():
     dead = {path.name: unused_imports(ast.parse(path.read_text()))
             for path in SOURCES}
     assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_the_checker_finds_an_unread_helper():
+    trees = {"a": ast.parse("def _kept():\n    pass\n"
+                            "def _left():\n    pass\n"
+                            "class C:\n    def __init__(self):\n"
+                            "        self._used()\n"
+                            "    def _used(self):\n        pass\n"
+                            "    def _stale(self):\n        pass\n"),
+             "b": ast.parse("import a\na._kept()\n")}
+    assert unread_helpers(trees) == [("a", "_left"), ("a", "_stale")]
+
+
+def test_no_helper_is_left_unread():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert unread_helpers(trees) == []
 
 
 def test_only_the_runner_sets_a_claim_status():
