@@ -7,8 +7,9 @@ dependencies returned, and returns a result, structured evidence, and a
 value for the claims that depend on it: the subgroup datum with its
 regularity certificate (which holds the Koszul complex that the Poincare
 series, the Tor check and the permutations read), the Poincare series, the
-genus, the lines, the exact flexes (with the classical Klein quartic, its
-checked generators and P) and the bitangents.  The runner alone sets a
+genus, the lines, the exact flexes and their tangents from one orbit of
+(flex, tangent) pairs (with the classical Klein quartic, its checked
+generators and P) and the bitangents.  The runner alone sets a
 status, verified exactly when the result equals the target; a number the
 statement quotes is formatted from the target.  Literature nodes carry no
 computation: they record the cited facts the computational claims plug
@@ -34,7 +35,7 @@ from .koszul import (KoszulComplex, em_poincare, is_regular_maximal,
                      permuted_regularity, tor_concentration_check)
 from .nabla import stated_image_generators, verify_generators
 from .quartic import (KLEIN_BITANGENT, KLEIN_FLEX, classical_klein_quartic,
-                      exact_bitangents, exact_flex_tangents, exact_flexes,
+                      exact_bitangents, exact_flex_tangents,
                       klein_model_matrix, klein_quartic, klein_symmetries,
                       quartic_to_classical_matrix)
 from .restriction import h_datum, k_datum, phi_star_generators
@@ -248,8 +249,9 @@ def _run_k_faithful(lines):
 
 
 def _run_klein_flexes():
-    """The classical model, its checked generators, P and the alpha model's
-    exact flexes are the value; a failed check raises."""
+    """The classical model, its checked generators, P, the alpha model's
+    exact flexes and the classical model's (flex, tangent) pairs, one
+    orbit, are the value; a failed check raises."""
     C = classical_klein_quartic()
     generators = klein_symmetries(C)
     P = klein_model_matrix()
@@ -257,22 +259,23 @@ def _run_klein_flexes():
     # smoothness, flexes and lines to the alpha model F
     if isinstance(verify_projective_equivalence(klein_quartic(), C, P), dict):
         raise CheckFailed("model change: F(P y) is no multiple of C(y)")
-    flexes = images(P, exact_flexes(C, KLEIN_FLEX, generators))
-    # 24 distinct points exhaust the Bezout number 24, so each is simple
+    pairs = exact_flex_tangents(C, KLEIN_FLEX, generators)
+    flexes = images(P, [pt for pt, _ in pairs])
     evidence = {"count": len(flexes), "multiplicities": [1],
                 "max_residual": 0.0}
     return True, evidence, {"classical": C, "generators": generators,
-                            "matrix": P, "flexes": flexes}
+                            "matrix": P, "flexes": flexes,
+                            "tangents": pairs}
 
 
 def _run_klein_bitangents(klein):
-    """The alpha model's exact bitangents are the value; the flex tangents
-    have triple contact at their flexes.  The generators and P come
+    """The alpha model's exact bitangents are the value.  The generators,
+    P and the flex tangents, each with triple contact at its flex, come
     checked from klein-flexes."""
     C, generators = klein["classical"], klein["generators"]
     bits = images(LineP2.moved_by(klein["matrix"]),
                   exact_bitangents(C, KLEIN_BITANGENT, generators))
-    tangents = exact_flex_tangents(C, KLEIN_FLEX, generators)
+    tangents = klein["tangents"]
     evidence = {"bitangents": len(bits), "flex_tangents": len(tangents),
                 "max_bitangent_residual": 0.0,
                 "tangencies_matching_flexes": len(tangents),

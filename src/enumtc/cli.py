@@ -30,6 +30,7 @@ def degree(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = Config()
     parser = argparse.ArgumentParser(
         prog="enumtc",
         description="Verify the registered computational claims.")
@@ -42,11 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verify every registered computational claim")
     verify.add_argument("--list", action="store_true",
                         help="print the known claim ids and exit")
-    verify.add_argument("--prime", type=prime, default=7,
-                        help="extra cross-check prime (default 7)")
-    verify.add_argument("--max-degree", type=degree, default=12,
+    verify.add_argument("--prime", type=prime, default=defaults.prime,
+                        help="extra cross-check prime (default %(default)s)")
+    verify.add_argument("--max-degree", type=degree,
+                        default=defaults.max_degree,
                         help="degree window for generator and Tor checks "
-                             "(>= 0, default 12)")
+                             "(>= 0, default %(default)s)")
     verify.add_argument("--json", metavar="PATH",
                         help="write the canonical JSON report to PATH")
     return parser

@@ -133,14 +133,19 @@ def generated_dims(ctx: NablaContext, gens, max_degree: int, primes):
     mod each prime of `primes` in order.
 
     A product g_i1 ... g_ik, i1 <= ... <= ik, is its prefix times g_ik:
-    one multiplication over Q per product for the whole window.  Its
-    rows are read as ints, so mod p they are the products over F_p.
+    one multiplication per product for the whole window, on the int
+    coefficients of the integral generators, so mod p the rows are the
+    products over F_p.
     """
     degs = [g.weighted_degree() for g in gens]
     if any(d < 1 for d in degs):
         raise InvalidInput("generators must have positive degree")
+    gens = [Polynomial(ctx.table, ctx.field,
+                       {e: c.numerator for e, c in g.terms.items()})
+            for g in gens]
     # (last factor's index, product, degree), the empty product first
-    found = [(0, Polynomial.one(ctx.table, ctx.field), 0)]
+    one = Polynomial(ctx.table, ctx.field, {(0,) * len(ctx.table): 1})
+    found = [(0, one, 0)]
     for last, f, d in found:
         for i in range(last, len(gens)):
             if d + degs[i] <= max_degree:
@@ -148,7 +153,7 @@ def generated_dims(ctx: NablaContext, gens, max_degree: int, primes):
     dims = []
     for degree in range(0, max_degree + 1, 2):
         monomials = monomials_of_weighted_degree(ctx.table, degree)
-        rows = [[f.terms.get(m, 0).numerator for m in monomials]
+        rows = [[f.terms.get(m, 0) for m in monomials]
                 for _, f, d in found if d == degree]
         dims.append([rank_mod_p(rows, p) for p in (Q_PRIME, *primes)])
     return dims

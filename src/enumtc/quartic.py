@@ -3,12 +3,13 @@
 The Klein quartic's flexes and bitangents are exact over Q(zeta_7), found
 on the classical model C = x^3 y + y^3 z + z^3 x from three generators of
 its automorphism group, each checked to fix C, and one checked seed per
-set: the flex (1:0:0) with C = Hess C = 0, the bitangent x + y + z = 0
-and the flex tangent y = 0 by gcd(q, q') of C restricted to the line.
-The generators close each orbit, and the counts for a smooth quartic (a
-full Macaulay rank mod a prime), 24 flexes (Bezout) and 28 bitangents
-(Plucker), make it complete.  A matrix P with F(P y) = s C(y) carries it
-all to the alpha model F.  No check uses a tolerance.
+set, each by gcd(f, f') of C restricted to a line: the flex (1:0:0),
+certified by the triple contact of its tangent y = 0, and the bitangent
+x + y + z = 0.  The generators close each orbit, of (flex, tangent)
+pairs and of lines, and the counts for a smooth quartic (a full Macaulay
+rank mod a prime), 24 flexes (Bezout) and 28 bitangents (Plucker), make
+it complete.  A matrix P with F(P y) = s C(y) carries it all to the
+alpha model F.  No check uses a tolerance.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .errors import CheckFailed, InvalidField, InvalidInput, NotInvariant
 from .fields import NumberFieldElement, PrimeField, cyclotomic_field
 from .geometry import LineP2, PointP2, compose_with_matrix, orbit
 from .koszul import KoszulComplex, is_regular_maximal
-from .poly import (
-    Polynomial,
-    hessian_det,
-    make_table,
-    substitute,
-    univariate_gcd,
-)
+from .poly import Polynomial, make_table, substitute, univariate_gcd
 
 PLANE_VARS = ("x", "y", "z")
 
@@ -114,7 +109,7 @@ def klein_symmetries(F: Polynomial):
 
 
 # ---------------------------------------------------------------------------
-# exact flexes and lines as orbits of one checked seed
+# exact flexes, tangents and lines as orbits of one checked seed
 
 # on the classical model: the flex (1:0:0), tangent y = 0 there, and the
 # bitangent x + y + z = 0
@@ -153,23 +148,6 @@ def smoothness_certificate(F: Polynomial):
         for name in F.table.names))
 
 
-def exact_flexes(F: Polynomial, seed, generators):
-    """The 24 flexes of a smooth quartic F, the orbit of the seed under
-    generators that fix F; CheckFailed names the first check that fails.
-
-    Checked exactly: F is smooth, F = Hess F = 0 at the seed, and the
-    orbit has 24 points, all flexes as Hess F(g x) = det(g)^2 Hess F(x).
-    A smooth F is irreducible and not a line, so Hess F meets it in
-    4 * 6 = 24 points with multiplicity (Bezout): these are all the
-    flexes, each simple.
-    """
-    _require_smooth_quartic(F)
-    seed = PointP2.from_coords(F.field.one() * c for c in seed)
-    if _value(F, seed.coords) or _value(hessian_det(F), seed.coords):
-        raise CheckFailed("flex equations: F = Hess F = 0 fails at the seed")
-    return [pt for pt, in _orbit_of((seed,), generators, 24, "flex")]
-
-
 def exact_bitangents(F: Polynomial, seed, generators):
     """The 28 bitangents of a smooth quartic F, the orbit of the seed
     covector under generators that fix F; CheckFailed names the first
@@ -197,8 +175,14 @@ def exact_flex_tangents(F: Polynomial, flex, generators):
 
     On the tangent gcd(f, f') must be (t - r)^2, with contact point
     p + r q the flex: a triple contact, which g carries to the image
-    pair.  A quartic meets a line in 4 points, so no line has triple
-    contact at two flexes and the tangents are distinct.
+    pair.  At a smooth point Hess F vanishes iff the tangent meets F
+    there with multiplicity at least 3, and exactly 3 makes the point an
+    ordinary flex, where F and Hess F meet with multiplicity 1 (Fulton,
+    Algebraic Curves, ch. 5).  A smooth F is irreducible and not a line,
+    so Hess F meets it in 4 * 6 = 24 points with multiplicity (Bezout):
+    the 24 distinct flexes of the orbit exhaust them, each simple.  A
+    quartic meets a line in 4 points, so no line has triple contact at
+    two flexes and the tangents are distinct.
     """
     _require_smooth_quartic(F)
     flex = PointP2.from_coords(F.field.one() * c for c in flex)

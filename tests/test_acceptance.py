@@ -48,7 +48,6 @@ from enumtc.quartic import (
     classical_klein_quartic,
     exact_bitangents,
     exact_flex_tangents,
-    exact_flexes,
     klein_model_matrix,
     klein_quartic,
     klein_symmetries,
@@ -83,13 +82,14 @@ def seq_h():
 def klein_flexes():
     """The alpha-model Klein quartic F, the classical model C with its
     checked generators and the checked matrix P with F(P y) = s C(y), and
-    F's exact flexes."""
+    F's exact flexes, taken from the (flex, tangent) orbit."""
     def build():
         C, F, P = classical_klein_quartic(), klein_quartic(), \
             klein_model_matrix()
         group = klein_symmetries(C)
         assert not isinstance(verify_projective_equivalence(F, C, P), dict)
-        return F, (C, group, P), images(P, exact_flexes(C, KLEIN_FLEX, group))
+        pairs = exact_flex_tangents(C, KLEIN_FLEX, group)
+        return F, (C, group, P), images(P, [pt for pt, _ in pairs])
     return _get("flexes", build)
 
 

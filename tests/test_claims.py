@@ -491,8 +491,8 @@ def test_moved_klein_seed_fails_its_claim_with_the_check_named(
                json.loads(target.read_text())["claims"]}
     assert records["klein-flexes"]["status"] == "failed"
     assert records["klein-flexes"]["evidence"] == {
-        "error": "CheckFailed: flex equations: F = Hess F = 0 fails at the "
-                 "seed"}
+        "error": "CheckFailed: flex tangent contact: gcd(f, f') = (1), "
+                 "need the square of a linear factor"}
     assert records["klein-bitangents"]["evidence"] == {
         "blocked_by": ["klein-flexes"]}
 
@@ -515,10 +515,13 @@ def test_dropped_generator_fails_the_bitangent_orbit_check(monkeypatch):
 
 
 def test_klein_bitangents_reuse_the_checked_group(monkeypatch):
-    # the generators are checked once, in klein-flexes, and the only
-    # contact gcds are those of the bitangent and flex tangent seeds
-    checks, contacts = [], []
+    # the generators are checked once, in klein-flexes, whose one orbit
+    # of (flex, tangent) pairs gives klein-bitangents its tangents: the
+    # only contact gcds are those of the flex tangent and bitangent
+    # seeds, and one orbit search and one smoothness certificate each
+    checks, contacts, orbits, certificates = [], [], [], []
     symmetries, contact_gcd = claims.klein_symmetries, quartic._contact_gcd
+    orbit, certificate = quartic.orbit, quartic.smoothness_certificate
 
     def counted_symmetries(F):
         checks.append(F)
@@ -528,12 +531,25 @@ def test_klein_bitangents_reuse_the_checked_group(monkeypatch):
         contacts.append(args[2])
         return contact_gcd(*args)
 
+    def counted_orbit(*args):
+        orbits.append(args[2])
+        return orbit(*args)
+
+    def counted_certificate(F):
+        certificates.append(F)
+        return certificate(F)
+
     monkeypatch.setattr(claims, "klein_symmetries", counted_symmetries)
     monkeypatch.setattr(quartic, "_contact_gcd", counted_contact_gcd)
+    monkeypatch.setattr(quartic, "orbit", counted_orbit)
+    monkeypatch.setattr(quartic, "smoothness_certificate",
+                        counted_certificate)
     report = run_claims(["klein-bitangents"])
     assert report.claim("klein-bitangents").status == "verified"
     assert len(checks) == 1
-    assert contacts == ["bitangent contact", "flex tangent contact"]
+    assert contacts == ["flex tangent contact", "bitangent contact"]
+    assert orbits == [24, 28]
+    assert len(certificates) == 2
 
 
 def test_group_actions_never_row_reduce(monkeypatch):
@@ -581,5 +597,7 @@ def test_each_number_field_inverse_is_eliminated_once(monkeypatch):
     assert sorted(eliminated) == sorted(set(asked))
     # k-faithful normalises the 81 images of the 27 lines under K's 3
     # generators, where moving them by all 27 elements took 729: 648
-    # asks fewer, and one element only a non-generator's image needed
-    assert (len(asked), len(eliminated)) == (477, 135)
+    # asks fewer, and one element only a non-generator's image needed;
+    # the flexes come from the one (flex, tangent) orbit, and a second
+    # orbit of the flexes alone would ask 73 more
+    assert (len(asked), len(eliminated)) == (404, 135)

@@ -31,7 +31,6 @@ from enumtc.quartic import (
     classical_klein_quartic,
     exact_bitangents,
     exact_flex_tangents,
-    exact_flexes,
     klein_model_matrix,
     klein_quartic,
     klein_symmetries,
@@ -97,9 +96,9 @@ def klein_exact():
         group = klein_symmetries(C)
         assert not isinstance(verify_projective_equivalence(F, C, P), dict)
         cof = LineP2.moved_by(P)
-        flexes = images(P, exact_flexes(C, KLEIN_FLEX, group))
-        tangent_at = {_image(P, p): _image(cof, t) for p, t in
-                      exact_flex_tangents(C, KLEIN_FLEX, group)}
+        pairs = exact_flex_tangents(C, KLEIN_FLEX, group)
+        flexes = images(P, [p for p, _ in pairs])
+        tangent_at = {_image(P, p): _image(cof, t) for p, t in pairs}
         _MEMO["exact"] = (F, group, flexes,
                           images(cof, exact_bitangents(C, KLEIN_BITANGENT,
                                                        group)),
@@ -203,8 +202,6 @@ def test_non_quartic_inputs_rejected():
                       (x ** 4 + y ** 3, "homogeneous quartic"),
                       (s ** 4, "three variables")):
         with pytest.raises(InvalidInput, match=reason):
-            exact_flexes(G, KLEIN_FLEX, group)
-        with pytest.raises(InvalidInput, match=reason):
             exact_bitangents(G, KLEIN_BITANGENT, group)
         with pytest.raises(InvalidInput, match=reason):
             exact_flex_tangents(G, KLEIN_FLEX, group)
@@ -264,7 +261,7 @@ def test_nodal_quartic_fails_the_smoothness_check():
     F = nodal_quartic()
     assert smoothness_certificate(F).verdict == "NotRegular"
     with pytest.raises(CheckFailed, match="smoothness"):
-        exact_flexes(F, KLEIN_FLEX, klein_exact()[1])
+        exact_flex_tangents(F, KLEIN_FLEX, klein_exact()[1])
     with pytest.raises(CheckFailed, match="smoothness"):
         exact_bitangents(F, KLEIN_BITANGENT, klein_exact()[1])
     # x = 0 meets F only at (0 : 0 : 1), where F(0, y, z) = y^4 vanishes:
@@ -287,11 +284,7 @@ def test_nodal_quartic_fails_the_smoothness_check():
 
 def test_moved_seeds_fail_their_named_check():
     C, group = classical_klein_quartic(), klein_exact()[1]
-    # (1 : 1 : 0) is off the curve; S and T alone leave orbits too small
-    with pytest.raises(CheckFailed, match="F = Hess F = 0 fails at the seed"):
-        exact_flexes(C, (1, 1, 0), group)
-    with pytest.raises(CheckFailed, match="flex orbit: 3 found, need 24"):
-        exact_flexes(C, KLEIN_FLEX, group[:2])
+    # S and T alone leave orbits too small
     with pytest.raises(CheckFailed, match="bitangent orbit: 7 found"):
         exact_bitangents(C, KLEIN_BITANGENT, group[:2])
     with pytest.raises(CheckFailed, match="flex tangent orbit: 3 found"):
@@ -299,6 +292,7 @@ def test_moved_seeds_fail_their_named_check():
     # y = 0, the flex tangent at (1 : 0 : 0), is no bitangent
     with pytest.raises(CheckFailed, match="bitangent contact"):
         exact_bitangents(C, (0, 1, 0), group)
+    # (1 : 1 : 0) is off the curve
     with pytest.raises(CheckFailed, match="flex tangent contact"):
         exact_flex_tangents(C, (1, 1, 0), group)
 

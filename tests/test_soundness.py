@@ -1,11 +1,11 @@
 """Soundness rows: a corrupted intermediate that no verified claim passes.
 
 Each row corrupts one value the program computes or states (a rank, a
-line, a stated generator, a restricted image, the prime of the Q ranks),
-runs the claims that read it, and expects every claim that reads the
-value to end failed with the check that caught it in its evidence.  No
-source is edited: each row patches one attribute for the length of the
-test.
+line, a bitangent seed, a stated generator, a restricted image, the
+prime of the Q ranks), runs the claims that read it, and expects every
+claim that reads the value to end failed with the check that caught it
+in its evidence.  No source is edited: each row patches one attribute
+for the length of the test.
 """
 
 import pytest
@@ -73,6 +73,24 @@ def test_a_repeated_line_fails_fermat_lines_and_blocks_k_faithful(
                                "pairwise_distinct": False, "exact": True}
     assert report.claim("k-faithful").evidence == {
         "blocked_by": ["fermat-lines"]}
+
+
+def test_the_flex_tangent_as_bitangent_seed_fails_klein_bitangents(
+        monkeypatch):
+    # y = 0 is the flex tangent at (1 : 0 : 0): one triple contact and a
+    # simple one, so gcd(f, f') is a square and not two distinct roots
+    monkeypatch.setattr(claims, "KLEIN_BITANGENT", (0, 1, 0))
+    report = run_claims(["h-free-on-flexes", "thm-sg-btg"])
+    assert report.claim("klein-bitangents").evidence == {
+        "error": "CheckFailed: bitangent contact: gcd(f, f') = (1)*t^2, "
+                 "need two distinct roots"}
+    assert report.claim("h-free-on-bitangents").evidence == {
+        "blocked_by": ["klein-bitangents"]}
+    assert report.claim("thm-sg-btg").evidence == {
+        "blocked_by": ["h-free-on-bitangents", "klein-bitangents"]}
+    # the flexes and their tangents do not read the bitangent seed
+    for cid in ("klein-flexes", "h-free-on-flexes"):
+        assert report.claim(cid).status == "verified"
 
 
 def _add_c1_power(monkeypatch, index, power):
